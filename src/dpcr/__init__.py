@@ -28,6 +28,7 @@ from .accounting import (
     local_bound,
     local_folds,
     most_span,
+    span_folds,
     sup,
     swcr_bound,
     swcr_folds,
@@ -68,6 +69,7 @@ from .engines import (
     cover_range,
     derive_swcr_from_hdcr,
     run_dcr,
+    run_hdcr,
     run_swcr,
 )
 from .mechanisms import (
@@ -87,7 +89,6 @@ from .randomized_response import (
     RrRecord,
     SingularMatrixError,
     UnknownLabelError,
-    encode_mutation,
     estimate_delta_v,
     optimal_rule,
     rr_dcr,

@@ -5,23 +5,27 @@ times a single entry's privacy loss composes, and bounds turn a fold
 count into a composed ``(epsilon, delta)`` pair. Fold counts for the
 release shapes:
 
-================  ======================  ==============================
+================  ======================  ===================================
 release           at-most-k mutations     time-bounded mutations
-================  ======================  ==============================
-disjoint          ``k``                   ``most_span(endpoints, bound)``
+================  ======================  ===================================
+disjoint          ``k``                   ``span_folds(endpoints, bound)``
 sliding window    ``k * ceil(W/P)``       ``ceil((bound + W) / P)``
-hierarchical      ``height * k``          per-layer ``most_span``, summed
-================  ======================  ==============================
+hierarchical      ``height * k``          per-layer ``span_folds``, summed
+any (hybrid)      max of branch counts    max of branch counts
+================  ======================  ===================================
 
-Hybrid constraints take the componentwise max over branch bounds, and
-local (per-entry) guarantees double the fold count.
+``span_folds`` never counts fewer ranges than one entry can touch.
+Composition never decreases with the fold count, so composing a
+hybrid's largest branch count is the sup of its branch bounds. Local
+(per-entry) guarantees double the fold count.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .changelog import (
     AtMostK,
@@ -50,8 +54,8 @@ class PrivacyLoss:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0 <= self.delta <= 1:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
 
@@ -240,9 +244,9 @@ def most_span(ticks: Sequence[int], span: int) -> int:
     Two-pointer evaluation of the quadratic reference procedure (see
     ``oracles.most_span_oracle``): for each start endpoint, count the
     endpoints passed until the spread first reaches ``span``. Single-
-    endpoint schedules give 0, and so does a window wider than the whole
-    schedule, which understates the true overlap; bounds built from this
-    function inherit that quirk deliberately.
+    endpoint schedules give 0, and so does a start endpoint whose window
+    runs past the schedule end, which understates the true overlap. Kept
+    as the reference reproduction; the accountant enforces ``span_folds``.
     """
     n = len(ticks)
     best = 0
@@ -257,39 +261,54 @@ def most_span(ticks: Sequence[int], span: int) -> int:
     return best
 
 
-def dcr_folds(schedule: ReleaseSchedule, constraint: AtMostK | TimeBounded) -> int:
+def span_folds(ticks: Sequence[int], bound: int) -> int:
+    """Most schedule ranges one entry can touch within ``bound`` ticks.
+
+    ``most_span`` skips the start endpoints whose window runs past the
+    last endpoint; an entry starting at the first of them, ``i``, can
+    touch all ``n - i`` remaining ranges.
+    """
+    late = min(bisect.bisect_right(ticks, ticks[-1] - bound), len(ticks) - 1)
+    return max(most_span(ticks, bound), len(ticks) - late)
+
+
+def _folds(
+    constraint: MutationConstraint, per_mutation: int, time_bounded: Callable[[int], int]
+) -> int:
+    """``k * per_mutation``, ``time_bounded(bound)``, or a hybrid's largest branch count."""
+    if isinstance(constraint, Hybrid):
+        return max(_folds(b, per_mutation, time_bounded) for b in constraint.branches)
+    if isinstance(constraint, AtMostK):
+        return constraint.k * per_mutation
+    if isinstance(constraint, TimeBounded):
+        return time_bounded(constraint.bound)
+    raise TypeError(f"unknown constraint {constraint!r}")
+
+
+def dcr_folds(schedule: ReleaseSchedule, constraint: MutationConstraint) -> int:
     """Queries of a disjoint release one entry can affect."""
-    if isinstance(constraint, AtMostK):
-        return constraint.k
-    if isinstance(constraint, TimeBounded):
-        return most_span(schedule.ticks, constraint.bound)
-    raise TypeError(f"fold counts are defined per atomic constraint, got {constraint!r}")
+    return _folds(constraint, 1, lambda b: span_folds(schedule.ticks, b))
 
 
-def swcr_folds(params: SwcrParams, constraint: AtMostK | TimeBounded) -> int:
+def swcr_folds(params: SwcrParams, constraint: MutationConstraint) -> int:
     """Queries of a sliding-window release one entry can affect."""
-    if isinstance(constraint, AtMostK):
-        return constraint.k * -(-params.window // params.period)
-    if isinstance(constraint, TimeBounded):
-        return -(-(constraint.bound + params.window) // params.period)
-    raise TypeError(f"fold counts are defined per atomic constraint, got {constraint!r}")
+    per_mutation = -(-params.window // params.period)
+    return _folds(constraint, per_mutation, lambda b: -(-(b + params.window) // params.period))
 
 
-def hdcr_folds(params: HdcrParams, constraint: AtMostK | TimeBounded) -> int:
+def hdcr_folds(params: HdcrParams, constraint: MutationConstraint) -> int:
     """Nodes of a hierarchical release one entry can affect.
 
-    The time-bounded count sums the exact per-layer ``most_span`` values
+    The time-bounded count sums the per-layer ``span_folds`` values
     rather than any closed-form approximation of them; see
     ``hdcr_time_bounded_nominal_folds`` for the commonly quoted figure.
     """
-    if isinstance(constraint, AtMostK):
-        return params.height * constraint.k
-    if isinstance(constraint, TimeBounded):
-        return sum(
-            most_span(params.layer_schedule(i).ticks, constraint.bound)
-            for i in range(params.height)
-        )
-    raise TypeError(f"fold counts are defined per atomic constraint, got {constraint!r}")
+    layers = range(params.height)
+    return _folds(
+        constraint,
+        params.height,
+        lambda b: sum(span_folds(params.layer_schedule(i).ticks, b) for i in layers),
+    )
 
 
 def hdcr_time_bounded_nominal_folds(params: HdcrParams, bound: int) -> float:
@@ -312,8 +331,6 @@ def dcr_bound(
     strategy: CompositionStrategy = Naive(),
 ) -> PrivacyLoss:
     """Total loss of a disjoint release under a mutation constraint."""
-    if isinstance(constraint, Hybrid):
-        return sup(dcr_bound(schedule, per_query, b, strategy) for b in constraint.branches)
     return compose_fold(per_query, dcr_folds(schedule, constraint), strategy)
 
 
@@ -324,8 +341,6 @@ def swcr_bound(
     strategy: CompositionStrategy = Naive(),
 ) -> PrivacyLoss:
     """Total loss of a sliding-window release under a mutation constraint."""
-    if isinstance(constraint, Hybrid):
-        return sup(swcr_bound(params, per_query, b, strategy) for b in constraint.branches)
     return compose_fold(per_query, swcr_folds(params, constraint), strategy)
 
 
@@ -336,8 +351,6 @@ def hdcr_bound(
     strategy: CompositionStrategy = Naive(),
 ) -> PrivacyLoss:
     """Total loss of a hierarchical release under a mutation constraint."""
-    if isinstance(constraint, Hybrid):
-        return sup(hdcr_bound(params, per_node, b, strategy) for b in constraint.branches)
     return compose_fold(per_node, hdcr_folds(params, constraint), strategy)
 
 

@@ -33,7 +33,6 @@ from .accounting import (
     hdcr_folds,
     hdcr_time_bounded_nominal_folds,
     local_folds,
-    sup,
     swcr_folds,
 )
 from .changelog import (
@@ -43,28 +42,27 @@ from .changelog import (
     Mutation,
     MutationConstraint,
     TimeBounded,
-    TimeRangeFilter,
     dump_changelog,
     entry_satisfies,
     load_changelog,
     validate_constraint,
 )
 from .engines import (
-    ReleaseRecord,
+    RangeTooWideError,
     ReleaseResult,
-    aggregate,
-    build_hdcr,
     compare_hdcr_swcr,
     derive_swcr_from_hdcr,
     result_to_csv,
     result_to_jsonl,
     run_dcr,
+    run_hdcr,
     run_swcr,
     swcr_equivalent_hdcr_params,
 )
-from .mechanisms import LinearQuerySpec, NoiseSpec, named_stream, sensitivity
+from .mechanisms import InvalidNoiseError, LinearQuerySpec, NoiseSpec, named_stream, sensitivity
 from .randomized_response import (
     AnswerTimeline,
+    InvalidEpsilonError,
     ResponseSpace,
     RrRecord,
     dump_answer_log,
@@ -240,18 +238,18 @@ def query_from_config(cfg: Mapping) -> LinearQuerySpec:
     bounds = qcfg.get("bounds", [0.0, 1.0])
     if not (isinstance(bounds, list) and len(bounds) == 2):
         raise ConfigError("release.query.bounds must be [lower, upper]")
+    if fn == "indicator" and "threshold" not in qcfg:
+        raise ConfigError("release.query.threshold is required for indicator queries")
     predicate = None
-    if fn == "indicator":
-        if "threshold" not in qcfg:
-            raise ConfigError("release.query.threshold is required for indicator queries")
-        threshold = float(qcfg["threshold"])
-        predicate = lambda v: v > threshold  # noqa: E731
     table = qcfg.get("table")
-    if table is not None:
-        table = {float(k): float(v) for k, v in table.items()}
     try:
+        if fn == "indicator":
+            threshold = float(qcfg["threshold"])
+            predicate = lambda v: v > threshold  # noqa: E731
+        if table is not None:
+            table = {float(k): float(v) for k, v in table.items()}
         return LinearQuerySpec(fn, float(bounds[0]), float(bounds[1]), predicate, table)
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"release.query: {exc}") from exc
 
 
@@ -260,14 +258,18 @@ def strategy_from_config(cfg: Mapping) -> CompositionStrategy:
     if name == "naive":
         return Naive()
     if name == "advanced":
-        return Advanced(_get(cfg, "release.delta_slack", float, default=1e-6))
+        slack = _get(cfg, "release.delta_slack", float, default=1e-6)
+        try:
+            return Advanced(slack)
+        except ValueError as exc:
+            raise ConfigError(f"release.delta_slack: {exc}") from exc
     raise ConfigError(f"release.composition must be naive or advanced, got {name!r}")
 
 
 # -- accounting reports ------------------------------------------------------
 
-def release_accounting(cfg: Mapping) -> dict:
-    """Folds and composed losses for the configured release.
+def release_accounting(cfg: Mapping) -> tuple[MutationConstraint, dict]:
+    """The declared constraint plus folds and composed losses of the release.
 
     The returned mapping is embedded verbatim in run headers, so the
     CLI can never drift from the library's accountant.
@@ -287,31 +289,21 @@ def release_accounting(cfg: Mapping) -> dict:
     if kind.startswith("rr-") and not local:
         raise ConfigError("randomized-response releases are accounted locally; release.local must not be false")
 
-    def fold_fn(atomic) -> int:
-        if kind == "dcr" or kind == "rr-dcr":
-            return dcr_folds(_schedule_from_config(cfg), atomic)
-        if kind == "swcr":
-            if _get(cfg, "release.from_hdcr", bool, default=False):
-                # the derived release's loss is the underlying hierarchy's
-                params = swcr_equivalent_hdcr_params(
-                    _swcr_from_config(cfg),
-                    _get(cfg, "release.branching", int, default=2),
-                )
-                return hdcr_folds(params, atomic)
-            return swcr_folds(_swcr_from_config(cfg), atomic)
-        return hdcr_folds(_hdcr_from_config(cfg), atomic)
-
-    def bound_for(c: MutationConstraint, doubled: bool) -> tuple[int | None, PrivacyLoss]:
-        if isinstance(c, Hybrid):
-            parts = [bound_for(b, doubled) for b in c.branches]
-            return None, sup(loss for _, loss in parts)
-        folds = fold_fn(c)
-        if doubled:
-            folds = local_folds(folds)
-        return folds, compose_fold(per_query, folds, strategy)
-
-    folds, loss = bound_for(constraint, local)
-    local_fold_count, local_loss = bound_for(constraint, True)
+    if kind in ("dcr", "rr-dcr"):
+        global_folds = dcr_folds(_schedule_from_config(cfg), constraint)
+    elif kind != "swcr":
+        global_folds = hdcr_folds(_hdcr_from_config(cfg), constraint)
+    elif _get(cfg, "release.from_hdcr", bool, default=False):
+        # the derived release's loss is the underlying hierarchy's
+        branching = _get(cfg, "release.branching", int, default=2)
+        params = swcr_equivalent_hdcr_params(_swcr_from_config(cfg), branching)
+        global_folds = hdcr_folds(params, constraint)
+    else:
+        global_folds = swcr_folds(_swcr_from_config(cfg), constraint)
+    local_fold_count = local_folds(global_folds)
+    folds = local_fold_count if local else global_folds
+    loss = compose_fold(per_query, folds, strategy)
+    local_loss = compose_fold(per_query, local_fold_count, strategy)
     report = {
         "kind": kind,
         "constraint": _constraint_json(constraint),
@@ -328,7 +320,7 @@ def release_accounting(cfg: Mapping) -> dict:
         report["nominal_layer_sum_folds"] = hdcr_time_bounded_nominal_folds(
             _hdcr_from_config(cfg), constraint.bound
         )
-    return report
+    return constraint, report
 
 
 def _schedule_from_config(cfg: Mapping) -> ReleaseSchedule:
@@ -494,11 +486,8 @@ def generate_answer_log(cfg: Mapping, seed: int) -> dict[str, AnswerTimeline]:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     seed = _seed(cfg)
-    kind = _get(cfg, "release.kind", str)
-    if kind not in RELEASE_KINDS:
-        raise ConfigError(f"release.kind must be one of {RELEASE_KINDS}, got {kind!r}")
-    accounting = release_accounting(cfg)
-    constraint = constraint_from_config(_get(cfg, "release.constraint", dict), "release.constraint")
+    constraint, accounting = release_accounting(cfg)
+    kind = accounting["kind"]
     out = args.out or _get(cfg, "output.path", str)
     fmt = _get(cfg, "output.format", str, default="csv")
     if fmt not in ("csv", "jsonl"):
@@ -510,52 +499,57 @@ def cmd_run(args: argparse.Namespace) -> int:
         "input": args.changelog,
         "privacy": accounting,
     }
-    if kind.startswith("rr-"):
-        timelines = load_answer_log(args.changelog)
-        _check_answer_constraint(timelines, constraint)
-        records = _run_rr(cfg, kind, timelines, seed)
-        with open(out, "w", encoding="utf-8") as fh:
-            space = _labels_from_config(cfg)
-            _write_rr(records, space, fh, fmt, header)
+    rr = kind.startswith("rr-")
+    if rr:
+        data = _load_input(load_answer_log, args.changelog)
+        verdicts = _answer_log_verdicts(data, constraint)
     else:
-        log = load_changelog(args.changelog)
-        bad = [eid for eid, ok in validate_constraint(log, constraint).items() if not ok]
-        if bad:
-            raise ConstraintViolationError(
-                f"{len(bad)} entries violate the declared constraint (first: {bad[:3]})"
-            )
-        result = _run_release(cfg, kind, log, seed)
-        with open(out, "w", encoding="utf-8") as fh:
-            _write_release(result, fh, fmt, header, include_exact)
+        data = _load_input(load_changelog, args.changelog)
+        verdicts = validate_constraint(data, constraint)
+    bad = [eid for eid, ok in verdicts.items() if not ok]
+    if bad:
+        raise ConstraintViolationError(
+            f"{len(bad)} entries violate the declared constraint (first: {bad[:3]})"
+        )
+    try:
+        release = _run_rr(cfg, kind, data, seed) if rr else _run_release(cfg, kind, data, seed)
+    except (InvalidEpsilonError, InvalidNoiseError, RangeTooWideError) as exc:
+        # the engines check these release parameters only once they run
+        raise ConfigError(f"release: {exc}") from exc
+    with open(out, "w", encoding="utf-8") as fh:
+        if rr:
+            _write_rr(release, _labels_from_config(cfg), fh, fmt, header)
+        else:
+            _write_release(release, fh, fmt, header, include_exact)
     print(f"wrote release to {out} (accounted {accounting['scope']} loss: "
           f"epsilon={accounting['epsilon']:.6g}, delta={accounting['delta']:.3g})")
     return 0
 
 
-def _check_answer_constraint(
+def _load_input(loader, path: str):
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--changelog {path}: {exc}") from exc
+
+
+def _answer_log_verdicts(
     timelines: Mapping[str, AnswerTimeline], constraint: MutationConstraint
-) -> None:
+) -> dict[str, bool]:
     # answer records play the role of mutations: count and time span
-    bad = []
-    for eid, timeline in timelines.items():
-        chain = [Mutation(timeline[0][0], eid, None, 1.0)] + [
-            Mutation(t, eid, 1.0, 1.0) for t, _ in timeline[1:]
-        ]
-        if not entry_satisfies(tuple(chain), constraint):
-            bad.append(eid)
-    if bad:
-        raise ConstraintViolationError(
-            f"{len(bad)} entries violate the declared constraint (first: {bad[:3]})"
+    return {
+        eid: entry_satisfies(
+            (Mutation(timeline[0][0], eid, None, 1.0),)
+            + tuple(Mutation(t, eid, 1.0, 1.0) for t, _ in timeline[1:]),
+            constraint,
         )
+        for eid, timeline in timelines.items()
+    }
 
 
 def _run_release(cfg: Mapping, kind: str, log: Changelog, seed: int) -> ReleaseResult:
     spec = query_from_config(cfg)
-    epsilon = _get(cfg, "release.epsilon", float)
-    try:
-        noise = NoiseSpec(epsilon, sensitivity(spec), seed)
-    except ValueError as exc:
-        raise ConfigError(f"release: {exc}") from exc
+    noise = NoiseSpec(_get(cfg, "release.epsilon", float), sensitivity(spec), seed)
     if kind == "dcr":
         return run_dcr(log, _schedule_from_config(cfg), spec, noise)
     if kind == "swcr":
@@ -566,19 +560,7 @@ def _run_release(cfg: Mapping, kind: str, log: Changelog, seed: int) -> ReleaseR
             )
             return result
         return run_swcr(log, _swcr_from_config(cfg), spec, noise)
-    params = _hdcr_from_config(cfg)
-    tree = build_hdcr(log, params, spec, noise)
-    records = []
-    for j in range(1, params.grid_size() + 1):
-        agg = aggregate(tree, 0, j)
-        end = min(params.start + j * params.interval, params.start + params.span)
-        records.append(
-            ReleaseRecord(
-                j - 1, TimeRangeFilter(params.start, end),
-                agg.noisy, agg.exact, agg.node_count, agg.variance,
-            )
-        )
-    return ReleaseResult(tuple(records))
+    return run_hdcr(log, _hdcr_from_config(cfg), spec, noise)
 
 
 def _run_rr(
@@ -591,15 +573,20 @@ def _run_rr(
     return rr_hdcr(timelines, space, _hdcr_from_config(cfg), epsilon, seed)
 
 
+def _write_header(fh: IO[str], fmt: str, header: dict) -> None:
+    if fmt == "jsonl":
+        fh.write(json.dumps({"type": "header", **header}) + "\n")
+    else:
+        fh.write("# " + json.dumps(header) + "\n")
+
+
 def _write_release(
     result: ReleaseResult, fh: IO[str], fmt: str, header: dict, include_exact: bool
 ) -> None:
+    _write_header(fh, fmt, header)
     if fmt == "jsonl":
-        fh.write(json.dumps({"type": "header", **header}))
-        fh.write("\n")
         result_to_jsonl(result, fh, include_exact)
     else:
-        fh.write("# " + json.dumps(header) + "\n")
         result_to_csv(result, fh, include_exact)
 
 
@@ -619,9 +606,8 @@ def _write_rr(
             rows.append(
                 (rec.time, rec.estimate.values, np.diag(rec.estimate.covariance), rec.node_count)
             )
+    _write_header(fh, fmt, header)
     if fmt == "jsonl":
-        fh.write(json.dumps({"type": "header", **header}))
-        fh.write("\n")
         for t, values, variances, node_count in rows:
             rec = {"t": t, "estimate": values.tolist(), "variance": variances.tolist()}
             if node_count is not None:
@@ -629,7 +615,6 @@ def _write_rr(
             fh.write(json.dumps(rec))
             fh.write("\n")
     else:
-        fh.write("# " + json.dumps(header) + "\n")
         names = ["t"]
         names += [f"vhat_{l}" for l in space.labels]
         names += [f"var_{l}" for l in space.labels]
@@ -643,18 +628,17 @@ def _write_rr(
 
 def cmd_account(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    report = release_accounting(cfg)
+    constraint, report = release_accounting(cfg)
+    note = " (per-branch sup)" if isinstance(constraint, Hybrid) else ""
     print(f"release kind:      {report['kind']}")
     print(f"constraint:        {json.dumps(report['constraint'])}")
     print(f"per-query loss:    (epsilon={report['per_query']['epsilon']:.6g}, "
           f"delta={report['per_query']['delta']:.3g})")
-    folds = report["folds"]
     print(f"scope:             {report['scope']}")
-    print(f"composed folds:    {'per-branch sup' if folds is None else folds}")
+    print(f"composed folds:    {report['folds']}{note}")
     print(f"accounted loss:    (epsilon={report['epsilon']:.6g}, delta={report['delta']:.3g})")
     if report["scope"] == "global":
-        lf = report["local_folds"]
-        print(f"local folds:       {'per-branch sup' if lf is None else lf}")
+        print(f"local folds:       {report['local_folds']}{note}")
         print(f"local bound:       (epsilon={report['local_epsilon']:.6g}, "
               f"delta={report['local_delta']:.3g})")
     if "nominal_layer_sum_folds" in report:

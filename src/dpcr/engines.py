@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
 from .accounting import HdcrParams, ReleaseSchedule, SwcrParams
 from .changelog import (
@@ -69,12 +69,7 @@ def run_dcr(
     The first query reads everything up to the first endpoint. Queries
     are non-adaptive and use mutually independent noise streams.
     """
-    records = []
-    for i, window in enumerate(schedule.filters()):
-        exact = linear_query_change(log.filter(window), spec)
-        rng = named_stream(noise.seed, "dcr", i)
-        records.append(ReleaseRecord(i, window, perturb(exact, noise, rng), exact))
-    return ReleaseResult(tuple(records))
+    return _run_filters(log, schedule.filters(), spec, noise, "dcr")
 
 
 def run_swcr(
@@ -84,10 +79,18 @@ def run_swcr(
     noise: NoiseSpec,
 ) -> ReleaseResult:
     """Sliding-window release: query ``i`` reads ``(t_i - window, t_i]``."""
+    return _run_filters(log, params.filters(), spec, noise, "swcr")
+
+
+def _run_filters(
+    log: Changelog, filters: Sequence[TimeRangeFilter], spec: LinearQuerySpec,
+    noise: NoiseSpec, stream: str,
+) -> ReleaseResult:
+    """Perturb each filter's exact change with draw ``(stream, i)``."""
     records = []
-    for i, window in enumerate(params.filters()):
+    for i, window in enumerate(filters):
         exact = linear_query_change(log.filter(window), spec)
-        rng = named_stream(noise.seed, "swcr", i)
+        rng = named_stream(noise.seed, stream, i)
         records.append(ReleaseRecord(i, window, perturb(exact, noise, rng), exact))
     return ReleaseResult(tuple(records))
 
@@ -219,6 +222,43 @@ def aggregate(tree: HdcrTree, low: int, high: int) -> AggregateResult:
     return AggregateResult(noisy, exact, len(cover), variance, cover)
 
 
+def prefix_windows(params: HdcrParams) -> list[tuple[int, TimeRangeFilter]]:
+    """Grid range ``(0, j]`` and the real range it answers, per grid unit ``j``.
+
+    Raises RangeTooWideError before any work if no cover can span the grid.
+    """
+    grid = params.grid_size()
+    if grid > params.branching**params.height:
+        raise RangeTooWideError(f"a {params.height}-layer hierarchy cannot cover {grid} grid units")
+    end = params.start + params.span
+    return [
+        (j, TimeRangeFilter(params.start, min(params.start + j * params.interval, end)))
+        for j in range(1, grid + 1)
+    ]
+
+
+def run_hdcr(
+    log: Changelog, params: HdcrParams, spec: LinearQuerySpec, noise_per_node: NoiseSpec
+) -> ReleaseResult:
+    """Hierarchical release: one prefix aggregate per bottom-layer endpoint."""
+    prefixes = prefix_windows(params)
+    tree = build_hdcr(log, params, spec, noise_per_node)
+    return _aggregates(tree, [(0, j, window) for j, window in prefixes])
+
+
+def _aggregates(
+    tree: HdcrTree, ranges: Sequence[tuple[int, int, TimeRangeFilter]]
+) -> ReleaseResult:
+    """One record per ``(low, high, window)``: the aggregate of grid range ``(low, high]``."""
+    records = []
+    for i, (low, high, window) in enumerate(ranges):
+        agg = aggregate(tree, low, high)
+        records.append(
+            ReleaseRecord(i, window, agg.noisy, agg.exact, agg.node_count, agg.variance)
+        )
+    return ReleaseResult(tuple(records))
+
+
 def swcr_equivalent_hdcr_params(
     swcr: SwcrParams, branching: int, interval: int | None = None
 ) -> HdcrParams:
@@ -257,15 +297,11 @@ def derive_swcr_from_hdcr(
     params = swcr_equivalent_hdcr_params(swcr, branching)
     tree = build_hdcr(log, params, spec, noise_per_node)
     dt = params.interval
-    records = []
-    for i, window in enumerate(swcr.filters()):
-        low = (int(window.start) - params.start) // dt
-        high = (window.end - params.start) // dt
-        agg = aggregate(tree, low, high)
-        records.append(
-            ReleaseRecord(i, window, agg.noisy, agg.exact, agg.node_count, agg.variance)
-        )
-    return ReleaseResult(tuple(records)), tree
+    ranges = [
+        ((int(w.start) - params.start) // dt, (w.end - params.start) // dt, w)
+        for w in swcr.filters()
+    ]
+    return _aggregates(tree, ranges), tree
 
 
 @dataclass(frozen=True)

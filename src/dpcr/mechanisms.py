@@ -90,18 +90,14 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind != "laplace":
             raise InvalidNoiseError(f"unsupported noise kind {self.kind!r}")
-        _check_positive(self.epsilon, self.sensitivity)
+        if not self.epsilon > 0:
+            raise InvalidNoiseError(f"epsilon must be > 0, got {self.epsilon}")
+        if not self.sensitivity > 0:
+            raise InvalidNoiseError(f"sensitivity must be > 0, got {self.sensitivity}")
 
     @property
     def scale(self) -> float:
         return self.sensitivity / self.epsilon
-
-
-def _check_positive(epsilon: float, sens: float) -> None:
-    if not epsilon > 0:
-        raise InvalidNoiseError(f"epsilon must be > 0, got {epsilon}")
-    if not sens > 0:
-        raise InvalidNoiseError(f"sensitivity must be > 0, got {sens}")
 
 
 def named_stream(seed: int, *parts: int | str) -> np.random.Generator:
@@ -123,5 +119,4 @@ def named_stream(seed: int, *parts: int | str) -> np.random.Generator:
 
 def perturb(value: float, noise: NoiseSpec, rng: np.random.Generator) -> float:
     """Add one Laplace(0, sensitivity/epsilon) draw from the given stream."""
-    _check_positive(noise.epsilon, noise.sensitivity)
     return value + rng.laplace(0.0, noise.scale)

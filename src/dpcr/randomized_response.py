@@ -15,12 +15,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule
-from .engines import RangeTooWideError, cover_range
+from .changelog import TimeRangeFilter
+from .engines import cover_range, prefix_windows
 from .mechanisms import named_stream
 
 CONDITION_LIMIT = 1e12
@@ -68,27 +69,27 @@ def optimal_rule(size: int, epsilon: float) -> np.ndarray:
     ``1 / (size - 1 + e^eps)``; columns sum to one and any two entries of
     a row differ by the factor ``e^eps`` at most.
     """
-    if size < 2:
-        raise ValueError(f"rule size must be >= 2, got {size}")
-    if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be > 0, got {epsilon}")
-    denom = size - 1 + math.exp(epsilon)
-    rule = np.full((size, size), 1.0 / denom)
-    np.fill_diagonal(rule, math.exp(epsilon) / denom)
+    p, q = _rule_entries(size, epsilon)
+    rule = np.full((size, size), q)
+    np.fill_diagonal(rule, p)
     return rule
 
 
 def optimal_rule_inverse(size: int, epsilon: float) -> np.ndarray:
     """Closed-form inverse of ``optimal_rule`` (rank-one update of identity)."""
+    p, q = _rule_entries(size, epsilon)
+    gap = p - q
+    return np.eye(size) / gap - np.full((size, size), q / gap)
+
+
+def _rule_entries(size: int, epsilon: float) -> tuple[float, float]:
+    """Diagonal and off-diagonal entries of the optimal rule."""
     if size < 2:
         raise ValueError(f"rule size must be >= 2, got {size}")
     if not epsilon > 0:
         raise InvalidEpsilonError(f"epsilon must be > 0, got {epsilon}")
     denom = size - 1 + math.exp(epsilon)
-    p = math.exp(epsilon) / denom
-    q = 1.0 / denom
-    gap = p - q
-    return np.eye(size) / gap - np.full((size, size), q / gap)
+    return math.exp(epsilon) / denom, 1.0 / denom
 
 
 def verify_dp(rule: np.ndarray, epsilon: float, rtol: float = 1e-9) -> bool:
@@ -166,21 +167,14 @@ class AnswerMutationSpace:
         return self.space.index(label)
 
 
-def encode_mutation(
-    prev: str | None, new: str | None, space: AnswerMutationSpace
-) -> int:
-    """Canonical cell index of an answer change."""
-    return space.index(prev, new)
-
-
 @dataclass(frozen=True, eq=False)
 class HistogramEstimate:
-    """Estimated histogram change with its nominal covariance.
+    """Estimated histogram change with its plug-in covariance.
 
-    ``covariance`` follows the collector-side formula
-    ``(1/n) * A (diag(o) - o o^T) A^T`` with ``A`` the delta-times-
-    inverse-rule map and ``o`` the mean observed response vector; it is
-    reported as written, next to any empirically measured covariance.
+    The estimate ``A c`` maps the response counts ``c`` of ``n`` entries
+    through ``A``, the delta-times-inverse-rule map. The counts are
+    multinomial, so ``covariance`` is ``n * A (diag(o) - o o^T) A^T``
+    with ``o = c / n`` the observed response frequencies.
     """
 
     values: np.ndarray
@@ -207,7 +201,7 @@ def estimate_from_counts(
     if n > 0:
         mean_response = counts / n
         inner = np.diag(mean_response) - np.outer(mean_response, mean_response)
-        covariance = (transform @ inner @ transform.T) / n
+        covariance = n * (transform @ inner @ transform.T)
         covariance = (covariance + covariance.T) / 2
     else:
         covariance = np.zeros((delta.shape[0], delta.shape[0]))
@@ -327,23 +321,11 @@ def rr_dcr(
     nothing. Summing the estimates up to ``t`` estimates the histogram
     at ``t`` relative to the release start.
     """
-    mspace = AnswerMutationSpace(space)
-    rule = optimal_rule(mspace.size, epsilon)
-    delta = mspace.delta_matrix()
-    entries = sorted(answer_log)
-    records = []
-    for i, window in enumerate(schedule.filters()):
-        cells = np.array(
-            [
-                mspace.index(*net_mutation(answer_log[e], window.start, window.end))
-                for e in entries
-            ],
-            dtype=int,
-        )
-        rng = named_stream(seed, "rr-dcr", i)
-        responses = sample_responses(rng, cells, rule)
-        records.append(RrRecord(window.end, estimate_delta_v(responses, rule, delta)))
-    return records
+    survey = _window_survey(answer_log, space, epsilon)
+    return [
+        RrRecord(window.end, survey(window, named_stream(seed, "rr-dcr", i)))
+        for i, window in enumerate(schedule.filters())
+    ]
 
 
 def rr_hdcr(
@@ -360,40 +342,40 @@ def rr_hdcr(
     endpoint sums the node cover of the prefix range, so its variance
     follows the cover size instead of the elapsed time.
     """
-    grid = params.grid_size()
-    if grid > params.branching**params.height:
-        raise RangeTooWideError(
-            f"a {params.height}-layer hierarchy cannot cover {grid} grid units"
+    prefixes = prefix_windows(params)
+    survey = _window_survey(answer_log, space, epsilon_per_node)
+    node_estimates = {
+        (layer, index): survey(
+            params.node_filter(layer, index), named_stream(seed, "rr-hdcr", layer, index)
         )
-    mspace = AnswerMutationSpace(space)
-    rule = optimal_rule(mspace.size, epsilon_per_node)
-    delta = mspace.delta_matrix()
-    entries = sorted(answer_log)
-    node_estimates: dict[tuple[int, int], HistogramEstimate] = {}
-    for layer in range(params.height):
-        for index in range(params.layer_size(layer)):
-            window = params.node_filter(layer, index)
-            cells = np.array(
-                [
-                    mspace.index(*net_mutation(answer_log[e], window.start, window.end))
-                    for e in entries
-                ],
-                dtype=int,
-            )
-            rng = named_stream(seed, "rr-hdcr", layer, index)
-            responses = sample_responses(rng, cells, rule)
-            node_estimates[(layer, index)] = estimate_delta_v(responses, rule, delta)
+        for layer in range(params.height)
+        for index in range(params.layer_size(layer))
+    }
 
     records = []
-    for j in range(1, grid + 1):
+    for j, window in prefixes:
         cover = cover_range(0, j, params.branching, params.height)
-        values = np.zeros(space.size)
-        covariance = np.zeros((space.size, space.size))
-        for node in cover.nodes:
-            est = node_estimates[node]
-            values = values + est.values
-            covariance = covariance + est.covariance
-        t = min(params.start + j * params.interval, params.start + params.span)
-        estimate = HistogramEstimate(values, covariance, len(entries))
-        records.append(RrRecord(t, estimate, node_count=len(cover)))
+        nodes = [node_estimates[node] for node in cover.nodes]
+        values = sum((est.values for est in nodes), np.zeros(space.size))
+        covariance = sum((est.covariance for est in nodes), np.zeros((space.size, space.size)))
+        estimate = HistogramEstimate(values, covariance, len(answer_log))
+        records.append(RrRecord(window.end, estimate, node_count=len(cover)))
     return records
+
+
+def _window_survey(
+    answer_log: Mapping[str, AnswerTimeline], space: ResponseSpace, epsilon: float
+) -> Callable[[TimeRangeFilter, np.random.Generator], HistogramEstimate]:
+    """One survey round per window: net cells, responses in entry-id order, estimate."""
+    mspace = AnswerMutationSpace(space)
+    rule = optimal_rule(mspace.size, epsilon)
+    delta = mspace.delta_matrix()
+    entries = sorted(answer_log)
+
+    def survey(window: TimeRangeFilter, rng: np.random.Generator) -> HistogramEstimate:
+        cells = [
+            mspace.index(*net_mutation(answer_log[e], window.start, window.end)) for e in entries
+        ]
+        return estimate_delta_v(sample_responses(rng, cells, rule), rule, delta)
+
+    return survey

@@ -1,4 +1,5 @@
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -21,12 +22,13 @@ from dpcr.accounting import (
     local_bound,
     local_folds,
     most_span,
+    span_folds,
     sup,
     swcr_bound,
     swcr_folds,
 )
 from dpcr.changelog import AtMostK, Hybrid, TimeBounded, insert, modify
-from dpcr.oracles import most_span_oracle
+from dpcr.oracles import affected_count_oracle, most_span_oracle
 
 LOSS = PrivacyLoss(0.1, 1e-6)
 
@@ -117,6 +119,78 @@ class TestMostSpan:
         for g in gaps:
             ticks.append(ticks[-1] + g)
         assert most_span(tuple(ticks), span) == most_span_oracle(ticks, span)
+
+
+def _entry(times):
+    return [insert("x", times[0], 1.0)] + [modify("x", t, 1.0, 1.0) for t in times[1:]]
+
+
+class TestSpanFolds:
+    def test_non_uniform_ticks_within_span(self):
+        schedule = ReleaseSchedule((5, 10, 11, 12, 14))
+        hits = affected_count_oracle(schedule.filters(), _entry([10, 11, 12, 13]))
+        assert hits == 4
+        assert most_span(schedule.ticks, 5) == 2
+        assert dcr_folds(schedule, TimeBounded(5)) >= hits
+
+    def test_bound_wider_than_schedule(self):
+        schedule = ReleaseSchedule((0, 1, 2))
+        hits = affected_count_oracle(schedule.filters(), _entry([0, 1, 2]))
+        assert hits == 3
+        assert most_span(schedule.ticks, 100) == 0
+        assert dcr_folds(schedule, TimeBounded(100)) >= hits
+        got = dcr_bound(schedule, PrivacyLoss(1.0), TimeBounded(100))
+        assert got.epsilon == pytest.approx(3.0)
+
+    def test_single_endpoint(self):
+        assert span_folds((5,), 7) == 1
+
+    def test_hdcr_bound_wider_than_span(self):
+        params = HdcrParams(height=3, branching=2, start=0, span=8, interval=1)
+        nodes = [
+            params.node_filter(layer, index)
+            for layer in range(params.height)
+            for index in range(params.layer_size(layer))
+        ]
+        hits = affected_count_oracle(nodes, _entry(list(range(1, 9))))
+        assert hits == 14
+        assert hdcr_folds(params, TimeBounded(100)) >= hits
+
+    def test_hdcr_never_below_oracle(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(2000):
+            params = HdcrParams(
+                height=int(rng.integers(1, 5)),
+                branching=int(rng.integers(2, 4)),
+                start=int(rng.integers(-3, 4)),
+                span=int(rng.integers(1, 40)),
+                interval=int(rng.integers(1, 4)),
+            )
+            nodes = [
+                params.node_filter(layer, index)
+                for layer in range(params.height)
+                for index in range(params.layer_size(layer))
+            ]
+            first = int(rng.integers(params.start - 4, params.start + params.span + 3))
+            if rng.random() < 0.5:
+                k = int(rng.integers(1, 6))
+                offsets = rng.integers(0, 4 * params.interval + 1, size=k)
+                constraint = AtMostK(k)
+            else:
+                bound = int(rng.integers(0, params.span + 20))
+                offsets = np.append(rng.integers(0, bound + 1, size=4), bound)
+                constraint = TimeBounded(bound)
+            times = sorted({first + int(o) for o in offsets})
+            if isinstance(constraint, AtMostK):
+                times = times[: constraint.k]
+            assert affected_count_oracle(nodes, _entry(times)) <= hdcr_folds(params, constraint)
+
+    def test_hybrid_folds_take_largest_branch(self):
+        params = HdcrParams(height=3, branching=2, start=0, span=8, interval=1)
+        hybrid = Hybrid((AtMostK(2), TimeBounded(100)))
+        assert hdcr_folds(params, hybrid) == max(
+            hdcr_folds(params, AtMostK(2)), hdcr_folds(params, TimeBounded(100))
+        )
 
 
 class TestDcrBound:

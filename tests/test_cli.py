@@ -91,6 +91,29 @@ class TestRun:
         assert header["privacy"]["epsilon"] == pytest.approx(0.3)
         assert header["privacy"]["scope"] == "global"
 
+    @pytest.mark.parametrize(
+        "ticks,bound,hits",
+        [([0, 1, 2], 100, 3), ([5, 10, 11, 12, 14], 5, 4)],
+    )
+    def test_header_folds_cover_time_bounded_overlap(self, tmp_path, ticks, bound, hits):
+        # one entry mutating at consecutive ticks up to `bound` after its
+        # insertion touches `hits` queries, so the header must compose as many
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            **{
+                "release.epsilon": 1.0,
+                "release.schedule": {"ticks": ticks},
+                "release.constraint": {"kind": "time_bounded", "bound": bound},
+                "generator.constraint": {"kind": "time_bounded", "bound": bound},
+            },
+        )
+        log = tmp_path / "log.jsonl"
+        run_cli("generate", "--config", cfg, "--out", log)
+        assert run_cli("run", "--config", cfg, "--changelog", log) == 0
+        header = json.loads((tmp_path / "out.csv").read_text().splitlines()[0].lstrip("# "))
+        assert header["privacy"]["folds"] == hits
+        assert header["privacy"]["epsilon"] == pytest.approx(hits)
+
     def test_exact_hidden_unless_requested(self, tmp_path, cfg):
         log = tmp_path / "log.jsonl"
         run_cli("generate", "--config", cfg, "--out", log)
@@ -280,6 +303,45 @@ class TestAccountAndCompare:
             "generate", "--config", cfg, "--set", "seed=null",
             "--out", tmp_path / "x.jsonl",
         ) == 2
+
+
+class TestInputFailures:
+    @pytest.mark.parametrize(
+        "command,overrides,changelog",
+        [
+            ("account", ["release.epsilon=NaN"], "log"),
+            ("run", ["release.epsilon=Infinity"], "log"),
+            ("run", [], "missing"),
+            ("run", [], "unsorted"),
+            ("run", ["release.query.fn=indicator", "release.query.threshold=abc"], "log"),
+            ("run", ["release.kind=hdcr", "release.height=1", "release.branching=2",
+                     "release.start=0", "release.span=8", "release.interval=1"], "log"),
+            ("run", ["release.kind=rr-dcr", "release.epsilon=0", 'release.labels=["a","b"]'],
+             "answers"),
+            ("account", ["release.composition=advanced", "release.delta_slack=0"], "log"),
+        ],
+        ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
+             "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack"],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
+        log = tmp_path / "log.jsonl"
+        run_cli("generate", "--config", cfg, "--out", log)
+        inputs = {"log": log, "missing": tmp_path / "absent.jsonl"}
+        if changelog == "unsorted":
+            inputs["unsorted"] = tmp_path / "unsorted.jsonl"
+            inputs["unsorted"].write_text("".join(reversed(log.read_text().splitlines(True))))
+        if changelog == "answers":
+            inputs["answers"] = tmp_path / "answers.jsonl"
+            run_cli("generate", "--config", cfg, "--set", 'generator.labels=["a","b"]',
+                    "--out", inputs["answers"])
+        argv = [command, "--config", cfg]
+        for item in overrides:
+            argv += ["--set", item]
+        if command == "run":
+            argv += ["--changelog", inputs[changelog]]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestVerify:

@@ -14,7 +14,6 @@ from dpcr.randomized_response import (
     SingularMatrixError,
     UnknownLabelError,
     answer_at,
-    encode_mutation,
     estimate_delta_v,
     estimate_from_counts,
     net_mutation,
@@ -76,23 +75,23 @@ class TestAnswerMutationSpace:
     def test_size_and_no_change_cell(self):
         mspace = AnswerMutationSpace(SPACE)
         assert mspace.size == 9
-        assert encode_mutation(None, None, mspace) == 8
+        assert mspace.index(None, None) == 8
         assert mspace.cell(8) == (None, None)
 
     def test_unknown_label_rejected(self):
         mspace = AnswerMutationSpace(SPACE)
         with pytest.raises(UnknownLabelError):
-            encode_mutation("nope", "r1", mspace)
+            mspace.index("nope", "r1")
 
     def test_change_column(self):
         mspace = AnswerMutationSpace(SPACE)
-        col = mspace.delta_matrix()[:, encode_mutation("r1", "r2", mspace)]
+        col = mspace.delta_matrix()[:, mspace.index("r1", "r2")]
         assert col.tolist() == [-1, 1]
 
     def test_birth_and_death_columns(self):
         mspace = AnswerMutationSpace(SPACE)
-        birth = mspace.delta_matrix()[:, encode_mutation(None, "r1", mspace)]
-        death = mspace.delta_matrix()[:, encode_mutation("r2", None, mspace)]
+        birth = mspace.delta_matrix()[:, mspace.index(None, "r1")]
+        death = mspace.delta_matrix()[:, mspace.index("r2", None)]
         assert birth.tolist() == [1, 0]
         assert death.tolist() == [0, -1]
 
@@ -115,15 +114,15 @@ class TestAnswerMutationSpace:
         mspace = AnswerMutationSpace(SPACE)
         vec = mspace.one_hot("r1", None)
         assert vec.sum() == 1.0
-        assert vec[encode_mutation("r1", None, mspace)] == 1.0
+        assert vec[mspace.index("r1", None)] == 1.0
 
 
 class TestEstimator:
     def test_identity_rule_recovers_exact_change(self):
         mspace = AnswerMutationSpace(SPACE)
         delta = mspace.delta_matrix()
-        responses = [encode_mutation("r1", "r2", mspace)] * 3 + [
-            encode_mutation(None, None, mspace)
+        responses = [mspace.index("r1", "r2")] * 3 + [
+            mspace.index(None, None)
         ] * 5
         est = estimate_delta_v(responses, np.eye(mspace.size), delta)
         assert est.values.tolist() == [-3.0, 3.0]
@@ -148,7 +147,7 @@ class TestEstimator:
         rule = optimal_rule(mspace.size, 1.0)
         delta = mspace.delta_matrix()
         cells = np.array(
-            [encode_mutation("r1", "r2", mspace)] + [encode_mutation(None, None, mspace)] * 9
+            [mspace.index("r1", "r2")] + [mspace.index(None, None)] * 9
         )
         trials = 4000
         rng = named_stream(31, "mc")
@@ -166,7 +165,7 @@ class TestEstimator:
         mspace = AnswerMutationSpace(SPACE)
         rule = optimal_rule(mspace.size, 1.0)
         delta = mspace.delta_matrix()
-        cells = np.full(50, encode_mutation(None, None, mspace))
+        cells = np.full(50, mspace.index(None, None))
         rng = named_stream(32, "mc")
         trials = 2000
         total = np.zeros(2)
@@ -186,6 +185,29 @@ class TestEstimator:
         assert est.covariance.shape == (2, 2)
         assert np.allclose(est.covariance, est.covariance.T)
         assert isinstance(est, HistogramEstimate)
+
+    def test_reported_variance_matches_monte_carlo(self):
+        # the estimates are counts over 200 entries, so their variance is
+        # n times the per-entry response covariance mapped through A
+        mspace = AnswerMutationSpace(SPACE)
+        rule = optimal_rule(mspace.size, 1.0)
+        delta = mspace.delta_matrix()
+        cells = np.array(
+            [mspace.index("r1", "r2")] * 50
+            + [mspace.index(None, "r1")] * 30
+            + [mspace.index(None, None)] * 120
+        )
+        rng = named_stream(33, "mc")
+        trials = 4000
+        values = np.empty((trials, 2))
+        reported = np.zeros(2)
+        for t in range(trials):
+            est = estimate_delta_v(sample_responses(rng, cells, rule), rule, delta)
+            values[t] = est.values
+            reported += np.diag(est.covariance)
+        reported /= trials
+        empirical = values.var(axis=0, ddof=1)
+        assert np.all(np.abs(reported - empirical) <= 0.10 * empirical)
 
 
 class TestTimelines:
@@ -217,7 +239,7 @@ class TestRrDcr:
         mspace = AnswerMutationSpace(SPACE)
         rule = optimal_rule(mspace.size, 1.0)
         rng = named_stream(21, "rr-dcr", 0)
-        cells = np.array([encode_mutation(None, "r2", mspace)])
+        cells = np.array([mspace.index(None, "r2")])
         expected = estimate_delta_v(
             sample_responses(rng, cells, rule), rule, mspace.delta_matrix()
         )
