@@ -48,8 +48,8 @@ from .changelog import (
     validate_constraint,
 )
 from .engines import (
-    RangeTooWideError,
     ReleaseResult,
+    check_prefix_cover,
     compare_hdcr_swcr,
     derive_swcr_from_hdcr,
     result_to_csv,
@@ -65,6 +65,7 @@ from .randomized_response import (
     InvalidEpsilonError,
     ResponseSpace,
     RrRecord,
+    SingularMatrixError,
     dump_answer_log,
     load_answer_log,
     rr_dcr,
@@ -348,16 +349,23 @@ def _swcr_from_config(cfg: Mapping) -> SwcrParams:
 
 
 def _hdcr_from_config(cfg: Mapping) -> HdcrParams:
+    """The hierarchy of a prefix release (``hdcr``, ``rr-hdcr``).
+
+    Refused here, on the path ``account`` and ``run`` share, when it is
+    too flat for its grid, so both commands agree that no such release exists.
+    """
     try:
-        return HdcrParams(
+        params = HdcrParams(
             height=_get(cfg, "release.height", int),
             branching=_get(cfg, "release.branching", int),
             start=_get(cfg, "release.start", int),
             span=_get(cfg, "release.span", int),
             interval=_get(cfg, "release.interval", int),
         )
-    except ValueError as exc:
+        check_prefix_cover(params)
+    except ValueError as exc:  # RangeTooWideError is a ValueError
         raise ConfigError(f"release: {exc}") from exc
+    return params
 
 
 def _labels_from_config(cfg: Mapping) -> ResponseSpace:
@@ -513,7 +521,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     try:
         release = _run_rr(cfg, kind, data, seed) if rr else _run_release(cfg, kind, data, seed)
-    except (InvalidEpsilonError, InvalidNoiseError, RangeTooWideError) as exc:
+    except (InvalidEpsilonError, InvalidNoiseError, SingularMatrixError) as exc:
         # the engines check these release parameters only once they run
         raise ConfigError(f"release: {exc}") from exc
     with open(out, "w", encoding="utf-8") as fh:

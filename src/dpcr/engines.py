@@ -1,10 +1,16 @@
 """Release engines: disjoint, sliding-window, and hierarchical releases.
 
 The engines evaluate the exact linear-query change for every scheduled
-filter and perturb it with Laplace noise from a per-node stream, so a
-run is reproducible from its seed regardless of evaluation order. Exact
-values ride along in the in-memory results for verification; the
-serializers drop them unless explicitly asked.
+filter and perturb it with Laplace noise read by position from one
+stream per noise vector: query ``i`` of a disjoint or sliding-window
+release takes draw ``i`` of ``named_stream(seed, "dcr")`` (or
+``"swcr"``), and hierarchy node ``(layer, index)`` takes draw ``index``
+of ``named_stream(seed, "hdcr", layer)``. A value's noise is therefore a
+function of the seed, the stream name and its position only: it does
+not depend on evaluation order, and extending a schedule or a span
+leaves earlier values' noise unchanged. Exact values ride along in the
+in-memory results for verification; the serializers drop them unless
+explicitly asked.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Sequence
+
+import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule, SwcrParams
 from .changelog import (
@@ -86,13 +94,12 @@ def _run_filters(
     log: Changelog, filters: Sequence[TimeRangeFilter], spec: LinearQuerySpec,
     noise: NoiseSpec, stream: str,
 ) -> ReleaseResult:
-    """Perturb each filter's exact change with draw ``(stream, i)``."""
-    records = []
-    for i, window in enumerate(filters):
-        exact = linear_query_change(log.filter(window), spec)
-        rng = named_stream(noise.seed, stream, i)
-        records.append(ReleaseRecord(i, window, perturb(exact, noise, rng), exact))
-    return ReleaseResult(tuple(records))
+    """Perturb filter ``i``'s exact change with draw ``i`` of ``(seed, stream)``."""
+    exacts = [linear_query_change(log.filter(window), spec) for window in filters]
+    noisy = perturb(np.array(exacts), noise, named_stream(noise.seed, stream)).tolist()
+    return ReleaseResult(tuple(
+        ReleaseRecord(i, window, noisy[i], exacts[i]) for i, window in enumerate(filters)
+    ))
 
 
 @dataclass(frozen=True)
@@ -174,17 +181,17 @@ def build_hdcr(
     """Evaluate every node of the hierarchy over the changelog.
 
     Each node holds the exact change over its own (possibly truncated)
-    filter plus one independent Laplace draw.
+    filter plus one independent Laplace draw: node ``(layer, index)``
+    takes draw ``index`` of ``named_stream(seed, "hdcr", layer)``.
     """
     nodes = {}
     for layer in range(params.height):
-        for index in range(params.layer_size(layer)):
-            window = params.node_filter(layer, index)
-            exact = linear_query_change(log.filter(window), spec)
-            rng = named_stream(noise_per_node.seed, "hdcr", layer, index)
-            nodes[(layer, index)] = HdcrNode(
-                layer, index, window, exact, perturb(exact, noise_per_node, rng)
-            )
+        windows = [params.node_filter(layer, index) for index in range(params.layer_size(layer))]
+        exacts = [linear_query_change(log.filter(window), spec) for window in windows]
+        rng = named_stream(noise_per_node.seed, "hdcr", layer)
+        noisy = perturb(np.array(exacts), noise_per_node, rng).tolist()
+        for index, window in enumerate(windows):
+            nodes[(layer, index)] = HdcrNode(layer, index, window, exacts[index], noisy[index])
     return HdcrTree(params, noise_per_node, nodes)
 
 
@@ -222,18 +229,27 @@ def aggregate(tree: HdcrTree, low: int, high: int) -> AggregateResult:
     return AggregateResult(noisy, exact, len(cover), variance, cover)
 
 
+def check_prefix_cover(params: HdcrParams) -> None:
+    """Raise RangeTooWideError if no cover can span the hierarchy's whole grid.
+
+    A hierarchy that flat has no prefix release: its last prefixes
+    cannot be answered.
+    """
+    grid = params.grid_size()
+    if grid > params.branching**params.height:
+        raise RangeTooWideError(f"a {params.height}-layer hierarchy cannot cover {grid} grid units")
+
+
 def prefix_windows(params: HdcrParams) -> list[tuple[int, TimeRangeFilter]]:
     """Grid range ``(0, j]`` and the real range it answers, per grid unit ``j``.
 
     Raises RangeTooWideError before any work if no cover can span the grid.
     """
-    grid = params.grid_size()
-    if grid > params.branching**params.height:
-        raise RangeTooWideError(f"a {params.height}-layer hierarchy cannot cover {grid} grid units")
+    check_prefix_cover(params)
     end = params.start + params.span
     return [
         (j, TimeRangeFilter(params.start, min(params.start + j * params.interval, end)))
-        for j in range(1, grid + 1)
+        for j in range(1, params.grid_size() + 1)
     ]
 
 

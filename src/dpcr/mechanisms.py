@@ -106,6 +106,16 @@ def named_stream(seed: int, *parts: int | str) -> np.random.Generator:
     Streams with distinct names are statistically independent
     (counter-based Philox keyed off the hashed name), and a stream's
     draws depend only on the seed, the name, and the draw position.
+    Releases open one stream per noise vector and read it by position:
+    ``(seed, "dcr")`` and ``(seed, "swcr")`` hold one draw per query,
+    ``(seed, "hdcr", layer)`` one draw per node of that layer, and the
+    randomized-response engine opens ``(seed, "rr-dcr", i)`` and
+    ``(seed, "rr-hdcr", layer, index)`` per survey round. Building a
+    stream costs tens of microseconds, so callers open one per vector,
+    not one per draw. Caveat: ``SeedSequence`` pads entropy shorter than
+    its four-word pool with zeros, so for a seed below ``2**32`` and one
+    string part the streams ``(seed, "dcr")`` and ``(seed, "dcr", 0)``
+    coincide; no caller opens both.
     """
     words = [seed & 0xFFFFFFFFFFFFFFFF]
     for part in parts:
@@ -117,6 +127,13 @@ def named_stream(seed: int, *parts: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
 
 
-def perturb(value: float, noise: NoiseSpec, rng: np.random.Generator) -> float:
-    """Add one Laplace(0, sensitivity/epsilon) draw from the given stream."""
-    return value + rng.laplace(0.0, noise.scale)
+def perturb(
+    value: float | np.ndarray, noise: NoiseSpec, rng: np.random.Generator
+) -> float | np.ndarray:
+    """Add Laplace(0, sensitivity/epsilon) draws from the given stream.
+
+    A scalar takes the stream's next draw. An array of exact values takes
+    one draw per element in order, so element ``i`` gets draw ``i`` of a
+    fresh stream whatever the array's length.
+    """
+    return value + rng.laplace(0.0, noise.scale, np.shape(value) or None)

@@ -76,9 +76,19 @@ def optimal_rule(size: int, epsilon: float) -> np.ndarray:
 
 
 def optimal_rule_inverse(size: int, epsilon: float) -> np.ndarray:
-    """Closed-form inverse of ``optimal_rule`` (rank-one update of identity)."""
+    """Closed-form inverse of ``optimal_rule`` (rank-one update of identity).
+
+    The rule is symmetric with eigenvalues 1 and ``p - q``, so its 2-norm
+    condition number is exactly ``1 / (p - q)``; like ``invert_rule``,
+    this refuses a rule whose condition number exceeds CONDITION_LIMIT.
+    """
     p, q = _rule_entries(size, epsilon)
     gap = p - q
+    condition = 1 / gap if gap > 0 else math.inf
+    if condition > CONDITION_LIMIT:
+        raise SingularMatrixError(
+            f"rule condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        )
     return np.eye(size) / gap - np.full((size, size), q / gap)
 
 
@@ -183,7 +193,10 @@ class HistogramEstimate:
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.covariance)
-        if not np.allclose(cov, cov.T, atol=1e-9):
+        # np.allclose(cov, cov.T, atol=1e-9) spelled out: every survey node and
+        # aggregate builds an estimate, and allclose's fixed overhead would be
+        # most of that cost
+        if not np.all(np.abs(cov - cov.T) <= 1e-9 + 1e-5 * np.abs(cov.T)):
             raise ValueError("covariance must be symmetric")
         if cov.shape and np.diag(cov).min() < -1e-9:
             raise ValueError("covariance diagonal must be nonnegative")
@@ -193,19 +206,7 @@ def estimate_from_counts(
     counts: np.ndarray, rule: np.ndarray, delta: np.ndarray
 ) -> HistogramEstimate:
     """Unbiased histogram-change estimate from a response histogram."""
-    counts = np.asarray(counts, dtype=float)
-    inverse = invert_rule(rule)
-    transform = delta @ inverse
-    values = transform @ counts
-    n = counts.sum()
-    if n > 0:
-        mean_response = counts / n
-        inner = np.diag(mean_response) - np.outer(mean_response, mean_response)
-        covariance = n * (transform @ inner @ transform.T)
-        covariance = (covariance + covariance.T) / 2
-    else:
-        covariance = np.zeros((delta.shape[0], delta.shape[0]))
-    return HistogramEstimate(values, covariance, int(n))
+    return _estimate(counts, delta @ invert_rule(rule))
 
 
 def estimate_delta_v(
@@ -214,6 +215,23 @@ def estimate_delta_v(
     """Unbiased histogram-change estimate from per-entry response indices."""
     counts = np.bincount(np.asarray(responses, dtype=int), minlength=rule.shape[0])
     return estimate_from_counts(counts, rule, delta)
+
+
+def _estimate(counts: np.ndarray, transform: np.ndarray) -> HistogramEstimate:
+    """``T c`` and its covariance ``(T * c) T^T - v v^T / n``.
+
+    That equals ``n T (diag(o) - o o^T) T^T`` for ``o = c / n`` without
+    building the cells-by-cells inner matrix.
+    """
+    counts = np.asarray(counts, dtype=float)
+    values = transform @ counts
+    n = counts.sum()
+    if n > 0:
+        covariance = (transform * counts) @ transform.T - np.outer(values, values) / n
+        covariance = (covariance + covariance.T) / 2
+    else:
+        covariance = np.zeros((transform.shape[0], transform.shape[0]))
+    return HistogramEstimate(values, covariance, int(n))
 
 
 def sample_responses(
@@ -366,16 +384,21 @@ def rr_hdcr(
 def _window_survey(
     answer_log: Mapping[str, AnswerTimeline], space: ResponseSpace, epsilon: float
 ) -> Callable[[TimeRangeFilter, np.random.Generator], HistogramEstimate]:
-    """One survey round per window: net cells, responses in entry-id order, estimate."""
+    """One survey round per window: net cells, responses in entry-id order, estimate.
+
+    The rule and the estimator's ``delta @ inverse`` map are built once
+    per release, from the closed-form inverse of the optimal rule.
+    """
     mspace = AnswerMutationSpace(space)
     rule = optimal_rule(mspace.size, epsilon)
-    delta = mspace.delta_matrix()
+    transform = mspace.delta_matrix() @ optimal_rule_inverse(mspace.size, epsilon)
     entries = sorted(answer_log)
 
     def survey(window: TimeRangeFilter, rng: np.random.Generator) -> HistogramEstimate:
         cells = [
             mspace.index(*net_mutation(answer_log[e], window.start, window.end)) for e in entries
         ]
-        return estimate_delta_v(sample_responses(rng, cells, rule), rule, delta)
+        responses = sample_responses(rng, cells, rule)
+        return _estimate(np.bincount(responses, minlength=mspace.size), transform)
 
     return survey

@@ -236,6 +236,48 @@ class TestRun:
         assert rows[3]["node_count"] == 2
 
 
+HIERARCHY = {"release.height": 4, "release.branching": 2, "release.start": 0,
+             "release.span": 64, "release.interval": 8}
+WINDOWS = {"release.window": 16, "release.period": 8, "release.first_release": 16,
+           "release.count": 6}
+LABELS = {"release.labels": ["yes", "no"], "generator.labels": ["yes", "no"],
+          "release.epsilon": 1.0}
+
+
+class TestHeaderPrivacyRule:
+    """The released header carries the seed, the input and the accounted bound, nothing else."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"release.kind": "swcr", **WINDOWS},
+            {"release.kind": "swcr", "release.from_hdcr": True, "release.branching": 2,
+             **WINDOWS},
+            {"release.kind": "hdcr", **HIERARCHY},
+            {"release.kind": "rr-dcr", **LABELS},
+            {"release.kind": "rr-hdcr", **HIERARCHY, **LABELS},
+        ],
+        ids=["dcr", "swcr", "swcr-from-hdcr", "hdcr", "rr-dcr", "rr-hdcr"],
+    )
+    def test_header_keys(self, tmp_path, overrides, fmt):
+        out = tmp_path / f"out.{fmt}"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            **overrides, **{"output.format": fmt, "output.path": str(out)},
+        )
+        data = tmp_path / "input.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", data) == 0
+        assert run_cli("run", "--config", cfg, "--changelog", data) == 0
+        first = out.read_text().splitlines()[0]
+        if fmt == "csv":
+            assert first.startswith("# ")
+            first = first[2:]
+        expected = {"seed", "input", "privacy"} | ({"type"} if fmt == "jsonl" else set())
+        assert set(json.loads(first)) == expected
+
+
 class TestAccountAndCompare:
     def test_account_prints_bound(self, tmp_path, cfg, capsys):
         assert run_cli("account", "--config", cfg) == 0
@@ -319,9 +361,14 @@ class TestInputFailures:
             ("run", ["release.kind=rr-dcr", "release.epsilon=0", 'release.labels=["a","b"]'],
              "answers"),
             ("account", ["release.composition=advanced", "release.delta_slack=0"], "log"),
+            ("run", ["release.kind=rr-dcr", "release.epsilon=1e-14", 'release.labels=["a","b","c"]'],
+             "answers"),
+            ("account", ["release.kind=hdcr", "release.height=1", "release.branching=2",
+                         "release.start=0", "release.span=8", "release.interval=1"], "log"),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
-             "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack"],
+             "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
+             "rr-singular-rule", "hierarchy-too-flat-account"],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"

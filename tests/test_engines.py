@@ -30,7 +30,13 @@ from dpcr.engines import (
     run_swcr,
     swcr_equivalent_hdcr_params,
 )
-from dpcr.mechanisms import LinearQuerySpec, NoiseSpec, linear_query_change, sensitivity
+from dpcr.mechanisms import (
+    LinearQuerySpec,
+    NoiseSpec,
+    linear_query_change,
+    named_stream,
+    sensitivity,
+)
 from dpcr.oracles import min_cover_oracle, snapshot_oracle
 
 SPEC = LinearQuerySpec("identity", 0.0, 100.0)
@@ -101,6 +107,41 @@ class TestRunSwcr:
         params = SwcrParams(window=4, period=2, first_release=4, count=4)
         result = run_swcr(Changelog(()), params, SPEC, NOISE)
         assert result.exact_values() == [0.0] * 4
+
+
+class TestNoiseLayout:
+    """Noise is read by position from one stream per release or hierarchy layer."""
+
+    def test_extending_a_dcr_schedule_keeps_earlier_noise(self):
+        short = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 3), SPEC, NOISE)
+        long = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 6), SPEC, NOISE)
+        added = [r.noisy - r.exact for r in long.records]
+        assert added[:3] == [r.noisy - r.exact for r in short.records]
+
+    @pytest.mark.parametrize("stream", ["dcr", "swcr"])
+    def test_query_i_takes_draw_i_of_the_release_stream(self, stream):
+        if stream == "dcr":
+            result = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
+        else:
+            params = SwcrParams(window=4, period=2, first_release=4, count=5)
+            result = run_swcr(small_log(), params, SPEC, NOISE)
+        draws = named_stream(NOISE.seed, stream).laplace(0.0, NOISE.scale, 5)
+        assert [r.noisy for r in result.records] == [
+            r.exact + draws[i] for i, r in enumerate(result.records)
+        ]
+
+    @pytest.mark.parametrize("span", [12, 16, 40])
+    def test_hdcr_node_takes_its_index_in_the_layer_stream(self, span):
+        # draws are read from a fixed-length prefix, so the same draw serves
+        # a node whatever the span, and so whatever the layer's size
+        params = HdcrParams(height=3, branching=2, start=0, span=span, interval=2)
+        tree = build_hdcr(small_log(), params, SPEC, NOISE)
+        for layer in range(params.height):
+            draws = named_stream(NOISE.seed, "hdcr", layer).laplace(0.0, NOISE.scale, 64)
+            for index in range(params.layer_size(layer)):
+                node = tree.node(layer, index)
+                assert node.noisy == node.exact + draws[index]
+                assert type(node.noisy) is float
 
 
 class TestCoverRange:

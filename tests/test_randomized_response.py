@@ -16,6 +16,7 @@ from dpcr.randomized_response import (
     answer_at,
     estimate_delta_v,
     estimate_from_counts,
+    invert_rule,
     net_mutation,
     optimal_rule,
     optimal_rule_inverse,
@@ -54,6 +55,19 @@ class TestOptimalRule:
             assert np.allclose(
                 np.linalg.inv(rule), optimal_rule_inverse(size, eps), atol=1e-10
             )
+
+    @pytest.mark.parametrize("epsilon,refused", [(1e-14, True), (1e-6, False)])
+    def test_closed_form_refuses_where_invert_rule_refuses(self, epsilon, refused):
+        # the optimal rule's 2-norm condition number is exactly 1 / (p - q)
+        rule = optimal_rule(16, epsilon)
+        if refused:
+            with pytest.raises(SingularMatrixError):
+                optimal_rule_inverse(16, epsilon)
+            with pytest.raises(SingularMatrixError):
+                invert_rule(rule)
+        else:
+            assert np.allclose(optimal_rule_inverse(16, epsilon) @ rule, np.eye(16), atol=1e-6)
+            invert_rule(rule)
 
 
 class TestVerifyDp:
@@ -186,6 +200,19 @@ class TestEstimator:
         assert np.allclose(est.covariance, est.covariance.T)
         assert isinstance(est, HistogramEstimate)
 
+    @pytest.mark.parametrize(
+        "upper,lower",
+        [(1.0, 1.0), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e-6), (1.0, 1.0 + 2e-5),
+         (1e6, 1e6 + 5.0), (1e6, 1e6 + 20.0), (0.0, 2e-9), (1.0, float("nan"))],
+    )
+    def test_symmetry_check_matches_allclose(self, upper, lower):
+        cov = np.array([[4.0, upper], [lower, 9.0]])
+        if np.allclose(cov, cov.T, atol=1e-9):
+            HistogramEstimate(np.zeros(2), cov, 10)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                HistogramEstimate(np.zeros(2), cov, 10)
+
     def test_reported_variance_matches_monte_carlo(self):
         # the estimates are counts over 200 entries, so their variance is
         # n times the per-entry response covariance mapped through A
@@ -286,6 +313,69 @@ class TestRrDcr:
     def test_accounting_bridge_doubles_folds(self):
         schedule = ReleaseSchedule.uniform(4, 4, 6)
         assert local_folds(dcr_folds(schedule, AtMostK(2))) == 4
+
+
+def _survey_timelines(labels: tuple[str, ...], entries: int) -> dict:
+    rng = np.random.default_rng(17)
+    timelines = {}
+    for i in range(entries):
+        times = sorted({int(t) for t in rng.integers(0, 8, size=3)})
+        timelines[f"e{i:03d}"] = tuple(
+            (t, labels[int(rng.integers(0, len(labels)))]) for t in times
+        )
+    return timelines
+
+
+def _caller_rule_estimate(timelines, space, window, rng, epsilon) -> HistogramEstimate:
+    """The estimate of one survey round through the caller-supplied-rule path."""
+    mspace = AnswerMutationSpace(space)
+    rule = optimal_rule(mspace.size, epsilon)
+    cells = [
+        mspace.index(*net_mutation(timelines[e], window.start, window.end))
+        for e in sorted(timelines)
+    ]
+    counts = np.bincount(sample_responses(rng, cells, rule), minlength=mspace.size)
+    return estimate_from_counts(counts, rule, mspace.delta_matrix())
+
+
+def _assert_same_estimate(got: HistogramEstimate, want: HistogramEstimate) -> None:
+    sd = np.sqrt(np.diag(want.covariance))
+    assert np.all(np.abs(got.values - want.values) <= 1e-9 * sd)
+    assert np.abs(got.covariance - want.covariance).max() <= 1e-9 * np.abs(want.covariance).max()
+
+
+@pytest.mark.parametrize("labels", [2, 26], ids=["rule-9", "rule-729"])
+class TestPrecomputedEstimator:
+    """The once-per-release closed-form estimator matches the per-call path.
+
+    400 entries make every label's variance clearly positive even over
+    729 response cells, so the tolerance scales with a real deviation.
+    """
+
+    def test_rr_dcr(self, labels):
+        space = ResponseSpace(tuple(chr(ord("a") + i) for i in range(labels)))
+        timelines = _survey_timelines(space.labels, 400)
+        schedule = ReleaseSchedule((3, 8))
+        records = rr_dcr(timelines, space, schedule, epsilon=1.0, seed=5)
+        for i, (record, window) in enumerate(zip(records, schedule.filters())):
+            want = _caller_rule_estimate(
+                timelines, space, window, named_stream(5, "rr-dcr", i), 1.0
+            )
+            _assert_same_estimate(record.estimate, want)
+
+    def test_rr_hdcr(self, labels):
+        space = ResponseSpace(tuple(chr(ord("a") + i) for i in range(labels)))
+        timelines = _survey_timelines(space.labels, 400)
+        params = HdcrParams(height=2, branching=2, start=0, span=8, interval=4)
+        records = rr_hdcr(timelines, space, params, 1.0, seed=5)
+        # grid prefixes (0, 1] and (0, 2] are single nodes: bottom node 0, then the top node
+        assert [r.node_count for r in records] == [1, 1]
+        for record, (layer, index) in zip(records, [(0, 0), (1, 0)]):
+            want = _caller_rule_estimate(
+                timelines, space, params.node_filter(layer, index),
+                named_stream(5, "rr-hdcr", layer, index), 1.0,
+            )
+            _assert_same_estimate(record.estimate, want)
 
 
 class TestRrHdcr:
