@@ -55,9 +55,7 @@ from .changelog import (
     without_entry,
 )
 from .engines import (
-    AggregateResult,
     HdcrTree,
-    RangeCover,
     RangeTooWideError,
     ReleaseRecord,
     ReleaseResult,

@@ -10,11 +10,13 @@ release           at-most-k mutations     time-bounded mutations
 ================  ======================  ===================================
 disjoint          ``k``                   ``span_folds(endpoints, bound)``
 sliding window    ``k * ceil(W/P)``       ``ceil((bound + W) / P)``
-hierarchical      ``height * k``          per-layer ``span_folds``, summed
+hierarchical      ``height * k``          ``sum_i min(n_i, ceil(bound/dt_i) + 1)``
 any (hybrid)      max of branch counts    max of branch counts
 ================  ======================  ===================================
 
-``span_folds`` never counts fewer ranges than one entry can touch.
+``n_i`` and ``dt_i`` are the node count and interval of hierarchy layer
+``i``. Neither time-bounded count is ever below the number of ranges one
+entry can touch.
 Composition never decreases with the fold count, so composing a
 hybrid's largest branch count is the sup of its branch bounds. Local
 (per-entry) guarantees double the fold count.
@@ -225,12 +227,16 @@ class HdcrParams:
         )
 
     def node_filter(self, layer: int, index: int) -> TimeRangeFilter:
-        step = self.layer_interval(layer)
         if not 0 <= layer < self.height or not 0 <= index < self.layer_size(layer):
             raise ValueError(f"no node at layer {layer}, index {index}")
+        width = self.branching**layer
+        return self.grid_filter(width * index, width * (index + 1))
+
+    def grid_filter(self, low: int, high: int) -> TimeRangeFilter:
+        """Real range of grid range ``(low, high]``, capped at ``start + span``."""
         return TimeRangeFilter(
-            self.start + step * index,
-            min(self.start + step * (index + 1), self.start + self.span),
+            self.start + low * self.interval,
+            min(self.start + high * self.interval, self.start + self.span),
         )
 
     def grid_size(self) -> int:
@@ -299,15 +305,19 @@ def swcr_folds(params: SwcrParams, constraint: MutationConstraint) -> int:
 def hdcr_folds(params: HdcrParams, constraint: MutationConstraint) -> int:
     """Nodes of a hierarchical release one entry can affect.
 
-    The time-bounded count sums the per-layer ``span_folds`` values
-    rather than any closed-form approximation of them; see
-    ``hdcr_time_bounded_nominal_folds`` for the commonly quoted figure.
+    Mutations within ``bound`` ticks touch at most ``ceil(bound / dt_i) + 1``
+    consecutive nodes of layer ``i`` (node interval ``dt_i``), and never
+    more nodes than the layer has; the time-bounded count sums that per
+    layer. See ``hdcr_time_bounded_nominal_folds`` for the commonly quoted
+    figure.
     """
-    layers = range(params.height)
     return _folds(
         constraint,
         params.height,
-        lambda b: sum(span_folds(params.layer_schedule(i).ticks, b) for i in layers),
+        lambda b: sum(
+            min(params.layer_size(i), -(-b // params.layer_interval(i)) + 1)
+            for i in range(params.height)
+        ),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import IO, Mapping, Sequence
 
@@ -178,11 +179,11 @@ def load_config(path: str, overrides: Sequence[str], seed: int | None) -> dict:
     return cfg
 
 
-def _get(cfg: Mapping, path: str, kind: type, default=None, required: bool = True):
+def _get(cfg: Mapping, path: str, kind: type, default=None):
     node = cfg
     for part in path.split("."):
         if not isinstance(node, Mapping) or part not in node:
-            if required and default is None:
+            if default is None:
                 raise ConfigError(f"missing field {path!r}")
             return default
         node = node[part]
@@ -218,7 +219,7 @@ def constraint_from_config(obj, path: str) -> MutationConstraint:
                 constraint_from_config(b, f"{path}.branches[{i}]")
                 for i, b in enumerate(branches)
             ))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{path}: {exc}") from exc
@@ -286,9 +287,8 @@ def release_accounting(cfg: Mapping) -> tuple[MutationConstraint, dict]:
     except ValueError as exc:
         raise ConfigError(f"release: {exc}") from exc
     strategy = strategy_from_config(cfg)
-    local = _get(cfg, "release.local", bool, default=kind.startswith("rr-"))
-    if kind.startswith("rr-") and not local:
-        raise ConfigError("randomized-response releases are accounted locally; release.local must not be false")
+    # randomized response is a local guarantee; the Laplace releases are global
+    local = kind.startswith("rr-")
 
     if kind in ("dcr", "rr-dcr"):
         global_folds = dcr_folds(_schedule_from_config(cfg), constraint)
@@ -296,15 +296,21 @@ def release_accounting(cfg: Mapping) -> tuple[MutationConstraint, dict]:
         global_folds = hdcr_folds(_hdcr_from_config(cfg), constraint)
     elif _get(cfg, "release.from_hdcr", bool, default=False):
         # the derived release's loss is the underlying hierarchy's
-        branching = _get(cfg, "release.branching", int, default=2)
-        params = swcr_equivalent_hdcr_params(_swcr_from_config(cfg), branching)
+        swcr, branching = _swcr_from_config(cfg), _get(cfg, "release.branching", int, default=2)
+        try:
+            params = swcr_equivalent_hdcr_params(swcr, branching)
+        except ValueError as exc:  # a branching below 2
+            raise ConfigError(f"release: {exc}") from exc
         global_folds = hdcr_folds(params, constraint)
     else:
         global_folds = swcr_folds(_swcr_from_config(cfg), constraint)
     local_fold_count = local_folds(global_folds)
     folds = local_fold_count if local else global_folds
-    loss = compose_fold(per_query, folds, strategy)
-    local_loss = compose_fold(per_query, local_fold_count, strategy)
+    try:
+        loss = compose_fold(per_query, folds, strategy)
+        local_loss = compose_fold(per_query, local_fold_count, strategy)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"release: cannot compose {folds} folds: {exc}") from exc
     report = {
         "kind": kind,
         "constraint": _constraint_json(constraint),
@@ -332,7 +338,7 @@ def _schedule_from_config(cfg: Mapping) -> ReleaseSchedule:
         return ReleaseSchedule.uniform(
             int(scfg["start"]), int(scfg["interval"]), int(scfg["count"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"release.schedule: {exc}") from exc
 
 
@@ -382,15 +388,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     seed = _seed(cfg)
     out = args.out or _get(cfg, "output.path", str)
-    labels = _get(cfg, "generator.labels", list, default=None, required=False)
-    if labels:
-        timelines = generate_answer_log(cfg, seed)
-        dump_answer_log(timelines, out)
-        print(f"wrote {sum(len(t) for t in timelines.values())} answer records to {out}")
+    if _get(cfg, "generator.labels", list, default=[]):
+        data = generate_answer_log(cfg, seed)
+        dump, written = dump_answer_log, f"{sum(map(len, data.values()))} answer records"
     else:
-        log = generate_changelog(cfg, seed)
-        dump_changelog(log, out)
-        print(f"wrote {len(log)} mutations to {out}")
+        data = generate_changelog(cfg, seed)
+        dump, written = dump_changelog, f"{len(data)} mutations"
+    try:
+        dump(data, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    print(f"wrote {written} to {out}")
     return 0
 
 
@@ -436,9 +444,12 @@ def generate_changelog(cfg: Mapping, seed: int) -> Changelog:
     """Synthesize a changelog that satisfies the declared constraint."""
     entries, horizon, constraint, rate = _generator_params(cfg)
     value_range = _get(cfg, "generator.value_range", list, default=[0.0, 100.0])
-    if len(value_range) != 2 or value_range[0] > value_range[1]:
-        raise ConfigError(f"generator.value_range must be [low, high], got {value_range}")
-    low, high = float(value_range[0]), float(value_range[1])
+    try:
+        low, high = (float(v) for v in value_range)
+    except (TypeError, ValueError, OverflowError):
+        low = high = float("nan")
+    if not (low <= high and math.isfinite(high - low)):
+        raise ConfigError(f"generator.value_range must be finite [low, high], got {value_range}")
     muts: list[Mutation] = []
     for i in range(entries):
         rng = named_stream(seed, "generate", i)
@@ -467,8 +478,8 @@ def generate_answer_log(cfg: Mapping, seed: int) -> dict[str, AnswerTimeline]:
     """Synthesize per-entry answer timelines under the declared constraint."""
     entries, horizon, constraint, rate = _generator_params(cfg)
     labels = [str(l) for l in _get(cfg, "generator.labels", list)]
-    if len(labels) < 2:
-        raise ConfigError("generator.labels needs at least two labels")
+    if len(set(labels)) != len(labels) or len(labels) < 2:
+        raise ConfigError(f"generator.labels needs at least two distinct labels, got {labels}")
     timelines: dict[str, AnswerTimeline] = {}
     for i in range(entries):
         rng = named_stream(seed, "generate-answers", i)
@@ -524,11 +535,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (InvalidEpsilonError, InvalidNoiseError, SingularMatrixError) as exc:
         # the engines check these release parameters only once they run
         raise ConfigError(f"release: {exc}") from exc
-    with open(out, "w", encoding="utf-8") as fh:
-        if rr:
-            _write_rr(release, _labels_from_config(cfg), fh, fmt, header)
-        else:
-            _write_release(release, fh, fmt, header, include_exact)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            if rr:
+                _write_rr(release, _labels_from_config(cfg), fh, fmt, header)
+            else:
+                _write_release(release, fh, fmt, header, include_exact)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     print(f"wrote release to {out} (accounted {accounting['scope']} loss: "
           f"epsilon={accounting['epsilon']:.6g}, delta={accounting['delta']:.3g})")
     return 0
@@ -575,6 +589,10 @@ def _run_rr(
     cfg: Mapping, kind: str, timelines: Mapping[str, AnswerTimeline], seed: int
 ) -> list[RrRecord]:
     space = _labels_from_config(cfg)
+    answers = {label for timeline in timelines.values() for _, label in timeline}
+    unknown = answers - set(space.labels) - {None}
+    if unknown:
+        raise ConfigError(f"answers {sorted(unknown)} of the input are not in release.labels")
     epsilon = _get(cfg, "release.epsilon", float)
     if kind == "rr-dcr":
         return rr_dcr(timelines, space, _schedule_from_config(cfg), epsilon, seed)
@@ -668,11 +686,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
         factors = [int(c) for c in args.branching.split(",") if c]
         swcr = SwcrParams(window=args.window, period=args.period, first_release=args.window, count=2)
+        rows = [(c, compare_hdcr_swcr(swcr, c, constraint)) for c in factors]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print("branching  height  lhs           rhs           hdcr_wins  eps_prime_factor")
-    for c in factors:
-        cmp = compare_hdcr_swcr(swcr, c, constraint)
+    for c, cmp in rows:
         print(
             f"{c:<9d}  {cmp.height:<6d}  {cmp.lhs:<12.6g}  {cmp.rhs:<12.6g}  "
             f"{'yes' if cmp.hdcr_wins else 'no ':<9}  {cmp.epsilon_prime_factor:.6g}"

@@ -1,11 +1,14 @@
 """Release engines: disjoint, sliding-window, and hierarchical releases.
 
-The engines evaluate the exact linear-query change for every scheduled
-filter and perturb it with Laplace noise read by position from one
-stream per noise vector: query ``i`` of a disjoint or sliding-window
-release takes draw ``i`` of ``named_stream(seed, "dcr")`` (or
-``"swcr"``), and hierarchy node ``(layer, index)`` takes draw ``index``
-of ``named_stream(seed, "hdcr", layer)``. A value's noise is therefore a
+Every released value is a ``ReleaseRecord``: a disjoint or sliding-window
+query, a hierarchy node (a disjoint query over a wider interval) and an
+aggregate (a sum of nodes) alike. One evaluator, ``_run_filters``,
+evaluates the exact linear-query change for every window and perturbs it
+with Laplace noise read by position from one stream per noise vector:
+query ``i`` of a disjoint or sliding-window release takes draw ``i`` of
+``named_stream(seed, "dcr")`` (or ``"swcr"``), and hierarchy node
+``(layer, index)`` takes draw ``index`` of
+``named_stream(seed, "hdcr", layer)``. A value's noise is therefore a
 function of the seed, the stream name and its position only: it does
 not depend on evaluation order, and extending a schedule or a span
 leaves earlier values' noise unchanged. Exact values ride along in the
@@ -45,9 +48,12 @@ class UnsupportedConstraintError(TypeError):
 
 @dataclass(frozen=True)
 class ReleaseRecord:
-    """One scheduled query's outcome; ``exact`` is for verification only."""
+    """One released value over ``window``; ``exact`` is for verification only.
 
-    index: int
+    Aggregates of hierarchy nodes also carry their ``node_count`` and
+    nominal Laplace ``variance``.
+    """
+
     window: TimeRangeFilter
     noisy: float
     exact: float
@@ -92,28 +98,16 @@ def run_swcr(
 
 def _run_filters(
     log: Changelog, filters: Sequence[TimeRangeFilter], spec: LinearQuerySpec,
-    noise: NoiseSpec, stream: str,
+    noise: NoiseSpec, *stream: int | str,
 ) -> ReleaseResult:
-    """Perturb filter ``i``'s exact change with draw ``i`` of ``(seed, stream)``."""
+    """Perturb filter ``i``'s exact change with draw ``i`` of ``(seed, *stream)``."""
     exacts = [linear_query_change(log.filter(window), spec) for window in filters]
-    noisy = perturb(np.array(exacts), noise, named_stream(noise.seed, stream)).tolist()
-    return ReleaseResult(tuple(
-        ReleaseRecord(i, window, noisy[i], exacts[i]) for i, window in enumerate(filters)
-    ))
+    noisy = perturb(np.array(exacts), noise, named_stream(noise.seed, *stream)).tolist()
+    return ReleaseResult(tuple(map(ReleaseRecord, filters, noisy, exacts)))
 
 
-@dataclass(frozen=True)
-class RangeCover:
-    """Disjoint ``(layer, index)`` nodes exactly covering a grid range."""
-
-    nodes: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def cover_range(low: int, high: int, branching: int, height: int) -> RangeCover:
-    """Cover grid range ``(low, high]`` with aligned hierarchy nodes.
+def cover_range(low: int, high: int, branching: int, height: int) -> tuple[tuple[int, int], ...]:
+    """Disjoint ``(layer, index)`` nodes exactly covering grid range ``(low, high]``.
 
     A node ``(layer, j)`` spans ``(j * branching**layer,
     (j+1) * branching**layer]`` grid units. The range is split at the
@@ -148,27 +142,18 @@ def cover_range(low: int, high: int, branching: int, height: int) -> RangeCover:
         while pos % width == 0 and pos + width <= high:
             right.append((lv, pos // width))
             pos += width
-    return RangeCover(tuple(left) + tuple(right))
-
-
-@dataclass(frozen=True)
-class HdcrNode:
-    layer: int
-    index: int
-    window: TimeRangeFilter
-    exact: float
-    noisy: float
+    return tuple(left) + tuple(right)
 
 
 @dataclass(frozen=True)
 class HdcrTree:
-    """All per-node results of a hierarchical release."""
+    """All per-node records of a hierarchical release, keyed ``(layer, index)``."""
 
     params: HdcrParams
     noise: NoiseSpec
-    nodes: Mapping[tuple[int, int], HdcrNode]
+    nodes: Mapping[tuple[int, int], ReleaseRecord]
 
-    def node(self, layer: int, index: int) -> HdcrNode:
+    def node(self, layer: int, index: int) -> ReleaseRecord:
         return self.nodes[(layer, index)]
 
 
@@ -180,53 +165,38 @@ def build_hdcr(
 ) -> HdcrTree:
     """Evaluate every node of the hierarchy over the changelog.
 
-    Each node holds the exact change over its own (possibly truncated)
-    filter plus one independent Laplace draw: node ``(layer, index)``
-    takes draw ``index`` of ``named_stream(seed, "hdcr", layer)``.
+    Each layer is a disjoint release over its (possibly truncated) node
+    filters: node ``(layer, index)`` takes draw ``index`` of
+    ``named_stream(seed, "hdcr", layer)``.
     """
     nodes = {}
     for layer in range(params.height):
         windows = [params.node_filter(layer, index) for index in range(params.layer_size(layer))]
-        exacts = [linear_query_change(log.filter(window), spec) for window in windows]
-        rng = named_stream(noise_per_node.seed, "hdcr", layer)
-        noisy = perturb(np.array(exacts), noise_per_node, rng).tolist()
-        for index, window in enumerate(windows):
-            nodes[(layer, index)] = HdcrNode(layer, index, window, exacts[index], noisy[index])
+        records = _run_filters(log, windows, spec, noise_per_node, "hdcr", layer).records
+        nodes.update(((layer, index), record) for index, record in enumerate(records))
     return HdcrTree(params, noise_per_node, nodes)
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    """Sum over a node cover; ``variance`` is the nominal Laplace total."""
-
-    noisy: float
-    exact: float
-    node_count: int
-    variance: float
-    cover: RangeCover
-
-
-def aggregate(tree: HdcrTree, low: int, high: int) -> AggregateResult:
+def aggregate(tree: HdcrTree, low: int, high: int) -> ReleaseRecord:
     """Answer the grid range ``(low, high]`` by summing a node cover.
 
     Grid units are bottom-layer intervals from the hierarchy start; the
-    real range answered is capped at the hierarchy end when the span is
-    not a multiple of the top node width. Variance is
-    ``node_count * 2 * scale**2`` for the per-node Laplace scale.
+    record's window is ``params.grid_filter(low, high)``, capped at the
+    hierarchy end when the span is not a multiple of the top node width.
+    Variance is ``node_count * 2 * scale**2`` for the per-node Laplace scale.
     """
-    if high > tree.params.grid_size():
-        raise ValueError(
-            f"range ({low}, {high}] ends beyond the {tree.params.grid_size()}-unit grid"
-        )
-    cover = cover_range(low, high, tree.params.branching, tree.params.height)
+    params = tree.params
+    if high > params.grid_size():
+        raise ValueError(f"range ({low}, {high}] ends beyond the {params.grid_size()}-unit grid")
+    cover = cover_range(low, high, params.branching, params.height)
     noisy = 0.0
     exact = 0.0
-    for layer, index in cover.nodes:
-        node = tree.node(layer, index)
-        noisy += node.noisy
-        exact += node.exact
+    for node in cover:
+        record = tree.nodes[node]
+        noisy += record.noisy
+        exact += record.exact
     variance = len(cover) * 2 * tree.noise.scale**2
-    return AggregateResult(noisy, exact, len(cover), variance, cover)
+    return ReleaseRecord(params.grid_filter(low, high), noisy, exact, len(cover), variance)
 
 
 def check_prefix_cover(params: HdcrParams) -> None:
@@ -246,47 +216,29 @@ def prefix_windows(params: HdcrParams) -> list[tuple[int, TimeRangeFilter]]:
     Raises RangeTooWideError before any work if no cover can span the grid.
     """
     check_prefix_cover(params)
-    end = params.start + params.span
-    return [
-        (j, TimeRangeFilter(params.start, min(params.start + j * params.interval, end)))
-        for j in range(1, params.grid_size() + 1)
-    ]
+    return [(j, params.grid_filter(0, j)) for j in range(1, params.grid_size() + 1)]
 
 
 def run_hdcr(
     log: Changelog, params: HdcrParams, spec: LinearQuerySpec, noise_per_node: NoiseSpec
 ) -> ReleaseResult:
-    """Hierarchical release: one prefix aggregate per bottom-layer endpoint."""
-    prefixes = prefix_windows(params)
+    """Hierarchical release: one prefix aggregate per bottom-layer endpoint.
+
+    Raises RangeTooWideError before any work if no cover can span the grid.
+    """
+    check_prefix_cover(params)
     tree = build_hdcr(log, params, spec, noise_per_node)
-    return _aggregates(tree, [(0, j, window) for j, window in prefixes])
+    return ReleaseResult(tuple(aggregate(tree, 0, j) for j in range(1, params.grid_size() + 1)))
 
 
-def _aggregates(
-    tree: HdcrTree, ranges: Sequence[tuple[int, int, TimeRangeFilter]]
-) -> ReleaseResult:
-    """One record per ``(low, high, window)``: the aggregate of grid range ``(low, high]``."""
-    records = []
-    for i, (low, high, window) in enumerate(ranges):
-        agg = aggregate(tree, low, high)
-        records.append(
-            ReleaseRecord(i, window, agg.noisy, agg.exact, agg.node_count, agg.variance)
-        )
-    return ReleaseResult(tuple(records))
-
-
-def swcr_equivalent_hdcr_params(
-    swcr: SwcrParams, branching: int, interval: int | None = None
-) -> HdcrParams:
+def swcr_equivalent_hdcr_params(swcr: SwcrParams, branching: int) -> HdcrParams:
     """The hierarchy whose aggregates answer every window of ``swcr``.
 
     The bottom interval is ``gcd(window, period)`` and the height is the
     smallest that lets one cover span a window, floored at one layer
     (the formula gives zero height for window == interval).
     """
-    dt = interval if interval is not None else math.gcd(swcr.window, swcr.period)
-    if swcr.window % dt or swcr.period % dt:
-        raise ValueError(f"interval {dt} does not divide window and period")
+    dt = math.gcd(swcr.window, swcr.period)
     height = max(1, _ceil_log(branching, swcr.window // dt))
     return HdcrParams(
         height=height,
@@ -313,11 +265,13 @@ def derive_swcr_from_hdcr(
     params = swcr_equivalent_hdcr_params(swcr, branching)
     tree = build_hdcr(log, params, spec, noise_per_node)
     dt = params.interval
-    ranges = [
-        ((int(w.start) - params.start) // dt, (w.end - params.start) // dt, w)
-        for w in swcr.filters()
-    ]
-    return _aggregates(tree, ranges), tree
+    # window i is (first_release + i*period - window, first_release + i*period]
+    # and the hierarchy starts at first_release - window
+    result = ReleaseResult(tuple(
+        aggregate(tree, i * swcr.period // dt, (i * swcr.period + swcr.window) // dt)
+        for i in range(swcr.count)
+    ))
+    return result, tree
 
 
 @dataclass(frozen=True)
@@ -376,6 +330,8 @@ def compare_hdcr_swcr(
 
 def _ceil_log(base: int, value: int) -> int:
     """Smallest ``e`` with ``base**e >= value`` (exact integer search)."""
+    if base < 2:
+        raise ValueError(f"branching must be >= 2, got {base}")
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
     e, power = 0, 1
@@ -394,8 +350,8 @@ def result_to_csv(
     if include_exact:
         header.append("exact")
     writer.writerow(header)
-    for r in result.records:
-        row = [r.index, _start_repr(r.window.start), r.window.end, repr(r.noisy)]
+    for i, r in enumerate(result.records):
+        row = [i, _start_repr(r.window.start), r.window.end, repr(r.noisy)]
         if include_exact:
             row.append(repr(r.exact))
         writer.writerow(row)
@@ -405,9 +361,9 @@ def result_to_jsonl(
     result: ReleaseResult, fh: IO[str], include_exact: bool = False
 ) -> None:
     """One JSON object per query; aggregates carry node_count and variance."""
-    for r in result.records:
+    for i, r in enumerate(result.records):
         rec: dict[str, object] = {
-            "query_index": r.index,
+            "query_index": i,
             "t_start": None if r.window.start == float("-inf") else int(r.window.start),
             "t_end": r.window.end,
             "noisy": r.noisy,

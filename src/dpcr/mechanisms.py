@@ -10,6 +10,7 @@ range width.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -42,6 +43,8 @@ class LinearQuerySpec:
     def __post_init__(self) -> None:
         if self.fn not in VALUE_FN_KINDS:
             raise ValueError(f"unknown value function {self.fn!r}")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"bounds [{self.lower}, {self.upper}] must be finite")
         if self.lower > self.upper:
             raise ValueError(f"bounds [{self.lower}, {self.upper}] are reversed")
         if self.fn == "indicator" and self.predicate is None:
@@ -85,11 +88,8 @@ class NoiseSpec:
     epsilon: float
     sensitivity: float
     seed: int
-    kind: str = "laplace"
 
     def __post_init__(self) -> None:
-        if self.kind != "laplace":
-            raise InvalidNoiseError(f"unsupported noise kind {self.kind!r}")
         if not self.epsilon > 0:
             raise InvalidNoiseError(f"epsilon must be > 0, got {self.epsilon}")
         if not self.sensitivity > 0:

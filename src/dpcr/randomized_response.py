@@ -102,12 +102,12 @@ def _rule_entries(size: int, epsilon: float) -> tuple[float, float]:
     return math.exp(epsilon) / denom, 1.0 / denom
 
 
-def verify_dp(rule: np.ndarray, epsilon: float, rtol: float = 1e-9) -> bool:
+def verify_dp(rule: np.ndarray, epsilon: float) -> bool:
     """Check the pure-DP ratio condition on a column-stochastic rule.
 
     True iff every entry satisfies ``p[i, a] <= e^eps * p[i, b]`` for all
-    column pairs, up to a relative slack for float round-off; with zero
-    delta the subset condition reduces to this elementwise check.
+    column pairs, up to a relative slack of 1e-9 for float round-off; with
+    zero delta the subset condition reduces to this elementwise check.
     """
     rule = np.asarray(rule, dtype=float)
     if rule.ndim != 2 or rule.shape[0] != rule.shape[1]:
@@ -115,7 +115,7 @@ def verify_dp(rule: np.ndarray, epsilon: float, rtol: float = 1e-9) -> bool:
     bound = math.exp(epsilon)
     row_max = rule.max(axis=1)
     row_min = rule.min(axis=1)
-    return bool(np.all(row_max <= bound * row_min * (1 + rtol)))
+    return bool(np.all(row_max <= bound * row_min * (1 + 1e-9)))
 
 
 def invert_rule(rule: np.ndarray) -> np.ndarray:
@@ -373,7 +373,7 @@ def rr_hdcr(
     records = []
     for j, window in prefixes:
         cover = cover_range(0, j, params.branching, params.height)
-        nodes = [node_estimates[node] for node in cover.nodes]
+        nodes = [node_estimates[node] for node in cover]
         values = sum((est.values for est in nodes), np.zeros(space.size))
         covariance = sum((est.covariance for est in nodes), np.zeros((space.size, space.size)))
         estimate = HistogramEstimate(values, covariance, len(answer_log))

@@ -156,6 +156,34 @@ class TestSpanFolds:
         assert hits == 14
         assert hdcr_folds(params, TimeBounded(100)) >= hits
 
+    def test_hdcr_bound_wider_than_span_counts_each_node_once(self):
+        params = HdcrParams(height=3, branching=2, start=0, span=8, interval=1)
+        assert hdcr_folds(params, TimeBounded(100)) == 14
+
+    def test_hdcr_time_bounded_equals_oracle_maximum(self):
+        # an entry touches the most nodes by mutating at every tick of its
+        # window; only windows meeting (start, start + span] touch any node
+        rng = np.random.default_rng(1618)
+        for _ in range(200):
+            params = HdcrParams(
+                height=int(rng.integers(1, 6)),
+                branching=int(rng.integers(2, 5)),
+                start=int(rng.integers(-3, 4)),
+                span=int(rng.integers(1, 30)),
+                interval=int(rng.integers(1, 5)),
+            )
+            bound = int(rng.integers(0, params.span + 20))
+            nodes = [
+                params.node_filter(layer, index)
+                for layer in range(params.height)
+                for index in range(params.layer_size(layer))
+            ]
+            best = max(
+                affected_count_oracle(nodes, _entry(list(range(first, first + bound + 1))))
+                for first in range(params.start - bound + 1, params.start + params.span + 1)
+            )
+            assert hdcr_folds(params, TimeBounded(bound)) == best
+
     def test_hdcr_never_below_oracle(self):
         rng = np.random.default_rng(2718)
         for _ in range(2000):

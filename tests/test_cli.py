@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+import dpcr
 from dpcr.changelog import AtMostK, load_changelog, validate_constraint
 from dpcr.cli import main
 
@@ -347,6 +353,13 @@ class TestAccountAndCompare:
         ) == 2
 
 
+SWCR_BRANCHING_1 = [
+    "--set", "release.kind=swcr", "--set", "release.from_hdcr=true",
+    "--set", "release.branching=1", "--set", "release.window=16", "--set", "release.period=8",
+    "--set", "release.first_release=16", "--set", "release.count=6",
+]
+
+
 class TestInputFailures:
     @pytest.mark.parametrize(
         "command,overrides,changelog",
@@ -365,10 +378,25 @@ class TestInputFailures:
              "answers"),
             ("account", ["release.kind=hdcr", "release.height=1", "release.branching=2",
                          "release.start=0", "release.span=8", "release.interval=1"], "log"),
+            ("account", ['release.constraint={"kind":"at_most_k","k":1e400}'], "log"),
+            ("account", ['release.constraint={"kind":"time_bounded","bound":1e400}'], "log"),
+            ("generate", ['generator.constraint={"kind":"at_most_k","k":1e400}'], "log"),
+            ("account", ['release.schedule={"ticks":[1e400]}'], "log"),
+            ("generate", ['generator.value_range=["a","b"]'], "log"),
+            ("generate", ["generator.value_range=[0,1e400]"], "log"),
+            ("generate", ['generator.labels=["a","a"]'], "log"),
+            ("run", ["release.query.bounds=[0,1e400]"], "log"),
+            ("run", ["release.kind=rr-dcr", 'release.labels=["x","y"]'], "answers"),
+            ("account", ["release.composition=advanced", "release.delta_slack=1e400"], "log"),
+            ("account", ["release.epsilon=1e308"], "log"),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
              "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
-             "rr-singular-rule", "hierarchy-too-flat-account"],
+             "rr-singular-rule", "hierarchy-too-flat-account", "overflowing-k",
+             "overflowing-bound", "overflowing-generator-k", "overflowing-tick",
+             "non-numeric-value-range", "infinite-value-range", "duplicate-labels",
+             "infinite-query-bounds", "unknown-answer-labels", "infinite-delta-slack",
+             "overflowing-composed-epsilon"],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"
@@ -386,9 +414,117 @@ class TestInputFailures:
             argv += ["--set", item]
         if command == "run":
             argv += ["--changelog", inputs[changelog]]
+        if command == "generate":
+            argv += ["--out", tmp_path / "generated.jsonl"]
         capsys.readouterr()
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_output_in_missing_directory_exits_2(self, tmp_path, cfg, capsys, command):
+        log = tmp_path / "log.jsonl"
+        run_cli("generate", "--config", cfg, "--out", log)
+        argv = [command, "--config", cfg, "--out", tmp_path / "absent" / "out.csv"]
+        if command == "run":
+            argv += ["--changelog", log]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--window", "8", "--period", "4", "--constraint", "at_most_k:1",
+             "--branching", "1"],
+            ["compare", "--window", "8", "--period", "4", "--constraint", "at_most_k:1",
+             "--branching", "0"],
+            ["account", *SWCR_BRANCHING_1],
+            ["run", *SWCR_BRANCHING_1],
+        ],
+        ids=["compare-1", "compare-0", "account-swcr-from-hdcr", "run-swcr-from-hdcr"],
+    )
+    def test_branching_below_two_exits_2_promptly(self, tmp_path, cfg, argv):
+        # a subprocess with a timeout, so that a search that never ends fails the run
+        if argv[0] != "compare":
+            argv = [argv[0], "--config", str(cfg), *argv[1:]]
+        if argv[0] == "run":
+            log = tmp_path / "log.jsonl"
+            run_cli("generate", "--config", cfg, "--out", log)
+            argv += ["--changelog", str(log), "--out", str(tmp_path / "out.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(dpcr.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpcr.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+
+
+FUZZ_RELEASES = {
+    "dcr": {},
+    "swcr": {"release.kind": "swcr", **WINDOWS},
+    "swcr-from-hdcr": {"release.kind": "swcr", "release.from_hdcr": True,
+                       "release.branching": 2, **WINDOWS},
+    "hdcr": {"release.kind": "hdcr", **HIERARCHY},
+    "rr-dcr": {"release.kind": "rr-dcr", **LABELS},
+    "rr-hdcr": {"release.kind": "rr-hdcr", **HIERARCHY, **LABELS},
+}
+FUZZ_LEAVES = [
+    "seed", "release.kind", "release.epsilon", "release.delta", "release.composition",
+    "release.delta_slack", "release.constraint", "release.constraint.kind",
+    "release.constraint.k", "release.constraint.bound", "release.query", "release.query.fn",
+    "release.query.bounds", "release.query.threshold", "release.query.table",
+    "release.schedule", "release.schedule.start", "release.schedule.interval",
+    "release.schedule.count", "release.schedule.ticks", "release.window", "release.period",
+    "release.first_release", "release.count", "release.from_hdcr", "release.branching",
+    "release.height", "release.start", "release.span", "release.interval", "release.labels",
+    "generator.entries", "generator.horizon", "generator.constraint",
+    "generator.constraint.k", "generator.value_range", "generator.mutation_rate",
+    "generator.labels", "output.format", "output.include_exact",
+]
+# JSON texts for --set: wrong types, null, NaN, +-1e400, zero, negatives,
+# duplicates, labels the input does not carry, and a non-JSON word
+FUZZ_VALUES = [
+    '"x"', "true", "null", "[]", "{}", "NaN", "1e400", "-1e400", "0", "-1", "-2.5",
+    '["a","a"]', "[0,0]", '["x","y"]', "[1e400]", "x",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small valid config and its generated input, per release kind."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inputs = {}
+    for name, overrides in FUZZ_RELEASES.items():
+        cfg = write_config(
+            root / f"{name}.json",
+            **overrides, **{"generator.entries": 20, "output.path": str(root / f"{name}.out")},
+        )
+        data = root / f"{name}.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", data) == 0
+        inputs[name] = (cfg, data)
+    return inputs
+
+
+class TestConfigFuzz:
+    @given(
+        st.sampled_from(sorted(FUZZ_RELEASES)),
+        st.sampled_from(["generate", "account", "run"]),
+        st.lists(st.tuples(st.sampled_from(FUZZ_LEAVES), st.sampled_from(FUZZ_VALUES)),
+                 min_size=1, max_size=3),
+    )
+    def test_adversarial_leaves_exit_with_a_documented_code(
+        self, fuzz_inputs, release, command, overrides
+    ):
+        cfg, data = fuzz_inputs[release]
+        argv = [command, "--config", cfg]
+        for path, value in overrides:
+            argv += ["--set", f"{path}={value}"]
+        if command == "generate":
+            argv += ["--out", data.with_suffix(".generated")]
+        if command == "run":
+            argv += ["--changelog", data]
+        assert run_cli(*argv) in (0, 2, 3)
 
 
 class TestVerify:

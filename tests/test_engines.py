@@ -146,7 +146,7 @@ class TestNoiseLayout:
 
 class TestCoverRange:
     def test_unit_range_is_one_bottom_node(self):
-        assert cover_range(3, 4, 2, 4).nodes == ((0, 3),)
+        assert cover_range(3, 4, 2, 4) == ((0, 3),)
 
     def test_reference_case(self):
         assert len(cover_range(0, 99, 10, 2)) == 18
@@ -161,7 +161,7 @@ class TestCoverRange:
             for high in range(low + 1, top + 1):
                 cover = cover_range(low, high, branching, height)
                 segments = sorted(
-                    (i * branching**lv, (i + 1) * branching**lv) for lv, i in cover.nodes
+                    (i * branching**lv, (i + 1) * branching**lv) for lv, i in cover
                 )
                 assert segments[0][0] == low
                 assert segments[-1][1] == high

@@ -109,8 +109,6 @@ class TestPerturb:
             NoiseSpec(0.0, 1.0, seed=1)
         with pytest.raises(InvalidNoiseError):
             NoiseSpec(1.0, -1.0, seed=1)
-        with pytest.raises(InvalidNoiseError):
-            NoiseSpec(1.0, 1.0, seed=1, kind="gaussian")
 
     def test_monte_carlo_mean(self):
         noise = NoiseSpec(0.5, 2.0, seed=3)
