@@ -13,24 +13,17 @@ from .accounting import (
     Advanced,
     CompositionStrategy,
     HdcrParams,
-    HeterogeneousAdvancedError,
     Naive,
     PrivacyLoss,
     ReleaseSchedule,
     SwcrParams,
     affected_query_count,
-    compose,
     compose_fold,
-    dcr_bound,
     dcr_folds,
-    hdcr_bound,
     hdcr_folds,
-    local_bound,
     local_folds,
     most_span,
     span_folds,
-    sup,
-    swcr_bound,
     swcr_folds,
 )
 from .changelog import (

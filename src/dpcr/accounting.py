@@ -1,8 +1,9 @@
 """Privacy-loss algebra and closed-form bounds for continual releases.
 
 Everything here is parameter-only arithmetic: fold counts say how many
-times a single entry's privacy loss composes, and bounds turn a fold
-count into a composed ``(epsilon, delta)`` pair. Fold counts for the
+times a single entry's privacy loss composes, and ``compose_fold`` turns
+a fold count into a composed ``(epsilon, delta)`` pair in closed form,
+so time and memory do not grow with the count. Fold counts for the
 release shapes:
 
 ================  ======================  ===================================
@@ -16,7 +17,8 @@ any (hybrid)      max of branch counts    max of branch counts
 
 ``n_i`` and ``dt_i`` are the node count and interval of hierarchy layer
 ``i``. Neither time-bounded count is ever below the number of ranges one
-entry can touch.
+entry can touch; a zero bound counts 1 disjoint range, since an entry
+cannot mutate twice at one tick.
 Composition never decreases with the fold count, so composing a
 hybrid's largest branch count is the sup of its branch bounds. Local
 (per-entry) guarantees double the fold count.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .changelog import (
     AtMostK,
@@ -40,17 +42,9 @@ from .changelog import (
 )
 
 
-class HeterogeneousAdvancedError(ValueError):
-    """Advanced composition is only defined here for identical losses."""
-
-
 @dataclass(frozen=True)
 class PrivacyLoss:
-    """An ``(epsilon, delta)`` differential-privacy loss.
-
-    The partial order is componentwise: a loss covers another iff both
-    components are at least as large.
-    """
+    """An ``(epsilon, delta)`` differential-privacy loss."""
 
     epsilon: float
     delta: float = 0.0
@@ -60,19 +54,6 @@ class PrivacyLoss:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0 <= self.delta <= 1:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-
-    def covers(self, other: "PrivacyLoss") -> bool:
-        return self.epsilon >= other.epsilon and self.delta >= other.delta
-
-
-def sup(losses: Iterable[PrivacyLoss]) -> PrivacyLoss:
-    """Least upper bound in the componentwise order."""
-    losses = list(losses)
-    if not losses:
-        raise ValueError("sup of no losses is undefined")
-    return PrivacyLoss(
-        max(l.epsilon for l in losses), max(l.delta for l in losses)
-    )
 
 
 @dataclass(frozen=True)
@@ -94,46 +75,29 @@ class Advanced:
 CompositionStrategy = Naive | Advanced
 
 
-def compose(
-    losses: Sequence[PrivacyLoss], strategy: CompositionStrategy = Naive()
-) -> PrivacyLoss:
-    """Sequential composition of a batch of losses.
-
-    Naive composition sums componentwise (delta capped at 1, where the
-    guarantee is vacuous anyway). Advanced composition requires a
-    homogeneous batch and returns
-    ``eps' = eps*sqrt(2k*ln(1/slack)) + k*eps*(e^eps - 1)``,
-    ``delta' = k*delta + slack``.
-    """
-    if not losses:
-        raise ValueError("cannot compose an empty sequence of losses")
-    if isinstance(strategy, Naive):
-        return PrivacyLoss(
-            sum(l.epsilon for l in losses),
-            min(1.0, sum(l.delta for l in losses)),
-        )
-    first = losses[0]
-    if any(l != first for l in losses):
-        raise HeterogeneousAdvancedError(
-            "advanced composition implemented for identical losses only"
-        )
-    k = len(losses)
-    eps = first.epsilon
-    eps_prime = eps * math.sqrt(2 * k * math.log(1 / strategy.delta_slack)) + (
-        k * eps * (math.exp(eps) - 1)
-    )
-    return PrivacyLoss(eps_prime, min(1.0, k * first.delta + strategy.delta_slack))
-
-
 def compose_fold(
     loss: PrivacyLoss, folds: int, strategy: CompositionStrategy = Naive()
 ) -> PrivacyLoss:
-    """k-fold sequential composition; zero folds cost nothing."""
+    """``folds``-fold sequential composition of one loss; zero folds cost nothing.
+
+    With ``k = folds``, naive composition returns ``(k*eps, k*delta)``
+    (delta capped at 1, where the guarantee is vacuous anyway). Advanced composition (Dwork,
+    Rothblum & Vadhan, FOCS 2010) returns
+    ``eps' = eps*sqrt(2k*ln(1/slack)) + k*eps*(e^eps - 1)``,
+    ``delta' = k*delta + slack``. Both are closed forms, so the cost
+    does not depend on ``k``.
+    """
     if folds < 0:
         raise ValueError(f"fold count must be >= 0, got {folds}")
     if folds == 0:
         return PrivacyLoss(0.0, 0.0)
-    return compose([loss] * folds, strategy)
+    eps = loss.epsilon
+    if isinstance(strategy, Naive):
+        return PrivacyLoss(folds * eps, min(1.0, folds * loss.delta))
+    eps_prime = eps * math.sqrt(2 * folds * math.log(1 / strategy.delta_slack)) + (
+        folds * eps * (math.exp(eps) - 1)
+    )
+    return PrivacyLoss(eps_prime, min(1.0, folds * loss.delta + strategy.delta_slack))
 
 
 @dataclass(frozen=True)
@@ -219,13 +183,6 @@ class HdcrParams:
         """Number of nodes in a layer."""
         return -(-self.span // self.layer_interval(layer))
 
-    def layer_schedule(self, layer: int) -> ReleaseSchedule:
-        """Endpoint grid of one layer, starting at ``start``."""
-        step = self.layer_interval(layer)
-        return ReleaseSchedule(
-            tuple(self.start + step * j for j in range(self.layer_size(layer) + 1))
-        )
-
     def node_filter(self, layer: int, index: int) -> TimeRangeFilter:
         if not 0 <= layer < self.height or not 0 <= index < self.layer_size(layer):
             raise ValueError(f"no node at layer {layer}, index {index}")
@@ -272,8 +229,12 @@ def span_folds(ticks: Sequence[int], bound: int) -> int:
 
     ``most_span`` skips the start endpoints whose window runs past the
     last endpoint; an entry starting at the first of them, ``i``, can
-    touch all ``n - i`` remaining ranges.
+    touch all ``n - i`` remaining ranges. A zero bound touches one range:
+    an entry's mutations all fall on one tick, and it has at most one
+    there, where ``most_span`` counts a point window twice.
     """
+    if bound == 0:
+        return 1
     late = min(bisect.bisect_right(ticks, ticks[-1] - bound), len(ticks) - 1)
     return max(most_span(ticks, bound), len(ticks) - late)
 
@@ -334,50 +295,11 @@ def hdcr_time_bounded_nominal_folds(params: HdcrParams, bound: int) -> float:
     )
 
 
-def dcr_bound(
-    schedule: ReleaseSchedule,
-    per_query: PrivacyLoss,
-    constraint: MutationConstraint,
-    strategy: CompositionStrategy = Naive(),
-) -> PrivacyLoss:
-    """Total loss of a disjoint release under a mutation constraint."""
-    return compose_fold(per_query, dcr_folds(schedule, constraint), strategy)
-
-
-def swcr_bound(
-    params: SwcrParams,
-    per_query: PrivacyLoss,
-    constraint: MutationConstraint,
-    strategy: CompositionStrategy = Naive(),
-) -> PrivacyLoss:
-    """Total loss of a sliding-window release under a mutation constraint."""
-    return compose_fold(per_query, swcr_folds(params, constraint), strategy)
-
-
-def hdcr_bound(
-    params: HdcrParams,
-    per_node: PrivacyLoss,
-    constraint: MutationConstraint,
-    strategy: CompositionStrategy = Naive(),
-) -> PrivacyLoss:
-    """Total loss of a hierarchical release under a mutation constraint."""
-    return compose_fold(per_node, hdcr_folds(params, constraint), strategy)
-
-
 def local_folds(global_folds: int) -> int:
     """Fold count of the same release as a per-entry (local) guarantee."""
     if global_folds < 0:
         raise ValueError(f"fold count must be >= 0, got {global_folds}")
     return 2 * global_folds
-
-
-def local_bound(
-    global_folds: int,
-    per_query: PrivacyLoss,
-    strategy: CompositionStrategy = Naive(),
-) -> PrivacyLoss:
-    """Per-entry loss: twice the folds of the corresponding global bound."""
-    return compose_fold(per_query, local_folds(global_folds), strategy)
 
 
 def affected_query_count(

@@ -12,6 +12,7 @@ Time is an integer tick. Values are 64-bit floats; an absent value is
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -287,7 +288,7 @@ def load_changelog(path: str | Path) -> Changelog:
     """Read a JSON Lines changelog; rejects unsorted or inconsistent input.
 
     Each line is ``{"entry": "<id>", "t": <int>, "prev": <number|null>,
-    "new": <number|null>}``.
+    "new": <number|null>}``; numbers must be finite.
     """
     muts = []
     with open(path, encoding="utf-8") as fh:
@@ -299,7 +300,7 @@ def load_changelog(path: str | Path) -> Changelog:
                 rec = json.loads(line)
                 mut = Mutation(int(rec["t"]), str(rec["entry"]),
                                _opt_float(rec["prev"]), _opt_float(rec["new"]))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConsistencyError(f"{path}:{lineno}: bad mutation record: {exc}") from exc
             muts.append(mut)
     try:
@@ -323,4 +324,7 @@ def _opt_float(value: object) -> float | None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number or null, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number or null, got {value!r}")
+    return value

@@ -51,6 +51,9 @@ class LinearQuerySpec:
             raise ValueError("indicator query needs a predicate")
         if self.fn == "table" and self.table is None:
             raise ValueError("table query needs a lookup table")
+        if self.table is not None and not all(map(math.isfinite, self.table.values())):
+            # a NaN passes the clamp in evaluate
+            raise ValueError("table values must be finite")
 
     def evaluate(self, value: float | None) -> float:
         """``f(value)`` clamped into ``[lower, upper]``; ``None`` gives 0."""

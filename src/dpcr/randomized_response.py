@@ -291,7 +291,7 @@ def load_answer_log(path: str | Path) -> dict[str, AnswerTimeline]:
                 answer = rec["answer"]
                 if answer is not None:
                     answer = str(answer)
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad answer record: {exc}") from exc
             timelines.setdefault(entry, []).append((t, answer))
     out: dict[str, AnswerTimeline] = {}

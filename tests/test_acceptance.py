@@ -15,9 +15,9 @@ from dpcr.accounting import (
     PrivacyLoss,
     ReleaseSchedule,
     SwcrParams,
+    compose_fold,
     dcr_folds,
     hdcr_folds,
-    local_bound,
     local_folds,
     swcr_folds,
 )
@@ -26,7 +26,6 @@ from dpcr.engines import (
     aggregate,
     build_hdcr,
     compare_hdcr_swcr,
-    cover_range,
     derive_swcr_from_hdcr,
     run_dcr,
     run_swcr,
@@ -41,7 +40,7 @@ from dpcr.randomized_response import (
     rr_hdcr,
     verify_dp,
 )
-from dpcr.verification import check_dominance
+from dpcr.verification import check_cover_bounds, check_dominance
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -51,27 +50,11 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_cover_count_bound():
     started = time.perf_counter()
-    violations = 0
-    checked = 0
-    for branching, height, top in ((2, 6, 64), (10, 2, 100)):
-        for low in range(top):
-            for high in range(low + 1, min(top, low + branching**height) + 1):
-                width = high - low
-                bound = 1 if width == 1 else 2 * (branching - 1) * math.ceil(
-                    math.log(width) / math.log(branching)
-                )
-                checked += 1
-                if len(cover_range(low, high, branching, height)) > bound:
-                    violations += 1
-    reference = len(cover_range(0, 99, 10, 2))
+    reports = check_cover_bounds()
     elapsed = time.perf_counter() - started
-    ok = violations == 0 and reference == 18 and elapsed < 5.0
-    _verdict(
-        1, "cover-count bound",
-        ok,
-        f"{checked} ranges, {violations} violations, (0,99] used {reference} nodes, "
-        f"{elapsed:.2f}s",
-    )
+    failed = [r for r in reports if not r.passed]
+    detail = "; ".join(f"{r.name} {r.instance}: {r.actual}" for r in reports)
+    _verdict(1, "cover-count bound", not failed and elapsed < 5.0, f"{detail}, {elapsed:.2f}s")
 
 
 def test_criterion_2_aggregate_variance_law():
@@ -254,7 +237,7 @@ def test_criterion_8_local_accounting_doubles_folds():
     mismatches = 0
     for _, folds in cases:
         doubled = local_folds(folds)
-        bound = local_bound(folds, per_query)
+        bound = compose_fold(per_query, local_folds(folds))
         if doubled != 2 * folds or bound.epsilon != 2 * folds * per_query.epsilon:
             mismatches += 1
     _verdict(

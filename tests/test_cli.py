@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -313,7 +315,9 @@ class TestAccountAndCompare:
         run_cli("account", "--config", cfg)
         out = capsys.readouterr().out
         assert "per-branch sup" in out
-        assert "epsilon=0.2" in out  # zero-bound branch still spans two ranges
+        # a zero-bound entry mutates once, so it touches one range
+        assert "composed folds:    1 (per-branch sup)" in out
+        assert "accounted loss:    (epsilon=0.1," in out
 
     def test_account_hdcr_reports_nominal_folds(self, tmp_path, capsys):
         cfg = write_config(
@@ -360,6 +364,15 @@ SWCR_BRANCHING_1 = [
 ]
 
 
+# one-line input logs that a loader must refuse
+BAD_LOGS = {
+    "nan-value": '{"entry": "e", "t": 1, "prev": null, "new": NaN}',
+    "infinite-value": '{"entry": "e", "t": 1, "prev": null, "new": -Infinity}',
+    "overflowing-time": '{"entry": "e", "t": 1e400, "prev": null, "new": 1.0}',
+    "overflowing-answer-time": '{"entry": "e", "t": 1e400, "answer": "a"}',
+}
+
+
 class TestInputFailures:
     @pytest.mark.parametrize(
         "command,overrides,changelog",
@@ -389,6 +402,11 @@ class TestInputFailures:
             ("run", ["release.kind=rr-dcr", 'release.labels=["x","y"]'], "answers"),
             ("account", ["release.composition=advanced", "release.delta_slack=1e400"], "log"),
             ("account", ["release.epsilon=1e308"], "log"),
+            ("run", [], "nan-value"),
+            ("run", [], "infinite-value"),
+            ("run", [], "overflowing-time"),
+            ("run", ["release.kind=rr-dcr", 'release.labels=["a","b"]'], "overflowing-answer-time"),
+            ("run", ["release.query.fn=table", 'release.query.table={"1": NaN}'], "log"),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
              "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
@@ -396,7 +414,8 @@ class TestInputFailures:
              "overflowing-bound", "overflowing-generator-k", "overflowing-tick",
              "non-numeric-value-range", "infinite-value-range", "duplicate-labels",
              "infinite-query-bounds", "unknown-answer-labels", "infinite-delta-slack",
-             "overflowing-composed-epsilon"],
+             "overflowing-composed-epsilon", "nan-log-value", "infinite-log-value",
+             "overflowing-log-time", "overflowing-answer-time", "nan-query-table"],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"
@@ -405,6 +424,9 @@ class TestInputFailures:
         if changelog == "unsorted":
             inputs["unsorted"] = tmp_path / "unsorted.jsonl"
             inputs["unsorted"].write_text("".join(reversed(log.read_text().splitlines(True))))
+        if changelog in BAD_LOGS:
+            inputs[changelog] = tmp_path / "bad.jsonl"
+            inputs[changelog].write_text(BAD_LOGS[changelog] + "\n")
         if changelog == "answers":
             inputs["answers"] = tmp_path / "answers.jsonl"
             run_cli("generate", "--config", cfg, "--set", 'generator.labels=["a","b"]',
@@ -525,6 +547,55 @@ class TestConfigFuzz:
         if command == "run":
             argv += ["--changelog", data]
         assert run_cli(*argv) in (0, 2, 3)
+
+
+# JSON texts for input-log fields: a valid pool, and an adversarial pool of
+# wrong types, non-finite and overflowing numbers, negative times and labels
+# the release does not declare (None leaves the key out).
+LOG_FIELDS = {
+    "entry": (['"e1"', '"e2"'], ["7", "null", None]),
+    "t": (["0", "3", "9", "17"],
+          ["-3", "1.5", '"3"', "NaN", "Infinity", "-Infinity", "1e400", "true", "null", None]),
+    "prev": (["null", "1.5"], ["0", "NaN", "Infinity", "-Infinity", "1e400", '"x"', None]),
+    "new": (["1.5", "100", "null"], ["NaN", "-Infinity", "1e400", "true", None]),
+    "answer": (['"yes"', '"no"', "null"], ['"maybe"', "3", None]),
+}
+LOG_KEYS = {"dcr": ("entry", "t", "prev", "new"), "rr-dcr": ("entry", "t", "answer")}
+
+
+@st.composite
+def log_lines(draw, release: str) -> str:
+    """1-6 records, each valid or with one adversarial field.
+
+    The small valid pools give duplicate ``(entry, t)`` pairs, out-of-order
+    lines and ``prev`` mismatches.
+    """
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        keys = LOG_KEYS[release]
+        corrupt = draw(st.sampled_from((None, None) + keys))
+        fields = [(k, draw(st.sampled_from(LOG_FIELDS[k][k == corrupt]))) for k in keys]
+        lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in fields if v is not None) + "}")
+    return "".join(line + "\n" for line in lines)
+
+
+class TestLogFuzz:
+    @given(st.sampled_from(sorted(LOG_KEYS)).flatmap(
+        lambda release: st.tuples(st.just(release), log_lines(release))
+    ))
+    def test_adversarial_logs_exit_with_a_documented_code(self, fuzz_inputs, drawn):
+        release, text = drawn
+        cfg, data = fuzz_inputs[release]
+        log = data.with_suffix(".fuzz")
+        log.write_text(text)
+        out = data.with_suffix(".fuzz-out")
+        code = run_cli("run", "--config", cfg, "--changelog", log, "--out", out)
+        assert code in (0, 2, 3)
+        if code == 0:
+            rows = csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#"))
+            released = [float(v) for row in rows for k, v in row.items()
+                        if k == "noisy" or k.startswith(("vhat_", "var_"))]
+            assert released and all(math.isfinite(v) for v in released)
 
 
 class TestVerify:

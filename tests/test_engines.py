@@ -180,7 +180,8 @@ class TestBuildHdcr:
     def test_bottom_layer_equals_uniform_dcr_tail(self):
         log = small_log()
         tree = build_hdcr(log, self.PARAMS, SPEC, NOISE)
-        dcr = run_dcr(log, self.PARAMS.layer_schedule(0), SPEC, NOISE)
+        grid = ReleaseSchedule.uniform(0, 2, self.PARAMS.layer_size(0) + 1)
+        dcr = run_dcr(log, grid, SPEC, NOISE)
         # DCR query i+1 covers the same range as bottom node i
         for i in range(self.PARAMS.layer_size(0)):
             assert tree.node(0, i).exact == pytest.approx(dcr.records[i + 1].exact)
