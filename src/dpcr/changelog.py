@@ -15,9 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 NEG_INF = float("-inf")
+
+T = TypeVar("T")
 
 
 class ConsistencyError(ValueError):
@@ -141,7 +143,7 @@ class Changelog:
         for m in muts:
             if prev is not None and (m.time, m.entry_id) <= (prev.time, prev.entry_id):
                 raise ConsistencyError(
-                    f"mutations out of order at t={m.time}, entry {m.entry_id!r}"
+                    f"mutations out of order or duplicated at t={m.time}, entry {m.entry_id!r}"
                 )
             by_entry.setdefault(m.entry_id, []).append(m)
             prev = m
@@ -284,13 +286,13 @@ def validate_constraint(
     return {eid: entry_satisfies(log.for_entry(eid), constraint) for eid in log.entry_ids()}
 
 
-def load_changelog(path: str | Path) -> Changelog:
-    """Read a JSON Lines changelog; rejects unsorted or inconsistent input.
+def read_records(path: str | Path, what: str, parse: Callable[[int, str, dict], T]) -> list[T]:
+    """Parse each non-blank JSON line of a log as ``parse(t, entry, record)``.
 
-    Each line is ``{"entry": "<id>", "t": <int>, "prev": <number|null>,
-    "new": <number|null>}``; numbers must be finite.
+    ``"t"`` must be a JSON integer and ``"entry"`` is read as a string. A
+    malformed line raises ConsistencyError naming ``path:lineno``.
     """
-    muts = []
+    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -298,11 +300,24 @@ def load_changelog(path: str | Path) -> Changelog:
                 continue
             try:
                 rec = json.loads(line)
-                mut = Mutation(int(rec["t"]), str(rec["entry"]),
-                               _opt_float(rec["prev"]), _opt_float(rec["new"]))
+                t = rec["t"]
+                if isinstance(t, bool) or not isinstance(t, int):
+                    raise ValueError(f"t must be an integer, got {t!r}")
+                out.append(parse(t, str(rec["entry"]), rec))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ConsistencyError(f"{path}:{lineno}: bad mutation record: {exc}") from exc
-            muts.append(mut)
+                raise ConsistencyError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+    return out
+
+
+def load_changelog(path: str | Path) -> Changelog:
+    """Read a JSON Lines changelog; rejects unsorted or inconsistent input.
+
+    Each line is ``{"entry": "<id>", "t": <int>, "prev": <number|null>,
+    "new": <number|null>}``; numbers must be finite.
+    """
+    muts = read_records(path, "mutation", lambda t, entry, rec: Mutation(
+        t, entry, _opt_float(rec["prev"]), _opt_float(rec["new"])
+    ))
     try:
         return Changelog(muts)
     except ConsistencyError as exc:

@@ -62,7 +62,6 @@ from .engines import (
 )
 from .mechanisms import InvalidNoiseError, LinearQuerySpec, NoiseSpec, named_stream, sensitivity
 from .randomized_response import (
-    AnswerTimeline,
     InvalidEpsilonError,
     ResponseSpace,
     RrRecord,
@@ -374,12 +373,12 @@ def _hdcr_from_config(cfg: Mapping) -> HdcrParams:
     return params
 
 
-def _labels_from_config(cfg: Mapping) -> ResponseSpace:
-    labels = _get(cfg, "release.labels", list)
+def _space_from_config(cfg: Mapping, path: str) -> ResponseSpace:
+    labels = _get(cfg, path, list)
     try:
         return ResponseSpace(tuple(str(l) for l in labels))
     except ValueError as exc:
-        raise ConfigError(f"release.labels: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # -- generate ----------------------------------------------------------------
@@ -388,17 +387,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     seed = _seed(cfg)
     out = args.out or _get(cfg, "output.path", str)
-    if _get(cfg, "generator.labels", list, default=[]):
-        data = generate_answer_log(cfg, seed)
-        dump, written = dump_answer_log, f"{sum(map(len, data.values()))} answer records"
-    else:
-        data = generate_changelog(cfg, seed)
-        dump, written = dump_changelog, f"{len(data)} mutations"
+    labels = _get(cfg, "generator.labels", list, default=[])
+    space = _space_from_config(cfg, "generator.labels") if labels else None
+    muts = generate_log(cfg, seed, space)
     try:
-        dump(data, out)
+        if space is None:
+            dump_changelog(Changelog(muts), out)
+        else:
+            dump_answer_log(muts, space, out)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
-    print(f"wrote {written} to {out}")
+    print(f"wrote {len(muts)} {'answer records' if space else 'mutations'} to {out}")
     return 0
 
 
@@ -440,64 +439,56 @@ def _mutation_times(
     return times
 
 
-def generate_changelog(cfg: Mapping, seed: int) -> Changelog:
-    """Synthesize a changelog that satisfies the declared constraint."""
+def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> list[Mutation]:
+    """Synthesize mutations under the declared constraint, sorted by ``(time, entry)``.
+
+    With a response space the values are answer-log label codes, each
+    answer differing from the one before; without one they are drawn
+    from ``generator.value_range`` and rounded to 6 decimals. Only the
+    stream name and the value draws differ between the two kinds.
+    """
     entries, horizon, constraint, rate = _generator_params(cfg)
-    value_range = _get(cfg, "generator.value_range", list, default=[0.0, 100.0])
-    try:
-        low, high = (float(v) for v in value_range)
-    except (TypeError, ValueError, OverflowError):
-        low = high = float("nan")
-    if not (low <= high and math.isfinite(high - low)):
-        raise ConfigError(f"generator.value_range must be finite [low, high], got {value_range}")
+    if space is None:
+        value_range = _get(cfg, "generator.value_range", list, default=[0.0, 100.0])
+        try:
+            low, high = (float(v) for v in value_range)
+        except (TypeError, ValueError, OverflowError):
+            low = high = float("nan")
+        if not (low <= high and math.isfinite(high - low)):
+            raise ConfigError(f"generator.value_range must be finite [low, high], got {value_range}")
+        stream = "generate"
+
+        def draw(rng: np.random.Generator, value: float | None) -> float:
+            return float(np.round(rng.uniform(low, high), 6))
+    else:
+        stream = "generate-answers"
+
+        def draw(rng: np.random.Generator, value: float | None) -> float:
+            if value is None:
+                return float(rng.integers(0, space.size))
+            other = int(rng.integers(0, space.size - 1))  # an index among the other labels
+            return float(other + (other >= value))
+
     muts: list[Mutation] = []
     for i in range(entries):
-        rng = named_stream(seed, "generate", i)
+        rng = named_stream(seed, stream, i)
         eid = f"e{i:06d}"
         times = _mutation_times(
             rng, int(rng.integers(0, horizon)), horizon, _pick_branch(constraint, rng), rate
         )
-        value = float(np.round(rng.uniform(low, high), 6))
-        chain = [Mutation(times[0], eid, None, value)]
-        for t in times[1:]:
-            new_value = float(np.round(rng.uniform(low, high), 6))
+        chain, value = [], None
+        for t in times:
+            new_value = draw(rng, value)
             chain.append(Mutation(t, eid, value, new_value))
             value = new_value
         if len(chain) > 1 and rng.random() < 0.25 * rate:
             tail = chain.pop()
             chain.append(Mutation(tail.time, eid, tail.prev_value, None))
+        if not entry_satisfies(tuple(chain), constraint):
+            raise AssertionError(f"generator produced constraint-violating entry {eid!r}")
         muts.extend(chain)
-    log = Changelog.from_unsorted(muts)
-    bad = [eid for eid, ok in validate_constraint(log, constraint).items() if not ok]
-    if bad:
-        raise AssertionError(f"generator produced constraint-violating entries: {bad[:5]}")
-    return log
-
-
-def generate_answer_log(cfg: Mapping, seed: int) -> dict[str, AnswerTimeline]:
-    """Synthesize per-entry answer timelines under the declared constraint."""
-    entries, horizon, constraint, rate = _generator_params(cfg)
-    labels = [str(l) for l in _get(cfg, "generator.labels", list)]
-    if len(set(labels)) != len(labels) or len(labels) < 2:
-        raise ConfigError(f"generator.labels needs at least two distinct labels, got {labels}")
-    timelines: dict[str, AnswerTimeline] = {}
-    for i in range(entries):
-        rng = named_stream(seed, "generate-answers", i)
-        eid = f"e{i:06d}"
-        times = _mutation_times(
-            rng, int(rng.integers(0, horizon)), horizon, _pick_branch(constraint, rng), rate
-        )
-        current = labels[int(rng.integers(0, len(labels)))]
-        records: list[tuple[int, str | None]] = [(times[0], current)]
-        for t in times[1:]:
-            others = [l for l in labels if l != current]
-            current = others[int(rng.integers(0, len(others)))]
-            records.append((t, current))
-        if len(records) > 1 and rng.random() < 0.25 * rate:
-            t, _ = records.pop()
-            records.append((t, None))
-        timelines[eid] = tuple(records)
-    return timelines
+    muts.sort(key=lambda m: (m.time, m.entry_id))
+    return muts
 
 
 # -- run ----------------------------------------------------------------------
@@ -520,25 +511,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     rr = kind.startswith("rr-")
     if rr:
-        data = _load_input(load_answer_log, args.changelog)
-        verdicts = _answer_log_verdicts(data, constraint)
+        space = _space_from_config(cfg, "release.labels")
+        log = _load_input(lambda path: load_answer_log(path, space), args.changelog)
     else:
-        data = _load_input(load_changelog, args.changelog)
-        verdicts = validate_constraint(data, constraint)
-    bad = [eid for eid, ok in verdicts.items() if not ok]
+        log = _load_input(load_changelog, args.changelog)
+    bad = [eid for eid, ok in validate_constraint(log, constraint).items() if not ok]
     if bad:
         raise ConstraintViolationError(
             f"{len(bad)} entries violate the declared constraint (first: {bad[:3]})"
         )
     try:
-        release = _run_rr(cfg, kind, data, seed) if rr else _run_release(cfg, kind, data, seed)
+        release = _run_rr(cfg, kind, log, space, seed) if rr else _run_release(cfg, kind, log, seed)
     except (InvalidEpsilonError, InvalidNoiseError, SingularMatrixError) as exc:
         # the engines check these release parameters only once they run
         raise ConfigError(f"release: {exc}") from exc
     try:
         with open(out, "w", encoding="utf-8") as fh:
             if rr:
-                _write_rr(release, _labels_from_config(cfg), fh, fmt, header)
+                _write_rr(release, space, fh, fmt, header)
             else:
                 _write_release(release, fh, fmt, header, include_exact)
     except OSError as exc:
@@ -553,20 +543,6 @@ def _load_input(loader, path: str):
         return loader(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--changelog {path}: {exc}") from exc
-
-
-def _answer_log_verdicts(
-    timelines: Mapping[str, AnswerTimeline], constraint: MutationConstraint
-) -> dict[str, bool]:
-    # answer records play the role of mutations: count and time span
-    return {
-        eid: entry_satisfies(
-            (Mutation(timeline[0][0], eid, None, 1.0),)
-            + tuple(Mutation(t, eid, 1.0, 1.0) for t, _ in timeline[1:]),
-            constraint,
-        )
-        for eid, timeline in timelines.items()
-    }
 
 
 def _run_release(cfg: Mapping, kind: str, log: Changelog, seed: int) -> ReleaseResult:
@@ -586,17 +562,12 @@ def _run_release(cfg: Mapping, kind: str, log: Changelog, seed: int) -> ReleaseR
 
 
 def _run_rr(
-    cfg: Mapping, kind: str, timelines: Mapping[str, AnswerTimeline], seed: int
+    cfg: Mapping, kind: str, log: Changelog, space: ResponseSpace, seed: int
 ) -> list[RrRecord]:
-    space = _labels_from_config(cfg)
-    answers = {label for timeline in timelines.values() for _, label in timeline}
-    unknown = answers - set(space.labels) - {None}
-    if unknown:
-        raise ConfigError(f"answers {sorted(unknown)} of the input are not in release.labels")
     epsilon = _get(cfg, "release.epsilon", float)
     if kind == "rr-dcr":
-        return rr_dcr(timelines, space, _schedule_from_config(cfg), epsilon, seed)
-    return rr_hdcr(timelines, space, _hdcr_from_config(cfg), epsilon, seed)
+        return rr_dcr(log, space, _schedule_from_config(cfg), epsilon, seed)
+    return rr_hdcr(log, space, _hdcr_from_config(cfg), epsilon, seed)
 
 
 def _write_header(fh: IO[str], fmt: str, header: dict) -> None:

@@ -1,9 +1,10 @@
 """Randomized-response releases of answer-histogram changes under local DP.
 
-Each surveyed entry holds one answer from a fixed label set; over an
-interval its net change is a pair ``(previous answer, new answer)`` with
-``None`` marking absence, and "no net change" canonicalized to
-``(None, None)`` so that silence is indistinguishable from stability.
+An answer log is a changelog: each answer is a mutation whose value is
+the label's index (its code) and a null answer is a deletion. Over a
+window an entry's net change is the pair ``(previous answer, new
+answer)`` with ``None`` marking absence, and "no net change" canonicalized
+to ``(None, None)`` so that silence is indistinguishable from stability.
 Entries randomize that pair through a column-stochastic rule and the
 collector inverts the rule to recover an unbiased estimate of the
 histogram change.
@@ -15,12 +16,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule
-from .changelog import TimeRangeFilter
+from .changelog import Changelog, ConsistencyError, Mutation, TimeRangeFilter, read_records
 from .engines import cover_range, prefix_windows
 from .mechanisms import named_stream
 
@@ -142,6 +143,13 @@ class AnswerMutationSpace:
     def index(self, prev: str | None, new: str | None) -> int:
         return self._pos(prev) * len(self.alphabet) + self._pos(new)
 
+    def code_index(self, prev: float | None, new: float | None) -> int:
+        """Cell of a change given as label codes, the values of an answer log."""
+        none = len(self.alphabet) - 1
+        return (none if prev is None else int(prev)) * len(self.alphabet) + (
+            none if new is None else int(new)
+        )
+
     def cell(self, index: int) -> tuple[str | None, str | None]:
         if not 0 <= index < self.size:
             raise IndexError(f"cell index {index} out of range")
@@ -252,68 +260,63 @@ def sample_responses(
     return np.minimum(out, rule.shape[0] - 1)
 
 
-AnswerTimeline = tuple[tuple[int, str | None], ...]
+def answer_changelog(answers: Iterable[tuple[int, str, float | None]]) -> Changelog:
+    """The changelog of ``(t, entry, code)`` answers given in any order.
+
+    Each answer's previous value is the entry's answer before it; a null
+    answer of an entry without one raises ConsistencyError.
+    """
+    current: dict[str, float | None] = {}
+    muts = []
+    for t, entry, code in sorted(answers, key=lambda a: a[:2]):
+        prev = current.get(entry)
+        if prev is None and code is None:
+            raise ConsistencyError(f"entry {entry!r} withdraws at t={t} an answer it does not hold")
+        muts.append(Mutation(t, entry, prev, code))
+        current[entry] = code
+    return Changelog(muts)
 
 
-def answer_at(timeline: AnswerTimeline, time: float) -> str | None:
-    """The entry's answer at ``time``: the last record at or before it."""
-    answer = None
-    for t, label in timeline:
-        if t > time:
-            break
-        answer = label
-    return answer
+def load_answer_log(path: str | Path, space: ResponseSpace) -> Changelog:
+    """Read a JSON Lines answer log ``{"entry", "t", "answer"}`` as a changelog.
+
+    Each value is the answer's label index in ``space``, and a null
+    answer is a deletion. Lines may come in any order; a label outside
+    ``space`` is refused.
+    """
+    codes = {label: float(i) for i, label in enumerate(space.labels)}
+
+    def parse(t: int, entry: str, rec: dict) -> tuple[int, str, float | None]:
+        answer = rec["answer"]
+        if answer is not None and answer not in codes:
+            raise ValueError(f"answer {answer!r} is not one of the labels {list(space.labels)}")
+        return t, entry, codes.get(answer)
+
+    answers = read_records(path, "answer", parse)
+    try:
+        return answer_changelog(answers)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{path}: {exc}") from exc
 
 
-def net_mutation(
-    timeline: AnswerTimeline, start: float, end: int
-) -> tuple[str | None, str | None]:
-    """Net answer change over ``(start, end]``; no net change is ``(None, None)``."""
-    prev = answer_at(timeline, start)
-    new = answer_at(timeline, end)
-    if prev == new:
-        return (None, None)
-    return (prev, new)
-
-
-def load_answer_log(path: str | Path) -> dict[str, AnswerTimeline]:
-    """Read JSON Lines answer timelines ``{"entry", "t", "answer"}``."""
-    timelines: dict[str, list[tuple[int, str | None]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                entry = str(rec["entry"])
-                t = int(rec["t"])
-                answer = rec["answer"]
-                if answer is not None:
-                    answer = str(answer)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad answer record: {exc}") from exc
-            timelines.setdefault(entry, []).append((t, answer))
-    out: dict[str, AnswerTimeline] = {}
-    for entry, records in timelines.items():
-        records.sort(key=lambda r: r[0])
-        for (t1, _), (t2, _) in zip(records, records[1:]):
-            if t1 == t2:
-                raise ValueError(f"entry {entry!r} has two answers at t={t1}")
-        out[entry] = tuple(records)
-    return out
-
-
-def dump_answer_log(timelines: Mapping[str, AnswerTimeline], path: str | Path) -> None:
-    records = []
-    for entry, timeline in timelines.items():
-        for t, answer in timeline:
-            records.append((t, entry, answer))
-    records.sort(key=lambda r: (r[0], r[1]))
+def dump_answer_log(log: Iterable[Mutation], space: ResponseSpace, path: str | Path) -> None:
+    """Write sorted answer mutations in the JSON Lines answer-log format."""
     with open(path, "w", encoding="utf-8") as fh:
-        for t, entry, answer in records:
-            fh.write(json.dumps({"entry": entry, "t": t, "answer": answer}))
+        for m in log:
+            answer = None if m.new_value is None else space.labels[int(m.new_value)]
+            fh.write(json.dumps({"entry": m.entry_id, "t": m.time, "answer": answer}))
             fh.write("\n")
+
+
+def net_mutation(batch: Sequence[Mutation]) -> tuple[float | None, float | None]:
+    """Net change of one entry's mutations inside a window, in time order.
+
+    That is the first mutation's ``prev_value`` and the last one's
+    ``new_value``; an empty batch or no net change is ``(None, None)``.
+    """
+    if not batch or batch[0].prev_value == batch[-1].new_value:
+        return (None, None)
+    return (batch[0].prev_value, batch[-1].new_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +329,7 @@ class RrRecord:
 
 
 def rr_dcr(
-    answer_log: Mapping[str, AnswerTimeline],
+    log: Changelog,
     space: ResponseSpace,
     schedule: ReleaseSchedule,
     epsilon: float,
@@ -339,7 +342,7 @@ def rr_dcr(
     nothing. Summing the estimates up to ``t`` estimates the histogram
     at ``t`` relative to the release start.
     """
-    survey = _window_survey(answer_log, space, epsilon)
+    survey = _window_survey(log, space, epsilon)
     return [
         RrRecord(window.end, survey(window, named_stream(seed, "rr-dcr", i)))
         for i, window in enumerate(schedule.filters())
@@ -347,7 +350,7 @@ def rr_dcr(
 
 
 def rr_hdcr(
-    answer_log: Mapping[str, AnswerTimeline],
+    log: Changelog,
     space: ResponseSpace,
     params: HdcrParams,
     epsilon_per_node: float,
@@ -361,7 +364,7 @@ def rr_hdcr(
     follows the cover size instead of the elapsed time.
     """
     prefixes = prefix_windows(params)
-    survey = _window_survey(answer_log, space, epsilon_per_node)
+    survey = _window_survey(log, space, epsilon_per_node)
     node_estimates = {
         (layer, index): survey(
             params.node_filter(layer, index), named_stream(seed, "rr-hdcr", layer, index)
@@ -370,34 +373,39 @@ def rr_hdcr(
         for index in range(params.layer_size(layer))
     }
 
-    records = []
+    records, entries = [], len(log.entry_ids())
     for j, window in prefixes:
         cover = cover_range(0, j, params.branching, params.height)
         nodes = [node_estimates[node] for node in cover]
         values = sum((est.values for est in nodes), np.zeros(space.size))
         covariance = sum((est.covariance for est in nodes), np.zeros((space.size, space.size)))
-        estimate = HistogramEstimate(values, covariance, len(answer_log))
+        estimate = HistogramEstimate(values, covariance, entries)
         records.append(RrRecord(window.end, estimate, node_count=len(cover)))
     return records
 
 
 def _window_survey(
-    answer_log: Mapping[str, AnswerTimeline], space: ResponseSpace, epsilon: float
+    log: Changelog, space: ResponseSpace, epsilon: float
 ) -> Callable[[TimeRangeFilter, np.random.Generator], HistogramEstimate]:
     """One survey round per window: net cells, responses in entry-id order, estimate.
 
-    The rule and the estimator's ``delta @ inverse`` map are built once
-    per release, from the closed-form inverse of the optimal rule.
+    An entry's cell is the net change of its mutations in the window; an
+    entry without one takes the no-change cell. The rule and the
+    estimator's ``delta @ inverse`` map are built once per release, from
+    the closed-form inverse of the optimal rule.
     """
     mspace = AnswerMutationSpace(space)
     rule = optimal_rule(mspace.size, epsilon)
     transform = mspace.delta_matrix() @ optimal_rule_inverse(mspace.size, epsilon)
-    entries = sorted(answer_log)
+    position = {e: i for i, e in enumerate(sorted(log.entry_ids()))}
 
     def survey(window: TimeRangeFilter, rng: np.random.Generator) -> HistogramEstimate:
-        cells = [
-            mspace.index(*net_mutation(answer_log[e], window.start, window.end)) for e in entries
-        ]
+        batches: dict[str, list[Mutation]] = {}
+        for m in log.filter(window):
+            batches.setdefault(m.entry_id, []).append(m)
+        cells = np.full(len(position), mspace.size - 1)
+        for e, batch in batches.items():
+            cells[position[e]] = mspace.code_index(*net_mutation(batch))
         responses = sample_responses(rng, cells, rule)
         return _estimate(np.bincount(responses, minlength=mspace.size), transform)
 

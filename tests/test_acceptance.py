@@ -35,6 +35,7 @@ from dpcr.oracles import snapshot_oracle
 from dpcr.randomized_response import (
     AnswerMutationSpace,
     ResponseSpace,
+    answer_changelog,
     optimal_rule,
     rr_dcr,
     rr_hdcr,
@@ -250,7 +251,8 @@ def test_criterion_8_local_accounting_doubles_folds():
 def test_criterion_9_variance_growth_shape():
     started = time.perf_counter()
     space = ResponseSpace(("r1", "r2"))
-    timelines = {f"e{i:03d}": ((-1, "r1" if i % 2 else "r2"),) for i in range(40)}
+    # 40 answers before the start: odd entries hold r1 (code 0), even ones r2
+    log = answer_changelog((-1, f"e{i:03d}", 0.0 if i % 2 else 1.0) for i in range(40))
     params = HdcrParams(height=7, branching=2, start=0, span=64, interval=1)
     schedule = ReleaseSchedule.uniform(1, 1, 64)
     checkpoints = (4, 16, 64)
@@ -260,12 +262,12 @@ def test_criterion_9_variance_growth_shape():
     node_counts = {}
     dcr_values = {t: [] for t in checkpoints}
     for seed in range(seeds):
-        records = rr_hdcr(timelines, space, params, 1.0, seed=seed)
+        records = rr_hdcr(log, space, params, 1.0, seed=seed)
         by_time = {r.time: r for r in records}
         for t in checkpoints:
             hdcr_values[t].append(by_time[t].estimate.values)
             node_counts[t] = by_time[t].node_count
-        deltas = rr_dcr(timelines, space, schedule, 1.0, seed=seed)
+        deltas = rr_dcr(log, space, schedule, 1.0, seed=seed)
         cumulative = np.zeros(2)
         wanted = dict.fromkeys(checkpoints)
         for record in deltas:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 
 import dpcr
-from dpcr.changelog import AtMostK, load_changelog, validate_constraint
+from dpcr.changelog import AtMostK, dump_changelog, load_changelog, validate_constraint
+from dpcr.randomized_response import ResponseSpace, dump_answer_log, load_answer_log
 from dpcr.cli import main
 
 
@@ -68,6 +69,20 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         run_cli("generate", "--config", cfg, "--out", b, "--seed", "43")
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("labels", [None, ["yes", "no", "maybe"]], ids=["changelog", "answers"])
+    def test_dump_of_loaded_log_reproduces_generated_bytes(self, tmp_path, cfg, labels):
+        generated, dumped = tmp_path / "generated.jsonl", tmp_path / "dumped.jsonl"
+        overrides = ["--set", f"generator.labels={json.dumps(labels)}"] if labels else []
+        assert run_cli("generate", "--config", cfg, *overrides, "--out", generated) == 0
+        if labels:
+            space = ResponseSpace(tuple(labels))
+            log = load_answer_log(generated, space)
+            assert any(m.is_deletion for m in log) and any(not m.is_insertion for m in log)
+            dump_answer_log(log, space, dumped)
+        else:
+            dump_changelog(load_changelog(generated), dumped)
+        assert dumped.read_bytes() == generated.read_bytes()
 
     def test_zero_mutation_rate_gives_insertions_only(self, tmp_path, cfg):
         out = tmp_path / "log.jsonl"
@@ -364,13 +379,27 @@ SWCR_BRANCHING_1 = [
 ]
 
 
-# one-line input logs that a loader must refuse
+# input logs that a loader must refuse
 BAD_LOGS = {
     "nan-value": '{"entry": "e", "t": 1, "prev": null, "new": NaN}',
     "infinite-value": '{"entry": "e", "t": 1, "prev": null, "new": -Infinity}',
     "overflowing-time": '{"entry": "e", "t": 1e400, "prev": null, "new": 1.0}',
     "overflowing-answer-time": '{"entry": "e", "t": 1e400, "answer": "a"}',
 }
+# "t" must be a JSON integer in both log kinds, and a null answer withdraws
+# an answer, so the entry must hold one
+STRICT_LOGS = {
+    **{f"{name}-{kind}-time": f'{{"entry": "e", "t": {t}, {fields}}}'
+       for name, t in (("fractional", "1.9"), ("boolean", "true"), ("string", '"3"'),
+                       ("integral-float", "3.0"))
+       for kind, fields in (("log", '"prev": null, "new": 1.0'), ("answer", '"answer": "a"'))},
+    "null-first-answer": '{"entry": "e", "t": 1, "answer": null}',
+    "null-after-null-answer": '{"entry": "e", "t": 1, "answer": "a"}\n'
+                              '{"entry": "e", "t": 2, "answer": null}\n'
+                              '{"entry": "e", "t": 3, "answer": null}',
+}
+BAD_LOGS.update(STRICT_LOGS)
+RR_DCR = ["release.kind=rr-dcr", 'release.labels=["a","b"]']
 
 
 class TestInputFailures:
@@ -407,6 +436,7 @@ class TestInputFailures:
             ("run", [], "overflowing-time"),
             ("run", ["release.kind=rr-dcr", 'release.labels=["a","b"]'], "overflowing-answer-time"),
             ("run", ["release.query.fn=table", 'release.query.table={"1": NaN}'], "log"),
+            *(("run", RR_DCR if "answer" in name else [], name) for name in STRICT_LOGS),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
              "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
@@ -415,7 +445,7 @@ class TestInputFailures:
              "non-numeric-value-range", "infinite-value-range", "duplicate-labels",
              "infinite-query-bounds", "unknown-answer-labels", "infinite-delta-slack",
              "overflowing-composed-epsilon", "nan-log-value", "infinite-log-value",
-             "overflowing-log-time", "overflowing-answer-time", "nan-query-table"],
+             "overflowing-log-time", "overflowing-answer-time", "nan-query-table", *STRICT_LOGS],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"
@@ -555,7 +585,7 @@ class TestConfigFuzz:
 LOG_FIELDS = {
     "entry": (['"e1"', '"e2"'], ["7", "null", None]),
     "t": (["0", "3", "9", "17"],
-          ["-3", "1.5", '"3"', "NaN", "Infinity", "-Infinity", "1e400", "true", "null", None]),
+          ["-3", "1.5", "3.0", '"3"', "NaN", "Infinity", "-Infinity", "1e400", "true", "null", None]),
     "prev": (["null", "1.5"], ["0", "NaN", "Infinity", "-Infinity", "1e400", '"x"', None]),
     "new": (["1.5", "100", "null"], ["NaN", "-Infinity", "1e400", "true", None]),
     "answer": (['"yes"', '"no"', "null"], ['"maybe"', "3", None]),

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import dpcr.randomized_response as rr
 from dpcr.accounting import ReleaseSchedule, dcr_folds, local_folds
-from dpcr.changelog import AtMostK
+from dpcr.changelog import NEG_INF, AtMostK, Changelog, ConsistencyError, TimeRangeFilter, snapshot_at
 from dpcr.mechanisms import named_stream
 from dpcr.randomized_response import (
     AnswerMutationSpace,
@@ -13,10 +15,12 @@ from dpcr.randomized_response import (
     ResponseSpace,
     SingularMatrixError,
     UnknownLabelError,
-    answer_at,
+    answer_changelog,
+    dump_answer_log,
     estimate_delta_v,
     estimate_from_counts,
     invert_rule,
+    load_answer_log,
     net_mutation,
     optimal_rule,
     optimal_rule_inverse,
@@ -28,6 +32,32 @@ from dpcr.randomized_response import (
 from dpcr.accounting import HdcrParams
 
 SPACE = ResponseSpace(("r1", "r2"))
+
+
+def answer_log(timelines: dict, space: ResponseSpace = SPACE) -> Changelog:
+    """The changelog of ``{entry: ((t, label or None), ...)}`` answer timelines."""
+    return answer_changelog(
+        (t, entry, None if label is None else float(space.index(label)))
+        for entry, timeline in timelines.items()
+        for t, label in timeline
+    )
+
+
+def _label(code: float | None, space: ResponseSpace = SPACE) -> str | None:
+    return None if code is None else space.labels[int(code)]
+
+
+def _snapshot_cells(log: Changelog, space: ResponseSpace, window: TimeRangeFilter) -> list[int]:
+    """Every entry's net cell, in entry-id order, from the snapshots at the window's ends."""
+    mspace = AnswerMutationSpace(space)
+    before = {} if window.start == NEG_INF else snapshot_at(log, window.start)
+    after = snapshot_at(log, window.end)
+    cells = []
+    for e in sorted(log.entry_ids()):
+        prev, new = before.get(e), after.get(e)
+        pair = (None, None) if prev == new else (_label(prev, space), _label(new, space))
+        cells.append(mspace.index(*pair))
+    return cells
 
 
 class TestOptimalRule:
@@ -238,31 +268,132 @@ class TestEstimator:
 
 
 class TestTimelines:
-    TIMELINE = ((2, "r1"), (5, "r2"), (9, None))
+    """``net_mutation`` on one entry's batch of mutations inside a window."""
+
+    LOG = answer_log({"e": ((2, "r1"), (5, "r2"), (9, None))})
+
+    @staticmethod
+    def net(log: Changelog, start: float, end: int) -> tuple[str | None, str | None]:
+        prev, new = net_mutation(log.filter(TimeRangeFilter(start, end)))
+        return _label(prev), _label(new)
 
     def test_answer_at(self):
-        assert answer_at(self.TIMELINE, 1) is None
-        assert answer_at(self.TIMELINE, 2) == "r1"
-        assert answer_at(self.TIMELINE, 7) == "r2"
-        assert answer_at(self.TIMELINE, 12) is None
+        # from an empty start the net change ends at the answer held at ``end``
+        assert self.net(self.LOG, NEG_INF, 1) == (None, None)
+        assert self.net(self.LOG, NEG_INF, 2) == (None, "r1")
+        assert self.net(self.LOG, NEG_INF, 7) == (None, "r2")
+        assert self.net(self.LOG, NEG_INF, 12) == (None, None)
 
     def test_net_mutation_composes_changes(self):
-        assert net_mutation(self.TIMELINE, 2, 6) == ("r1", "r2")
-        assert net_mutation(self.TIMELINE, 1, 6) == (None, "r2")
-        assert net_mutation(self.TIMELINE, float("-inf"), 3) == (None, "r1")
-        assert net_mutation(self.TIMELINE, 6, 10) == ("r2", None)
+        assert self.net(self.LOG, 2, 6) == ("r1", "r2")
+        assert self.net(self.LOG, 1, 6) == (None, "r2")
+        assert self.net(self.LOG, NEG_INF, 3) == (None, "r1")
+        assert self.net(self.LOG, 6, 10) == ("r2", None)
 
     def test_no_net_change_is_canonical(self):
-        timeline = ((2, "r1"), (5, "r2"), (8, "r1"))
-        assert net_mutation(timeline, 3, 9) == (None, None)
-        assert net_mutation(self.TIMELINE, 5, 5) == (None, None)
+        log = answer_log({"e": ((2, "r1"), (5, "r2"), (8, "r1"))})
+        assert self.net(log, 3, 9) == (None, None)
+        assert net_mutation(()) == (None, None)
+
+
+class TestAnswerLog:
+    def write(self, tmp_path, *records):
+        path = tmp_path / "answers.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_unsorted_lines_chain_in_time_order(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            {"entry": "e", "t": 5, "answer": "r2"},
+            {"entry": "f", "t": 1, "answer": "r2"},
+            {"entry": "e", "t": 1, "answer": "r1"},
+            {"entry": "e", "t": 7, "answer": None},
+        )
+        log = load_answer_log(path, SPACE)
+        assert [(m.time, m.entry_id, m.prev_value, m.new_value) for m in log] == [
+            (1, "e", None, 0.0), (1, "f", None, 1.0), (5, "e", 0.0, 1.0), (7, "e", 1.0, None),
+        ]
+
+    @pytest.mark.parametrize(
+        "answers",
+        [[None], ["r1", None, None]],
+        ids=["null-first", "null-after-null"],
+    )
+    def test_null_answer_without_an_answer_is_refused(self, tmp_path, answers):
+        path = self.write(
+            tmp_path, *({"entry": "e", "t": t, "answer": a} for t, a in enumerate(answers))
+        )
+        with pytest.raises(ConsistencyError, match="does not hold"):
+            load_answer_log(path, SPACE)
+
+    def test_two_answers_at_one_tick_are_refused(self, tmp_path):
+        path = self.write(
+            tmp_path, {"entry": "e", "t": 1, "answer": "r1"}, {"entry": "e", "t": 1, "answer": "r2"}
+        )
+        with pytest.raises(ConsistencyError, match="duplicated"):
+            load_answer_log(path, SPACE)
+
+    def test_dump_then_load_round_trips(self, tmp_path):
+        log = answer_log({"e": ((2, "r1"), (5, "r1"), (9, None), (11, "r2")), "f": ((5, "r2"),)})
+        dump_answer_log(log, SPACE, tmp_path / "out.jsonl")
+        assert load_answer_log(tmp_path / "out.jsonl", SPACE) == log
+
+
+def _random_answer_log(tmp_path, seed: int, space: ResponseSpace) -> Changelog:
+    """A seeded answer log with deletions, re-insertions and repeated answers, read
+    back from shuffled lines."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(60):
+        answer = None
+        for t in sorted({int(t) for t in rng.integers(-2, 17, size=rng.integers(1, 7))}):
+            # withdraw 30% of the time when holding an answer, else any label, repeats included
+            if answer is not None and rng.random() < 0.3:
+                answer = None
+            else:
+                answer = space.labels[int(rng.integers(0, space.size))]
+            records.append({"entry": f"e{i:02d}", "t": t, "answer": answer})
+    rng.shuffle(records)
+    path = tmp_path / f"answers-{seed}.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return load_answer_log(path, space)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_survey_cells_equal_snapshot_cells(tmp_path, monkeypatch, seed):
+    """Every cell a survey round draws from is the net change between the snapshots
+    at the window's ends, an empty snapshot standing for a ``-inf`` start."""
+    space = ResponseSpace(("a", "b", "c"))
+    log = _random_answer_log(tmp_path, seed, space)
+    assert any(m.is_deletion for m in log)
+    assert any(m.prev_value == m.new_value for m in log)
+    assert any(a.is_deletion and b.is_insertion for e in log.entry_ids()
+               for a, b in zip(log.for_entry(e), log.for_entry(e)[1:]))
+    drawn = []
+
+    def recording(rng, true_cells, rule):
+        drawn.append(np.asarray(true_cells).tolist())
+        return sample_responses(rng, true_cells, rule)
+
+    monkeypatch.setattr(rr, "sample_responses", recording)
+    schedule = ReleaseSchedule((0, 3, 4, 9, 16))
+    rr_dcr(log, space, schedule, 1.0, seed=seed)
+    params = HdcrParams(height=3, branching=2, start=-2, span=16, interval=3)
+    rr_hdcr(log, space, params, 1.0, seed=seed)
+    windows = list(schedule.filters()) + [
+        params.node_filter(layer, index)
+        for layer in range(params.height)
+        for index in range(params.layer_size(layer))
+    ]
+    assert drawn == [_snapshot_cells(log, space, w) for w in windows]
 
 
 class TestRrDcr:
     def test_single_entry_single_interval_matches_estimator(self):
-        timelines = {"e0": ((1, "r1"), (4, "r2"))}
+        log = answer_log({"e0": ((1, "r1"), (4, "r2"))})
         schedule = ReleaseSchedule((6,))
-        records = rr_dcr(timelines, SPACE, schedule, epsilon=1.0, seed=21)
+        records = rr_dcr(log, SPACE, schedule, epsilon=1.0, seed=21)
         mspace = AnswerMutationSpace(SPACE)
         rule = optimal_rule(mspace.size, 1.0)
         rng = named_stream(21, "rr-dcr", 0)
@@ -273,13 +404,13 @@ class TestRrDcr:
         assert np.allclose(records[0].estimate.values, expected.values)
 
     def test_static_population_centers_on_zero(self):
-        timelines = {f"e{i}": ((0, "r1"),) for i in range(40)}
+        log = answer_log({f"e{i}": ((0, "r1"),) for i in range(40)})
         schedule = ReleaseSchedule((4, 8))
         trials = 600
         total = np.zeros(2)
         sq = np.zeros(2)
         for seed in range(trials):
-            records = rr_dcr(timelines, SPACE, schedule, epsilon=1.0, seed=seed)
+            records = rr_dcr(log, SPACE, schedule, epsilon=1.0, seed=seed)
             v = records[1].estimate.values
             total += v
             sq += v**2
@@ -296,16 +427,15 @@ class TestRrDcr:
             if i % 5 == 0:
                 records.append((int(rng.integers(5, 12)), "r2"))
             timelines[eid] = tuple(sorted(records))
+        log = answer_log(timelines)
         schedule = ReleaseSchedule((4, 8, 12))
         truth = np.zeros(2)
-        for timeline in timelines.values():
-            final = answer_at(timeline, 12)
-            if final is not None:
-                truth[SPACE.index(final)] += 1
+        for final in snapshot_at(log, 12).values():
+            truth[int(final)] += 1
         trials = 200
         total = np.zeros(2)
         for seed in range(trials):
-            records = rr_dcr(timelines, SPACE, schedule, epsilon=1.0, seed=seed)
+            records = rr_dcr(log, SPACE, schedule, epsilon=1.0, seed=seed)
             total += sum(r.estimate.values for r in records)
         mean = total / trials
         assert np.all(np.abs(mean - truth) <= 0.05 * len(timelines))
@@ -315,25 +445,22 @@ class TestRrDcr:
         assert local_folds(dcr_folds(schedule, AtMostK(2))) == 4
 
 
-def _survey_timelines(labels: tuple[str, ...], entries: int) -> dict:
+def _survey_log(space: ResponseSpace, entries: int) -> Changelog:
     rng = np.random.default_rng(17)
     timelines = {}
     for i in range(entries):
         times = sorted({int(t) for t in rng.integers(0, 8, size=3)})
         timelines[f"e{i:03d}"] = tuple(
-            (t, labels[int(rng.integers(0, len(labels)))]) for t in times
+            (t, space.labels[int(rng.integers(0, space.size))]) for t in times
         )
-    return timelines
+    return answer_log(timelines, space)
 
 
-def _caller_rule_estimate(timelines, space, window, rng, epsilon) -> HistogramEstimate:
+def _caller_rule_estimate(log, space, window, rng, epsilon) -> HistogramEstimate:
     """The estimate of one survey round through the caller-supplied-rule path."""
     mspace = AnswerMutationSpace(space)
     rule = optimal_rule(mspace.size, epsilon)
-    cells = [
-        mspace.index(*net_mutation(timelines[e], window.start, window.end))
-        for e in sorted(timelines)
-    ]
+    cells = _snapshot_cells(log, space, window)
     counts = np.bincount(sample_responses(rng, cells, rule), minlength=mspace.size)
     return estimate_from_counts(counts, rule, mspace.delta_matrix())
 
@@ -354,25 +481,25 @@ class TestPrecomputedEstimator:
 
     def test_rr_dcr(self, labels):
         space = ResponseSpace(tuple(chr(ord("a") + i) for i in range(labels)))
-        timelines = _survey_timelines(space.labels, 400)
+        log = _survey_log(space, 400)
         schedule = ReleaseSchedule((3, 8))
-        records = rr_dcr(timelines, space, schedule, epsilon=1.0, seed=5)
+        records = rr_dcr(log, space, schedule, epsilon=1.0, seed=5)
         for i, (record, window) in enumerate(zip(records, schedule.filters())):
             want = _caller_rule_estimate(
-                timelines, space, window, named_stream(5, "rr-dcr", i), 1.0
+                log, space, window, named_stream(5, "rr-dcr", i), 1.0
             )
             _assert_same_estimate(record.estimate, want)
 
     def test_rr_hdcr(self, labels):
         space = ResponseSpace(tuple(chr(ord("a") + i) for i in range(labels)))
-        timelines = _survey_timelines(space.labels, 400)
+        log = _survey_log(space, 400)
         params = HdcrParams(height=2, branching=2, start=0, span=8, interval=4)
-        records = rr_hdcr(timelines, space, params, 1.0, seed=5)
+        records = rr_hdcr(log, space, params, 1.0, seed=5)
         # grid prefixes (0, 1] and (0, 2] are single nodes: bottom node 0, then the top node
         assert [r.node_count for r in records] == [1, 1]
         for record, (layer, index) in zip(records, [(0, 0), (1, 0)]):
             want = _caller_rule_estimate(
-                timelines, space, params.node_filter(layer, index),
+                log, space, params.node_filter(layer, index),
                 named_stream(5, "rr-hdcr", layer, index), 1.0,
             )
             _assert_same_estimate(record.estimate, want)
@@ -383,24 +510,24 @@ class TestRrHdcr:
 
     def test_single_layer_node_counts_grow_linearly(self):
         params = HdcrParams(height=2, branching=2, start=0, span=4, interval=1)
-        timelines = {"e0": ((0, "r1"),)}
-        records = rr_hdcr(timelines, SPACE, params, 1.0, seed=3)
+        log = answer_log({"e0": ((0, "r1"),)})
+        records = rr_hdcr(log, SPACE, params, 1.0, seed=3)
         assert [r.node_count for r in records] == [1, 1, 2, 2]
 
     def test_single_layer_accumulates_like_disjoint_release(self):
         # with one layer every prefix is covered by consecutive bottom
         # nodes, so the series is a plain cumulative disjoint release
         params = HdcrParams(height=1, branching=2, start=0, span=2, interval=1)
-        timelines = {"e0": ((0, "r1"),)}
-        records = rr_hdcr(timelines, SPACE, params, 1.0, seed=3)
+        log = answer_log({"e0": ((0, "r1"),)})
+        records = rr_hdcr(log, SPACE, params, 1.0, seed=3)
         assert [r.node_count for r in records] == [1, 2]
         assert np.all(
             np.diag(records[1].estimate.covariance) >= np.diag(records[0].estimate.covariance) - 1e-12
         )
 
     def test_aligned_prefix_uses_single_node(self):
-        timelines = {"e0": ((0, "r1"),)}
-        records = rr_hdcr(timelines, SPACE, self.PARAMS, 1.0, seed=3)
+        log = answer_log({"e0": ((0, "r1"),)})
+        records = rr_hdcr(log, SPACE, self.PARAMS, 1.0, seed=3)
         by_time = {r.time: r.node_count for r in records}
         assert by_time[1] == 1
         assert by_time[2] == 1
@@ -409,13 +536,13 @@ class TestRrHdcr:
         assert by_time[7] == 3  # 4 + 2 + 1
 
     def test_unbiased_for_scripted_changes(self):
-        timelines = {
+        log = answer_log({
             f"a{i}": ((0, "r1"), (3, "r2")) for i in range(10)
-        } | {f"b{i}": ((0, "r2"),) for i in range(10)}
+        } | {f"b{i}": ((0, "r2"),) for i in range(10)})
         trials = 500
         total = np.zeros(2)
         for seed in range(trials):
-            records = rr_hdcr(timelines, SPACE, self.PARAMS, 2.0, seed=seed)
+            records = rr_hdcr(log, SPACE, self.PARAMS, 2.0, seed=seed)
             total += records[-1].estimate.values
         mean = total / trials
         # over (0, 8]: ten entries moved r1 -> r2, the rest predate the start
@@ -426,4 +553,4 @@ class TestRrHdcr:
 
         params = HdcrParams(height=1, branching=2, start=0, span=8, interval=1)
         with pytest.raises(RangeTooWideError):
-            rr_hdcr({"e0": ((0, "r1"),)}, SPACE, params, 1.0, seed=1)
+            rr_hdcr(answer_log({"e0": ((0, "r1"),)}), SPACE, params, 1.0, seed=1)
