@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 constraint violation,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -552,11 +553,10 @@ def _run_release(cfg: Mapping, kind: str, log: Changelog, seed: int) -> ReleaseR
         return run_dcr(log, _schedule_from_config(cfg), spec, noise)
     if kind == "swcr":
         if _get(cfg, "release.from_hdcr", bool, default=False):
-            result, _ = derive_swcr_from_hdcr(
+            return derive_swcr_from_hdcr(
                 log, _swcr_from_config(cfg), _get(cfg, "release.branching", int, default=2),
                 noise, spec,
             )
-            return result
         return run_swcr(log, _swcr_from_config(cfg), spec, noise)
     return run_hdcr(log, _hdcr_from_config(cfg), spec, noise)
 
@@ -612,13 +612,10 @@ def _write_rr(
             fh.write(json.dumps(rec))
             fh.write("\n")
     else:
-        names = ["t"]
-        names += [f"vhat_{l}" for l in space.labels]
-        names += [f"var_{l}" for l in space.labels]
-        fh.write(",".join(names) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"{kind}_{l}" for kind in ("vhat", "var") for l in space.labels])
         for t, values, variances, _ in rows:
-            cells = [str(t)] + [repr(float(v)) for v in values] + [repr(float(v)) for v in variances]
-            fh.write(",".join(cells) + "\n")
+            writer.writerow([t] + [repr(float(v)) for v in (*values, *variances)])
 
 
 # -- account / compare / verify ------------------------------------------------
@@ -672,6 +669,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 100:
         raise ConfigError(f"--trials must be >= 100, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     reports = run_all(trials=args.trials, seed=args.seed, fault=args.inject_fault)
     print(format_reports(reports))
     failed = sum(1 for r in reports if not r.passed)

@@ -14,6 +14,11 @@ not depend on evaluation order, and extending a schedule or a span
 leaves earlier values' noise unchanged. Exact values ride along in the
 in-memory results for verification; the serializers drop them unless
 explicitly asked.
+
+Every hierarchy, Laplace or survey, values each node once into a
+``node_table`` and answers a grid range with ``cover_values``: the nodes
+``cover_range`` finds in one left-to-right walk. Sums add the nodes in
+that order, so a sum's bits are fixed by the range alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,6 +41,9 @@ from .changelog import (
     TimeRangeFilter,
 )
 from .mechanisms import LinearQuerySpec, NoiseSpec, linear_query_change, named_stream, perturb
+
+
+V = TypeVar("V")
 
 
 class RangeTooWideError(ValueError):
@@ -110,10 +118,11 @@ def cover_range(low: int, high: int, branching: int, height: int) -> tuple[tuple
     """Disjoint ``(layer, index)`` nodes exactly covering grid range ``(low, high]``.
 
     A node ``(layer, j)`` spans ``(j * branching**layer,
-    (j+1) * branching**layer]`` grid units. The range is split at the
-    most-aligned grid point inside it; each side is then peeled off
-    greedily with the widest aligned node that still fits, which needs at
-    most ``branching - 1`` nodes per layer per side.
+    (j+1) * branching**layer]`` grid units. One walk from ``low`` takes
+    at each position the widest node aligned there that still ends by
+    ``high``, so nodes come out left to right: widths rise to the widest
+    fitting layer, then fall, with at most ``branching - 1`` nodes per
+    layer on each side.
     """
     if low < 0 or high <= low:
         raise ValueError(f"need 0 <= low < high, got ({low}, {high}]")
@@ -121,33 +130,24 @@ def cover_range(low: int, high: int, branching: int, height: int) -> tuple[tuple
         raise RangeTooWideError(
             f"range ({low}, {high}] is wider than {branching}**{height} grid units"
         )
-    level = height - 1
-    while level > 0 and (low // branching**level + 1) * branching**level > high:
-        level -= 1
-    split = (low // branching**level + 1) * branching**level
-
-    left: list[tuple[int, int]] = []
-    pos = split
-    for lv in range(level, -1, -1):
-        width = branching**lv
-        while pos % width == 0 and pos - width >= low:
-            pos -= width
-            left.append((lv, pos // width))
-    left.reverse()
-
-    right: list[tuple[int, int]] = []
-    pos = split
-    for lv in range(level, -1, -1):
-        width = branching**lv
-        while pos % width == 0 and pos + width <= high:
-            right.append((lv, pos // width))
-            pos += width
-    return tuple(left) + tuple(right)
+    cover = []
+    pos, layer, width = low, 0, 1
+    while pos < high:
+        wider = width * branching
+        while layer < height - 1 and pos % wider == 0 and pos + wider <= high:
+            layer, width, wider = layer + 1, wider, wider * branching
+        # pos is a multiple of width: it starts on layer 0 and moves by whole nodes
+        while pos + width > high:
+            layer -= 1
+            width //= branching
+        cover.append((layer, pos // width))
+        pos += width
+    return tuple(cover)
 
 
 @dataclass(frozen=True)
 class HdcrTree:
-    """All per-node records of a hierarchical release, keyed ``(layer, index)``."""
+    """The ``node_table`` of a hierarchical release and its per-node Laplace noise."""
 
     params: HdcrParams
     noise: NoiseSpec
@@ -155,6 +155,32 @@ class HdcrTree:
 
     def node(self, layer: int, index: int) -> ReleaseRecord:
         return self.nodes[(layer, index)]
+
+
+def node_table(
+    params: HdcrParams, value_layer: Callable[[int, list[TimeRangeFilter]], Iterable[V]]
+) -> dict[tuple[int, int], V]:
+    """Every node's value keyed ``(layer, index)``, valued one layer at a time.
+
+    ``value_layer(layer, windows)`` values a layer's node filters in
+    index order; the last may be truncated at the hierarchy end.
+    """
+    return {
+        (layer, index): value
+        for layer in range(params.height)
+        for index, value in enumerate(value_layer(
+            layer, [params.node_filter(layer, i) for i in range(params.layer_size(layer))]
+        ))
+    }
+
+
+def cover_values(
+    nodes: Mapping[tuple[int, int], V], params: HdcrParams, low: int, high: int
+) -> list[V]:
+    """The values of the nodes covering grid range ``(low, high]``, left to right."""
+    if high > params.grid_size():
+        raise ValueError(f"range ({low}, {high}] ends beyond the {params.grid_size()}-unit grid")
+    return [nodes[node] for node in cover_range(low, high, params.branching, params.height)]
 
 
 def build_hdcr(
@@ -165,15 +191,13 @@ def build_hdcr(
 ) -> HdcrTree:
     """Evaluate every node of the hierarchy over the changelog.
 
-    Each layer is a disjoint release over its (possibly truncated) node
-    filters: node ``(layer, index)`` takes draw ``index`` of
+    Each layer is a disjoint release over its node filters: node
+    ``(layer, index)`` takes draw ``index`` of
     ``named_stream(seed, "hdcr", layer)``.
     """
-    nodes = {}
-    for layer in range(params.height):
-        windows = [params.node_filter(layer, index) for index in range(params.layer_size(layer))]
-        records = _run_filters(log, windows, spec, noise_per_node, "hdcr", layer).records
-        nodes.update(((layer, index), record) for index, record in enumerate(records))
+    nodes = node_table(params, lambda layer, windows: _run_filters(
+        log, windows, spec, noise_per_node, "hdcr", layer
+    ).records)
     return HdcrTree(params, noise_per_node, nodes)
 
 
@@ -185,18 +209,14 @@ def aggregate(tree: HdcrTree, low: int, high: int) -> ReleaseRecord:
     hierarchy end when the span is not a multiple of the top node width.
     Variance is ``node_count * 2 * scale**2`` for the per-node Laplace scale.
     """
-    params = tree.params
-    if high > params.grid_size():
-        raise ValueError(f"range ({low}, {high}] ends beyond the {params.grid_size()}-unit grid")
-    cover = cover_range(low, high, params.branching, params.height)
+    cover = cover_values(tree.nodes, tree.params, low, high)
     noisy = 0.0
     exact = 0.0
-    for node in cover:
-        record = tree.nodes[node]
+    for record in cover:
         noisy += record.noisy
         exact += record.exact
     variance = len(cover) * 2 * tree.noise.scale**2
-    return ReleaseRecord(params.grid_filter(low, high), noisy, exact, len(cover), variance)
+    return ReleaseRecord(tree.params.grid_filter(low, high), noisy, exact, len(cover), variance)
 
 
 def check_prefix_cover(params: HdcrParams) -> None:
@@ -208,15 +228,6 @@ def check_prefix_cover(params: HdcrParams) -> None:
     grid = params.grid_size()
     if grid > params.branching**params.height:
         raise RangeTooWideError(f"a {params.height}-layer hierarchy cannot cover {grid} grid units")
-
-
-def prefix_windows(params: HdcrParams) -> list[tuple[int, TimeRangeFilter]]:
-    """Grid range ``(0, j]`` and the real range it answers, per grid unit ``j``.
-
-    Raises RangeTooWideError before any work if no cover can span the grid.
-    """
-    check_prefix_cover(params)
-    return [(j, params.grid_filter(0, j)) for j in range(1, params.grid_size() + 1)]
 
 
 def run_hdcr(
@@ -238,8 +249,12 @@ def swcr_equivalent_hdcr_params(swcr: SwcrParams, branching: int) -> HdcrParams:
     smallest that lets one cover span a window, floored at one layer
     (the formula gives zero height for window == interval).
     """
+    if branching < 2:  # checked before the height search, which would not end
+        raise ValueError(f"branching must be >= 2, got {branching}")
     dt = math.gcd(swcr.window, swcr.period)
-    height = max(1, _ceil_log(branching, swcr.window // dt))
+    height = 1
+    while branching**height < swcr.window // dt:
+        height += 1
     return HdcrParams(
         height=height,
         branching=branching,
@@ -255,7 +270,7 @@ def derive_swcr_from_hdcr(
     branching: int,
     noise_per_node: NoiseSpec,
     spec: LinearQuerySpec,
-) -> tuple[ReleaseResult, HdcrTree]:
+) -> ReleaseResult:
     """Answer a sliding-window release from hierarchy aggregates.
 
     Each window ``(t_i - window, t_i]`` maps to a grid range of the
@@ -267,11 +282,10 @@ def derive_swcr_from_hdcr(
     dt = params.interval
     # window i is (first_release + i*period - window, first_release + i*period]
     # and the hierarchy starts at first_release - window
-    result = ReleaseResult(tuple(
+    return ReleaseResult(tuple(
         aggregate(tree, i * swcr.period // dt, (i * swcr.period + swcr.window) // dt)
         for i in range(swcr.count)
     ))
-    return result, tree
 
 
 @dataclass(frozen=True)
@@ -303,8 +317,8 @@ def compare_hdcr_swcr(
     if isinstance(constraint, Hybrid):
         raise UnsupportedConstraintError("compare one atomic constraint at a time")
     c = branching
-    dt = math.gcd(swcr.window, swcr.period)
-    h = max(1, _ceil_log(c, swcr.window // dt))
+    params = swcr_equivalent_hdcr_params(swcr, c)
+    dt, h = params.interval, params.height
     if isinstance(constraint, AtMostK):
         lhs = Fraction(2 * (c - 1) * h**3)
         per_window = -(-swcr.window // swcr.period)
@@ -326,19 +340,6 @@ def compare_hdcr_swcr(
         epsilon_prime_factor=float(factor),
         height=h,
     )
-
-
-def _ceil_log(base: int, value: int) -> int:
-    """Smallest ``e`` with ``base**e >= value`` (exact integer search)."""
-    if base < 2:
-        raise ValueError(f"branching must be >= 2, got {base}")
-    if value < 1:
-        raise ValueError(f"value must be >= 1, got {value}")
-    e, power = 0, 1
-    while power < value:
-        power *= base
-        e += 1
-    return e
 
 
 def result_to_csv(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule
 from .changelog import Changelog, ConsistencyError, Mutation, TimeRangeFilter, read_records
-from .engines import cover_range, prefix_windows
+from .engines import check_prefix_cover, cover_values, node_table
 from .mechanisms import named_stream
 
 CONDITION_LIMIT = 1e12
@@ -363,24 +363,20 @@ def rr_hdcr(
     endpoint sums the node cover of the prefix range, so its variance
     follows the cover size instead of the elapsed time.
     """
-    prefixes = prefix_windows(params)
+    check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
-    node_estimates = {
-        (layer, index): survey(
-            params.node_filter(layer, index), named_stream(seed, "rr-hdcr", layer, index)
-        )
-        for layer in range(params.height)
-        for index in range(params.layer_size(layer))
-    }
+    nodes = node_table(params, lambda layer, windows: [
+        survey(window, named_stream(seed, "rr-hdcr", layer, index))
+        for index, window in enumerate(windows)
+    ])
 
     records, entries = [], len(log.entry_ids())
-    for j, window in prefixes:
-        cover = cover_range(0, j, params.branching, params.height)
-        nodes = [node_estimates[node] for node in cover]
-        values = sum((est.values for est in nodes), np.zeros(space.size))
-        covariance = sum((est.covariance for est in nodes), np.zeros((space.size, space.size)))
+    for j in range(1, params.grid_size() + 1):
+        cover = cover_values(nodes, params, 0, j)
+        values = sum((est.values for est in cover), np.zeros(space.size))
+        covariance = sum((est.covariance for est in cover), np.zeros((space.size, space.size)))
         estimate = HistogramEstimate(values, covariance, entries)
-        records.append(RrRecord(window.end, estimate, node_count=len(cover)))
+        records.append(RrRecord(params.grid_filter(0, j).end, estimate, node_count=len(cover)))
     return records
 
 

@@ -178,7 +178,7 @@ def _window_variances_equal_privacy(
     for seed in range(seeds):
         d = run_swcr(log, swcr, spec, NoiseSpec(epsilon, 1.0, seed))
         direct[seed] = d.noisy_values()
-        h, _ = derive_swcr_from_hdcr(log, swcr, branching, NoiseSpec(factor * epsilon, 1.0, seed), spec)
+        h = derive_swcr_from_hdcr(log, swcr, branching, NoiseSpec(factor * epsilon, 1.0, seed), spec)
         derived[seed] = h.noisy_values()
     return direct.var(axis=0, ddof=1), derived.var(axis=0, ddof=1)
 

@@ -202,6 +202,21 @@ class TestRun:
         row = json.loads(lines[1])
         assert len(row["estimate"]) == 2
 
+    def test_rr_csv_quotes_labels(self, tmp_path):
+        labels = ["a,b", 'c"d']
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            **{"release.kind": "rr-dcr", "release.epsilon": 1.0, "release.labels": labels,
+               "generator.labels": labels},
+        )
+        answers = tmp_path / "answers.jsonl"
+        run_cli("generate", "--config", cfg, "--out", answers)
+        assert run_cli("run", "--config", cfg, "--changelog", answers) == 0
+        lines = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        header, *rows = csv.reader(lines)
+        assert header == ["t", "vhat_a,b", 'vhat_c"d', "var_a,b", 'var_c"d']
+        assert rows and all(len(row) == len(header) for row in rows)
+
     def test_swcr_from_hdcr_accounts_the_hierarchy(self, tmp_path):
         # window 8, period 4 -> bottom interval 4, one layer: 1*k folds,
         # while the direct window release would compose 2*k
@@ -633,6 +648,12 @@ class TestVerify:
         assert run_cli("verify", "--trials", 300) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert run_cli("verify", "--trials", 300, "--seed", -1) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
 
     def test_injected_fault_exits_4(self, capsys):
         assert run_cli("verify", "--trials", 300, "--inject-fault", "cover-off-by-one") == 4

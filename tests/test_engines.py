@@ -155,14 +155,13 @@ class TestCoverRange:
         with pytest.raises(RangeTooWideError):
             cover_range(0, 17, 2, 4)
 
-    @pytest.mark.parametrize("branching,height,top", [(2, 4, 16), (3, 3, 27)])
+    @pytest.mark.parametrize("branching,height,top", [(2, 4, 16), (3, 3, 27), (10, 2, 100)])
     def test_exhaustive_small_universes(self, branching, height, top):
         for low in range(top):
             for high in range(low + 1, top + 1):
                 cover = cover_range(low, high, branching, height)
-                segments = sorted(
-                    (i * branching**lv, (i + 1) * branching**lv) for lv, i in cover
-                )
+                # left to right as returned: aggregates add in this order
+                segments = [(i * branching**lv, (i + 1) * branching**lv) for lv, i in cover]
                 assert segments[0][0] == low
                 assert segments[-1][1] == high
                 assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
@@ -249,20 +248,20 @@ class TestDeriveSwcr:
         swcr = SwcrParams(window=4, period=4, first_release=4, count=3)
         params = swcr_equivalent_hdcr_params(swcr, branching=2)
         assert params.height == 1  # formula gives 0, floored to one layer
-        result, _ = derive_swcr_from_hdcr(small_log(), swcr, 2, NOISE, SPEC)
+        result = derive_swcr_from_hdcr(small_log(), swcr, 2, NOISE, SPEC)
         assert [r.node_count for r in result.records] == [1, 1, 1]
 
     def test_two_bottom_nodes_per_window(self):
         swcr = SwcrParams(window=8, period=4, first_release=8, count=3)
         params = swcr_equivalent_hdcr_params(swcr, branching=2)
         assert (params.height, params.interval) == (1, 4)
-        result, _ = derive_swcr_from_hdcr(small_log(), swcr, 2, NOISE, SPEC)
+        result = derive_swcr_from_hdcr(small_log(), swcr, 2, NOISE, SPEC)
         assert [r.node_count for r in result.records] == [2, 2, 2]
 
     def test_windows_match_direct_swcr_exacts(self):
         log = small_log()
         swcr = SwcrParams(window=6, period=2, first_release=6, count=4)
-        derived, _ = derive_swcr_from_hdcr(log, swcr, 2, NOISE, SPEC)
+        derived = derive_swcr_from_hdcr(log, swcr, 2, NOISE, SPEC)
         direct = run_swcr(log, swcr, SPEC, NOISE)
         for a, b in zip(derived.records, direct.records):
             assert a.exact == pytest.approx(b.exact, abs=1e-9)
@@ -276,7 +275,7 @@ class TestDeriveSwcr:
         exacts = None
         for seed in range(trials):
             noise = NoiseSpec(1.0, sensitivity(SPEC), seed=seed)
-            result, _ = derive_swcr_from_hdcr(log, swcr, 2, noise, SPEC)
+            result = derive_swcr_from_hdcr(log, swcr, 2, noise, SPEC)
             sums += result.noisy_values()
             exacts = np.array(result.exact_values())
         means = sums / trials
@@ -335,7 +334,7 @@ class TestSerialization:
 
     def test_jsonl_records(self):
         swcr = SwcrParams(window=8, period=4, first_release=8, count=2)
-        derived, _ = derive_swcr_from_hdcr(small_log(), swcr, 2, NOISE, SPEC)
+        derived = derive_swcr_from_hdcr(small_log(), swcr, 2, NOISE, SPEC)
         buf = io.StringIO()
         result_to_jsonl(derived, buf)
         rows = [json.loads(line) for line in buf.getvalue().splitlines()]
