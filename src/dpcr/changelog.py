@@ -5,19 +5,33 @@ records in "value change" format (previous value -> new value). Snapshot
 reconstruction, time-range filtering, neighbouring-log construction, and
 mutation-constraint checks all operate on this log.
 
-Time is an integer tick. Values are 64-bit floats; an absent value is
-``None``, never a sentinel number.
+A ``Changelog`` holds its mutations as columns: sorted ``int64`` times,
+integer entry codes into ``ids`` (the entry ids in order of first
+appearance), and ``float64`` previous and new values with presence
+masks. A time window is one contiguous slice of rows (``Changelog.rows``),
+so a release reads each window without scanning the log. ``Mutation``
+objects are built only on demand: by ``mutations``, iteration,
+``filter`` and ``for_entry``.
+
+Time is an integer tick that must fit in a signed 64-bit integer.
+Values are 64-bit floats; an absent value is ``None`` in a ``Mutation``
+and a false presence flag in the columns, never a sentinel number.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 NEG_INF = float("-inf")
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 T = TypeVar("T")
 
@@ -126,69 +140,193 @@ MutationConstraint = AtMostK | TimeBounded | Hybrid
 
 
 class Changelog:
-    """Immutable, validated sequence of mutations.
+    """Immutable, validated sequence of mutations, stored as columns.
 
     Mutations are sorted by ``(time, entry_id)``, no two share an
     ``(entry_id, time)`` pair, and each entry's chain is consistent: it
     starts with an insertion, every ``prev_value`` matches the preceding
     ``new_value``, and re-insertion is only possible after a deletion.
+
+    Row ``i`` is the mutation of ``ids[codes[i]]`` at ``times[i]`` from
+    ``prev[i]`` (absent unless ``has_prev[i]``) to ``new[i]`` (absent
+    unless ``has_new[i]``); nothing reads an absent value's slot. The
+    arrays are read-only.
     """
 
-    __slots__ = ("_mutations", "_by_entry")
+    __slots__ = ("times", "codes", "ids", "prev", "new", "has_prev", "has_new")
 
     def __init__(self, mutations: Iterable[Mutation]) -> None:
-        muts = tuple(mutations)
-        by_entry: dict[str, list[Mutation]] = {}
-        prev: Mutation | None = None
-        for m in muts:
-            if prev is not None and (m.time, m.entry_id) <= (prev.time, prev.entry_id):
-                raise ConsistencyError(
-                    f"mutations out of order or duplicated at t={m.time}, entry {m.entry_id!r}"
-                )
-            by_entry.setdefault(m.entry_id, []).append(m)
-            prev = m
-        for entry_id, chain in by_entry.items():
-            _check_chain(entry_id, chain)
-        object.__setattr__(self, "_mutations", muts)
-        object.__setattr__(self, "_by_entry", {k: tuple(v) for k, v in by_entry.items()})
+        self._store(*to_columns((m.time, m.entry_id, m.prev_value, m.new_value) for m in mutations))
+
+    @classmethod
+    def from_columns(
+        cls, times: np.ndarray, codes: np.ndarray, ids: Sequence[str], prev: np.ndarray,
+        new: np.ndarray, has_prev: np.ndarray, has_new: np.ndarray,
+    ) -> "Changelog":
+        """The changelog of the given columns, validated as ``Changelog(mutations)`` is.
+
+        ``codes`` index ``ids``; they are renumbered in order of first
+        appearance, and ids that no row uses are dropped.
+        """
+        log = cls.__new__(cls)
+        log._store(times, codes, ids, prev, new, has_prev, has_new)
+        return log
+
+    def _store(self, times, codes, ids, prev, new, has_prev, has_new) -> None:
+        codes = np.asarray(codes, dtype=np.int64)
+        used, first = np.unique(codes, return_index=True)
+        order = used[np.argsort(first)]
+        renumber = np.empty(len(ids), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        self.ids = tuple(ids[c] for c in order.tolist())
+        self.codes = renumber[codes]
+        self.times = np.ascontiguousarray(times, dtype=np.int64)
+        self.has_prev = np.asarray(has_prev, dtype=bool)
+        self.has_new = np.asarray(has_new, dtype=bool)
+        self.prev = np.asarray(prev, dtype=np.float64)
+        self.new = np.asarray(new, dtype=np.float64)
+        for column in self._columns():
+            column.flags.writeable = False
+        self._validate()
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.times, self.codes, self.prev, self.new, self.has_prev, self.has_new)
+
+    def _validate(self) -> None:
+        times, codes, ids = self.times, self.codes, self.ids
+        blank = ~(self.has_prev | self.has_new)
+        if blank.any():
+            i = int(np.argmax(blank))
+            raise ConsistencyError(
+                f"mutation of {ids[codes[i]]!r} at t={times[i]} records no change"
+            )
+        rank = id_ranks(ids)[codes]
+        ordered = (times[1:] > times[:-1]) | ((times[1:] == times[:-1]) & (rank[1:] > rank[:-1]))
+        if not ordered.all():
+            i = int(np.argmin(ordered)) + 1
+            raise ConsistencyError(
+                f"mutations out of order or duplicated at t={times[i]}, entry {ids[codes[i]]!r}"
+            )
+        chain, starts = chains(codes)
+        entry, has_prev, has_new = codes[chain], self.has_prev[chain], self.has_new[chain]
+        prev, new = self.prev[chain], self.new[chain]
+        linked = np.ones(len(chain), dtype=bool)
+        linked[1:] = (has_prev[1:] == has_new[:-1]) & (~has_prev[1:] | (prev[1:] == new[:-1]))
+        broken = np.where(starts, has_prev, ~linked)
+        if broken.any():
+            # the first broken chain raises through the per-chain check, which
+            # names its first bad link
+            entry_id = ids[entry[np.argmax(broken)]]
+            _check_chain(entry_id, self.for_entry(entry_id))
+
+    def _records(
+        self, rows: slice | np.ndarray
+    ) -> Iterator[tuple[int, str, float | None, float | None]]:
+        """``(time, entry_id, prev_value, new_value)`` of the selected rows, in order."""
+        ids = self.ids
+        for t, c, p, n, hp, hn in zip(*(column[rows].tolist() for column in self._columns())):
+            yield t, ids[c], p if hp else None, n if hn else None
+
+    def _mutations(self, rows: slice | np.ndarray) -> tuple[Mutation, ...]:
+        return tuple(Mutation(*record) for record in self._records(rows))
 
     @property
     def mutations(self) -> tuple[Mutation, ...]:
-        return self._mutations
+        return self._mutations(slice(None))
 
     def __len__(self) -> int:
-        return len(self._mutations)
+        return len(self.times)
 
     def __iter__(self) -> Iterator[Mutation]:
-        return iter(self._mutations)
+        return iter(self.mutations)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Changelog):
             return NotImplemented
-        return self._mutations == other._mutations
+        # absent values' slots are not compared
+        mine, theirs = (
+            (log.times, log.codes, log.has_prev, log.has_new,
+             log.prev[log.has_prev], log.new[log.has_new])
+            for log in (self, other)
+        )
+        return self.ids == other.ids and all(map(np.array_equal, mine, theirs))
 
     def __hash__(self) -> int:
-        return hash(self._mutations)
+        return hash((self.ids, self.times.tobytes(), self.codes.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Changelog({len(self._mutations)} mutations)"
+        return f"Changelog({len(self)} mutations)"
 
     def entry_ids(self) -> tuple[str, ...]:
-        return tuple(self._by_entry)
+        return self.ids
 
     def for_entry(self, entry_id: str) -> tuple[Mutation, ...]:
-        return self._by_entry.get(entry_id, ())
+        try:
+            code = self.ids.index(entry_id)
+        except ValueError:
+            return ()
+        return self._mutations(np.flatnonzero(self.codes == code))
+
+    def rows(self, windows: Iterable[TimeRangeFilter]) -> list[slice]:
+        """Each window's slice of rows, the mutations with ``start < time <= end``."""
+        # indexing a memoryview gives Python ints, so the bounds compare exactly
+        ticks = memoryview(self.times)
+        return [slice(bisect_right(ticks, w.start), bisect_right(ticks, w.end)) for w in windows]
 
     def filter(self, window: TimeRangeFilter) -> tuple[Mutation, ...]:
         """Mutations with ``start < time <= end``, original order preserved."""
-        return tuple(m for m in self._mutations if window.accepts(m.time))
+        return self._mutations(self.rows((window,))[0])
 
     @classmethod
     def from_unsorted(cls, mutations: Iterable[Mutation]) -> "Changelog":
         return cls(sorted(mutations, key=_sort_key))
 
 
-def _check_chain(entry_id: str, chain: list[Mutation]) -> None:
+def to_columns(rows: Iterable[tuple[int, str, float | None, float | None]]) -> tuple:
+    """Stream ``(time, entry_id, prev, new)`` rows into the columns ``from_columns`` takes.
+
+    Returns ``(times, codes, ids, prev, new, has_prev, has_new)``, with
+    entry codes in order of first appearance. No row is kept as an
+    object, and nothing is validated here.
+    """
+    times, codes, prevs, news = array("q"), array("q"), array("d"), array("d")
+    has_prev, has_new = bytearray(), bytearray()
+    code_of: dict[str, int] = {}
+    for t, entry_id, prev, new in rows:
+        times.append(t)
+        codes.append(code_of.setdefault(entry_id, len(code_of)))
+        prevs.append(0.0 if prev is None else prev)
+        news.append(0.0 if new is None else new)
+        has_prev.append(prev is not None)
+        has_new.append(new is not None)
+    return (
+        np.frombuffer(times, dtype=np.int64), np.frombuffer(codes, dtype=np.int64),
+        tuple(code_of), np.frombuffer(prevs, dtype=np.float64),
+        np.frombuffer(news, dtype=np.float64), np.frombuffer(has_prev, dtype=bool),
+        np.frombuffer(has_new, dtype=bool),
+    )
+
+
+def chains(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped into entry chains, and a mask of each chain's first row.
+
+    The rows are ordered by entry code, each chain keeping row order (a
+    stable sort); ``starts[i]`` marks where a new code begins.
+    """
+    chain = np.argsort(codes, kind="stable")
+    starts = np.ones(len(chain), dtype=bool)
+    starts[1:] = codes[chain[1:]] != codes[chain[:-1]]
+    return chain, starts
+
+
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in sorted order, indexed like ``ids``."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def _check_chain(entry_id: str, chain: Sequence[Mutation]) -> None:
     if not chain[0].is_insertion:
         raise ConsistencyError(
             f"entry {entry_id!r} starts with prev_value="
@@ -282,17 +420,44 @@ def entry_satisfies(chain: tuple[Mutation, ...], constraint: MutationConstraint)
 def validate_constraint(
     log: Changelog, constraint: MutationConstraint
 ) -> dict[str, bool]:
-    """Per-entry verdict map for a mutation constraint."""
-    return {eid: entry_satisfies(log.for_entry(eid), constraint) for eid in log.entry_ids()}
+    """Per-entry verdict map for a mutation constraint.
 
-
-def read_records(path: str | Path, what: str, parse: Callable[[int, str, dict], T]) -> list[T]:
-    """Parse each non-blank JSON line of a log as ``parse(t, entry, record)``.
-
-    ``"t"`` must be a JSON integer and ``"entry"`` is read as a string. A
-    malformed line raises ConsistencyError naming ``path:lineno``.
+    Computed from the columns, by each entry's mutation count and its
+    first and last times; ``entry_satisfies`` is the per-chain rule.
     """
-    out = []
+    counts = np.bincount(log.codes, minlength=len(log.ids))
+    chain, starts = chains(log.codes)
+    # codes run 0..len(ids)-1, so the chains come in code order; a chain ends
+    # just before the next one starts, and the last row ends the last chain
+    first, last = log.times[chain[starts]], log.times[chain[np.roll(starts, -1)]]
+    # last >= first, so the uint64 difference is exact where int64 would wrap
+    spans = last.astype(np.uint64) - first.astype(np.uint64)
+    return dict(zip(log.ids, _satisfied(constraint, counts, spans).tolist()))
+
+
+def _satisfied(
+    constraint: MutationConstraint, counts: np.ndarray, spans: np.ndarray
+) -> np.ndarray:
+    # the limits are clamped into the columns' dtypes, which no count or span exceeds
+    if isinstance(constraint, AtMostK):
+        return counts <= min(constraint.k, INT64_MAX)
+    if isinstance(constraint, TimeBounded):
+        return spans <= np.uint64(min(constraint.bound, 2**64 - 1))
+    if isinstance(constraint, Hybrid):
+        return np.logical_or.reduce([_satisfied(b, counts, spans) for b in constraint.branches])
+    raise TypeError(f"unknown constraint {constraint!r}")
+
+
+def read_records(
+    path: str | Path, what: str, parse: Callable[[int, str, dict], T]
+) -> Iterator[T]:
+    """Yield ``parse(t, entry, record)`` for each non-blank JSON line of a log.
+
+    ``"t"`` must be a JSON integer that fits in a signed 64-bit integer,
+    and ``"entry"`` is read as a string. A malformed line, nesting too
+    deep for the JSON parser included, raises ConsistencyError naming
+    ``path:lineno``.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -303,23 +468,26 @@ def read_records(path: str | Path, what: str, parse: Callable[[int, str, dict], 
                 t = rec["t"]
                 if isinstance(t, bool) or not isinstance(t, int):
                     raise ValueError(f"t must be an integer, got {t!r}")
-                out.append(parse(t, str(rec["entry"]), rec))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if not INT64_MIN <= t <= INT64_MAX:
+                    raise ValueError(f"t must fit in a signed 64-bit integer, got {t}")
+                parsed = parse(t, str(rec["entry"]), rec)
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ConsistencyError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
-    return out
+            yield parsed
 
 
 def load_changelog(path: str | Path) -> Changelog:
     """Read a JSON Lines changelog; rejects unsorted or inconsistent input.
 
     Each line is ``{"entry": "<id>", "t": <int>, "prev": <number|null>,
-    "new": <number|null>}``; numbers must be finite.
+    "new": <number|null>}``; numbers must be finite. Records stream
+    straight into the columns.
     """
-    muts = read_records(path, "mutation", lambda t, entry, rec: Mutation(
+    columns = to_columns(read_records(path, "mutation", lambda t, entry, rec: (
         t, entry, _opt_float(rec["prev"]), _opt_float(rec["new"])
-    ))
+    )))
     try:
-        return Changelog(muts)
+        return Changelog.from_columns(*columns)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{path}: {exc}") from exc
 
@@ -327,10 +495,8 @@ def load_changelog(path: str | Path) -> Changelog:
 def dump_changelog(log: Changelog, path: str | Path) -> None:
     """Write a changelog in the JSON Lines interchange format."""
     with open(path, "w", encoding="utf-8") as fh:
-        for m in log:
-            fh.write(json.dumps(
-                {"entry": m.entry_id, "t": m.time, "prev": m.prev_value, "new": m.new_value}
-            ))
+        for t, entry, prev, new in log._records(slice(None)):
+            fh.write(json.dumps({"entry": entry, "t": t, "prev": prev, "new": new}))
             fh.write("\n")
 
 

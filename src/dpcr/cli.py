@@ -157,6 +157,8 @@ def load_config(path: str, overrides: Sequence[str], seed: int | None) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path} nests too deeply to parse") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     for item in overrides:
@@ -167,6 +169,8 @@ def load_config(path: str, overrides: Sequence[str], seed: int | None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError(f"--set {dotted}: the value nests too deeply to parse") from exc
         node = cfg
         parts = dotted.split(".")
         for part in parts[:-1]:

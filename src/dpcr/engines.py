@@ -11,7 +11,9 @@ query ``i`` of a disjoint or sliding-window release takes draw ``i`` of
 ``named_stream(seed, "hdcr", layer)``. A value's noise is therefore a
 function of the seed, the stream name and its position only: it does
 not depend on evaluation order, and extending a schedule or a span
-leaves earlier values' noise unchanged. Exact values ride along in the
+leaves earlier values' noise unchanged. A release evaluates ``f`` once
+per mutation (``_change_terms``), and each window sums the terms of its
+contiguous row slice of the log. Exact values ride along in the
 in-memory results for verification; the serializers drop them unless
 explicitly asked.
 
@@ -40,7 +42,7 @@ from .changelog import (
     TimeBounded,
     TimeRangeFilter,
 )
-from .mechanisms import LinearQuerySpec, NoiseSpec, linear_query_change, named_stream, perturb
+from .mechanisms import LinearQuerySpec, NoiseSpec, named_stream, perturb
 
 
 V = TypeVar("V")
@@ -91,7 +93,7 @@ def run_dcr(
     The first query reads everything up to the first endpoint. Queries
     are non-adaptive and use mutually independent noise streams.
     """
-    return _run_filters(log, schedule.filters(), spec, noise, "dcr")
+    return _run_filters(log, _change_terms(log, spec), schedule.filters(), noise, "dcr")
 
 
 def run_swcr(
@@ -101,15 +103,34 @@ def run_swcr(
     noise: NoiseSpec,
 ) -> ReleaseResult:
     """Sliding-window release: query ``i`` reads ``(t_i - window, t_i]``."""
-    return _run_filters(log, params.filters(), spec, noise, "swcr")
+    return _run_filters(log, _change_terms(log, spec), params.filters(), noise, "swcr")
+
+
+def _change_terms(log: Changelog, spec: LinearQuerySpec) -> np.ndarray:
+    """``-f(prev)`` and ``+f(new)`` of every mutation, interleaved in log order."""
+    terms = np.empty(2 * len(log))
+    terms[0::2] = -spec.evaluate_column(log.prev, log.has_prev)
+    terms[1::2] = spec.evaluate_column(log.new, log.has_new)
+    return terms
 
 
 def _run_filters(
-    log: Changelog, filters: Sequence[TimeRangeFilter], spec: LinearQuerySpec,
+    log: Changelog, terms: np.ndarray, filters: Sequence[TimeRangeFilter],
     noise: NoiseSpec, *stream: int | str,
 ) -> ReleaseResult:
-    """Perturb filter ``i``'s exact change with draw ``i`` of ``(seed, *stream)``."""
-    exacts = [linear_query_change(log.filter(window), spec) for window in filters]
+    """Perturb filter ``i``'s exact change with draw ``i`` of ``(seed, *stream)``.
+
+    A window's exact change adds its rows' ``terms`` one at a time from
+    ``0.0``, so it equals ``linear_query_change(log.filter(window), spec)``
+    bit for bit.
+    """
+    # cumsum adds left to right, where np.add.reduce would sum pairwise; "+ 0.0"
+    # turns the -0.0 that a run of -0.0 terms leaves into the 0.0 a sum from 0.0 gives
+    exacts = [
+        float(np.cumsum(terms[2 * rows.start:2 * rows.stop])[-1]) + 0.0
+        if rows.start < rows.stop else 0.0
+        for rows in log.rows(filters)
+    ]
     noisy = perturb(np.array(exacts), noise, named_stream(noise.seed, *stream)).tolist()
     return ReleaseResult(tuple(map(ReleaseRecord, filters, noisy, exacts)))
 
@@ -195,8 +216,9 @@ def build_hdcr(
     ``(layer, index)`` takes draw ``index`` of
     ``named_stream(seed, "hdcr", layer)``.
     """
+    terms = _change_terms(log, spec)
     nodes = node_table(params, lambda layer, windows: _run_filters(
-        log, windows, spec, noise_per_node, "hdcr", layer
+        log, terms, windows, noise_per_node, "hdcr", layer
     ).records)
     return HdcrTree(params, noise_per_node, nodes)
 

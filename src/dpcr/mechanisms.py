@@ -69,6 +69,31 @@ class LinearQuerySpec:
             raw = self.table.get(value, 0.0)  # type: ignore[union-attr]
         return min(max(raw, self.lower), self.upper)
 
+    def evaluate_column(self, values: np.ndarray, present: np.ndarray) -> np.ndarray:
+        """``evaluate`` of each value, ``0.0`` where ``present`` is false.
+
+        Each element equals ``evaluate`` bit for bit: the clamp makes
+        the comparisons ``min(max(raw, lower), upper)`` makes, and the
+        predicate and table see Python floats.
+        """
+        out = np.zeros(len(values))
+        raw = values[present]  # a copy, clamped in place below
+        if self.fn == "indicator":
+            raw = np.array(
+                [1.0 if self.predicate(v) else 0.0 for v in raw.tolist()]  # type: ignore[misc]
+            )
+        elif self.fn == "second_moment":
+            raw = raw * raw
+        elif self.fn == "table":
+            raw = np.array(
+                [self.table.get(v, 0.0) for v in raw.tolist()],  # type: ignore[union-attr]
+                dtype=float,
+            )
+        raw[self.lower > raw] = self.lower
+        raw[self.upper < raw] = self.upper
+        out[present] = raw
+        return out
+
 
 def linear_query_change(mutations: Iterable[Mutation], spec: LinearQuerySpec) -> float:
     """Exact change of the linear query over an ordered mutation batch."""

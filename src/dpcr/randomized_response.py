@@ -1,7 +1,9 @@
 """Randomized-response releases of answer-histogram changes under local DP.
 
 An answer log is a changelog: each answer is a mutation whose value is
-the label's index (its code) and a null answer is a deletion. Over a
+the label's index (its code) and a null answer is a deletion. It loads
+into the changelog's columns without building a ``Mutation`` per answer,
+and each survey round reads its window's row slice. Over a
 window an entry's net change is the pair ``(previous answer, new
 answer)`` with ``None`` marking absence, and "no net change" canonicalized
 to ``(None, None)`` so that silence is indistinguishable from stability.
@@ -21,7 +23,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule
-from .changelog import Changelog, ConsistencyError, Mutation, TimeRangeFilter, read_records
+from .changelog import (
+    Changelog,
+    ConsistencyError,
+    Mutation,
+    chains,
+    id_ranks,
+    read_records,
+    to_columns,
+)
 from .engines import check_prefix_cover, cover_values, node_table
 from .mechanisms import named_stream
 
@@ -143,12 +153,19 @@ class AnswerMutationSpace:
     def index(self, prev: str | None, new: str | None) -> int:
         return self._pos(prev) * len(self.alphabet) + self._pos(new)
 
-    def code_index(self, prev: float | None, new: float | None) -> int:
-        """Cell of a change given as label codes, the values of an answer log."""
+    def code_cells(
+        self, prev: np.ndarray, has_prev: np.ndarray, new: np.ndarray, has_new: np.ndarray
+    ) -> np.ndarray:
+        """Cells of net changes given as label-code columns, the values of an answer log.
+
+        A change whose previous and new answers are equal, both absent
+        included, is the no-change cell, as in ``net_mutation``.
+        """
         none = len(self.alphabet) - 1
-        return (none if prev is None else int(prev)) * len(self.alphabet) + (
-            none if new is None else int(new)
-        )
+        cells = (np.where(has_prev, prev, none).astype(int) * len(self.alphabet)
+                 + np.where(has_new, new, none).astype(int))
+        same = (has_prev == has_new) & (~has_prev | (prev == new))
+        return np.where(same, self.size - 1, cells)
 
     def cell(self, index: int) -> tuple[str | None, str | None]:
         if not 0 <= index < self.size:
@@ -266,15 +283,27 @@ def answer_changelog(answers: Iterable[tuple[int, str, float | None]]) -> Change
     Each answer's previous value is the entry's answer before it; a null
     answer of an entry without one raises ConsistencyError.
     """
-    current: dict[str, float | None] = {}
-    muts = []
-    for t, entry, code in sorted(answers, key=lambda a: a[:2]):
-        prev = current.get(entry)
-        if prev is None and code is None:
-            raise ConsistencyError(f"entry {entry!r} withdraws at t={t} an answer it does not hold")
-        muts.append(Mutation(t, entry, prev, code))
-        current[entry] = code
-    return Changelog(muts)
+    return _answer_log(to_columns((t, entry, None, code) for t, entry, code in answers))
+
+
+def _answer_log(columns: tuple) -> Changelog:
+    """The answer changelog of ``to_columns`` rows in any order, sorted by ``(t, entry)``."""
+    times, codes, ids, _, new, _, has_new = columns
+    order = np.lexsort((id_ranks(ids)[codes], times))
+    times, codes, new, has_new = times[order], codes[order], new[order], has_new[order]
+    # an answer's previous value is the one before it in its entry's chain
+    chain, starts = chains(codes)
+    follows = ~starts[1:]
+    after, before = chain[1:][follows], chain[:-1][follows]
+    prev, has_prev = np.zeros(len(times)), np.zeros(len(times), dtype=bool)
+    prev[after], has_prev[after] = new[before], has_new[before]
+    withdrawn = ~has_prev & ~has_new
+    if withdrawn.any():
+        i = int(np.argmax(withdrawn))
+        raise ConsistencyError(
+            f"entry {ids[codes[i]]!r} withdraws at t={times[i]} an answer it does not hold"
+        )
+    return Changelog.from_columns(times, codes, ids, prev, new, has_prev, has_new)
 
 
 def load_answer_log(path: str | Path, space: ResponseSpace) -> Changelog:
@@ -286,15 +315,15 @@ def load_answer_log(path: str | Path, space: ResponseSpace) -> Changelog:
     """
     codes = {label: float(i) for i, label in enumerate(space.labels)}
 
-    def parse(t: int, entry: str, rec: dict) -> tuple[int, str, float | None]:
+    def parse(t: int, entry: str, rec: dict) -> tuple[int, str, None, float | None]:
         answer = rec["answer"]
         if answer is not None and answer not in codes:
             raise ValueError(f"answer {answer!r} is not one of the labels {list(space.labels)}")
-        return t, entry, codes.get(answer)
+        return t, entry, None, codes.get(answer)
 
-    answers = read_records(path, "answer", parse)
+    columns = to_columns(read_records(path, "answer", parse))
     try:
-        return answer_changelog(answers)
+        return _answer_log(columns)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{path}: {exc}") from exc
 
@@ -343,9 +372,10 @@ def rr_dcr(
     at ``t`` relative to the release start.
     """
     survey = _window_survey(log, space, epsilon)
+    windows = schedule.filters()
     return [
-        RrRecord(window.end, survey(window, named_stream(seed, "rr-dcr", i)))
-        for i, window in enumerate(schedule.filters())
+        RrRecord(window.end, survey(rows, named_stream(seed, "rr-dcr", i)))
+        for i, (window, rows) in enumerate(zip(windows, log.rows(windows)))
     ]
 
 
@@ -366,11 +396,11 @@ def rr_hdcr(
     check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
     nodes = node_table(params, lambda layer, windows: [
-        survey(window, named_stream(seed, "rr-hdcr", layer, index))
-        for index, window in enumerate(windows)
+        survey(rows, named_stream(seed, "rr-hdcr", layer, index))
+        for index, rows in enumerate(log.rows(windows))
     ])
 
-    records, entries = [], len(log.entry_ids())
+    records, entries = [], len(log.ids)
     for j in range(1, params.grid_size() + 1):
         cover = cover_values(nodes, params, 0, j)
         values = sum((est.values for est in cover), np.zeros(space.size))
@@ -382,26 +412,31 @@ def rr_hdcr(
 
 def _window_survey(
     log: Changelog, space: ResponseSpace, epsilon: float
-) -> Callable[[TimeRangeFilter, np.random.Generator], HistogramEstimate]:
+) -> Callable[[slice, np.random.Generator], HistogramEstimate]:
     """One survey round per window: net cells, responses in entry-id order, estimate.
 
-    An entry's cell is the net change of its mutations in the window; an
-    entry without one takes the no-change cell. The rule and the
-    estimator's ``delta @ inverse`` map are built once per release, from
-    the closed-form inverse of the optimal rule.
+    A round reads its window's row slice (``Changelog.rows``). An entry's
+    cell is the net change of its mutations there: the first one's
+    previous answer and the last one's new answer. An entry without one
+    takes the no-change cell. The rule and the estimator's
+    ``delta @ inverse`` map are built once per release, from the
+    closed-form inverse of the optimal rule.
     """
     mspace = AnswerMutationSpace(space)
     rule = optimal_rule(mspace.size, epsilon)
     transform = mspace.delta_matrix() @ optimal_rule_inverse(mspace.size, epsilon)
-    position = {e: i for i, e in enumerate(sorted(log.entry_ids()))}
+    position = id_ranks(log.ids)
 
-    def survey(window: TimeRangeFilter, rng: np.random.Generator) -> HistogramEstimate:
-        batches: dict[str, list[Mutation]] = {}
-        for m in log.filter(window):
-            batches.setdefault(m.entry_id, []).append(m)
+    def survey(rows: slice, rng: np.random.Generator) -> HistogramEstimate:
         cells = np.full(len(position), mspace.size - 1)
-        for e, batch in batches.items():
-            cells[position[e]] = mspace.code_index(*net_mutation(batch))
+        if rows.start < rows.stop:
+            codes = log.codes[rows]
+            entries, first = np.unique(codes, return_index=True)
+            last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
+            cells[position[entries]] = mspace.code_cells(
+                log.prev[rows][first], log.has_prev[rows][first],
+                log.new[rows][last], log.has_new[rows][last],
+            )
         responses = sample_responses(rng, cells, rule)
         return _estimate(np.bincount(responses, minlength=mspace.size), transform)
 

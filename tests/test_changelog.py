@@ -14,10 +14,12 @@ from dpcr.changelog import (
     NEG_INF,
     TimeBounded,
     TimeRangeFilter,
+    _check_chain,
     adjacent_changelog,
     apply_mutations,
     delete,
     dump_changelog,
+    entry_satisfies,
     insert,
     load_changelog,
     modify,
@@ -69,6 +71,10 @@ class TestChangelogValidation:
         with pytest.raises(ConsistencyError, match="out of order"):
             Changelog([insert("x", 5, 1.0), insert("y", 1, 1.0)])
 
+    def test_rejects_tie_out_of_entry_order(self):
+        with pytest.raises(ConsistencyError, match="out of order"):
+            Changelog([insert("b", 1, 1.0), insert("a", 1, 1.0)])
+
     def test_rejects_duplicate_entry_time(self):
         with pytest.raises(ConsistencyError, match="out of order"):
             Changelog([insert("x", 1, 1.0), Mutation(1, "x", 1.0, 2.0)])
@@ -92,6 +98,74 @@ class TestChangelogValidation:
     def test_ties_sort_by_entry_id(self):
         log = Changelog.from_unsorted([insert("b", 1, 2.0), insert("a", 1, 1.0)])
         assert [m.entry_id for m in log] == ["a", "b"]
+
+
+def reference_check(muts: list[Mutation]) -> str | None:
+    """The row-by-row validation: strict ``(time, entry_id)`` order, then
+    ``_check_chain`` per entry in order of first appearance; the error
+    message, or None for a consistent log."""
+    keys = [(m.time, m.entry_id) for m in muts]
+    for m, before, after in zip(muts[1:], keys, keys[1:]):
+        if after <= before:
+            return f"mutations out of order or duplicated at t={m.time}, entry {m.entry_id!r}"
+    chains: dict[str, list[Mutation]] = {}
+    for m in muts:
+        chains.setdefault(m.entry_id, []).append(m)
+    try:
+        for entry_id, chain in chains.items():
+            _check_chain(entry_id, chain)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def perturbed_logs(draw):
+    """A consistent log's mutations with two rows swapped (often neighbours,
+    which may share a time), one ``(t, entry)`` pair duplicated, or one
+    link broken."""
+    muts = list(draw(changelogs()).mutations)
+    if not muts:
+        return muts
+    i = draw(st.integers(0, len(muts) - 1))
+    kind = draw(st.sampled_from(["swap", "swap-next", "duplicate", "break"]))
+    m = muts[i]
+    if kind.startswith("swap"):
+        if kind == "swap-next":
+            j = min(i + 1, len(muts) - 1)
+        else:
+            j = draw(st.integers(0, len(muts) - 1))
+        muts[i], muts[j] = muts[j], muts[i]
+    elif kind == "duplicate":
+        muts.insert(i + 1, Mutation(m.time, m.entry_id, m.new_value, 7.0))
+    else:  # break the link into row i
+        choices = [7.0] if m.prev_value is None else [m.prev_value + 1.0]
+        if m.prev_value is not None and m.new_value is not None:
+            choices.append(None)
+        muts[i] = Mutation(m.time, m.entry_id, draw(st.sampled_from(choices)), m.new_value)
+    return muts
+
+
+class TestColumnValidation:
+    @given(perturbed_logs())
+    def test_raises_exactly_when_the_row_by_row_check_does(self, muts):
+        expected = reference_check(muts)
+        if expected is None:
+            assert list(Changelog(muts)) == muts
+        else:
+            with pytest.raises(ConsistencyError) as info:
+                Changelog(muts)
+            assert str(info.value) == expected
+
+    def test_ids_keep_first_appearance_order(self):
+        log = Changelog([insert("b", 1, 1.0), insert("a", 2, 1.0), modify("b", 3, 1.0, 2.0)])
+        assert log.entry_ids() == ("b", "a")
+        assert log.codes.tolist() == [0, 1, 0]
+
+    def test_columns_are_read_only(self):
+        log = Changelog([insert("a", 1, 1.0)])
+        with pytest.raises(ValueError):
+            log.times[0] = 5
 
 
 class TestFilter:
@@ -179,6 +253,23 @@ class TestConstraints:
     def test_deletion_counts_as_mutation(self):
         log = Changelog.from_unsorted([insert("x", 0, 1.0), delete("x", 9, 1.0)])
         assert validate_constraint(log, TimeBounded(8)) == {"x": False}
+
+    @given(changelogs(max_entries=8), st.integers(1, 6), st.integers(0, 30),
+           st.integers(1, 6), st.integers(0, 30))
+    def test_equals_per_entry_reference(self, log, k, bound, k2, bound2):
+        nested = Hybrid((TimeBounded(bound2), Hybrid((AtMostK(k2), TimeBounded(bound)))))
+        for constraint in (AtMostK(k), TimeBounded(bound),
+                           Hybrid((AtMostK(k), TimeBounded(bound))), nested):
+            assert validate_constraint(log, constraint) == {
+                e: entry_satisfies(log.for_entry(e), constraint) for e in log.entry_ids()
+            }
+
+    def test_span_beyond_int64_difference(self):
+        # last - first exceeds the int64 range; the verdict must not wrap
+        log = Changelog([insert("x", -(2**62) - 5, 1.0), modify("x", 2**62 + 5, 1.0, 2.0)])
+        assert validate_constraint(log, TimeBounded(2**63 - 1)) == {"x": False}
+        assert validate_constraint(log, TimeBounded(2**63 + 10)) == {"x": True}
+        assert validate_constraint(log, AtMostK(10**30)) == {"x": True}
 
     def test_hybrid_requires_branches(self):
         with pytest.raises(ValueError):

@@ -243,6 +243,25 @@ class TestRun:
         assert json.loads(lines[0])["privacy"]["folds"] == 2
         assert json.loads(lines[1])["node_count"] == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"release.schedule": {"ticks": [8, 16, 2**63]}},
+            {"release.kind": "hdcr", "release.height": 3, "release.branching": 2,
+             "release.start": 2**63, "release.span": 32, "release.interval": 8},
+        ],
+        ids=["schedule-tick", "hierarchy-start"],
+    )
+    def test_release_times_beyond_int64_run(self, tmp_path, overrides):
+        # only the log's times must fit in 64 bits; release bounds may exceed them
+        cfg = write_config(tmp_path / "cfg.json", **overrides, **{"output.include_exact": True})
+        log = tmp_path / "log.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", log) == 0
+        out = tmp_path / "out.csv"
+        assert run_cli("run", "--config", cfg, "--changelog", log, "--out", out) == 0
+        rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert int(rows[-1]["t_end"]) >= 2**63
+
     def test_end_to_end_determinism(self, tmp_path, cfg):
         log = tmp_path / "log.jsonl"
         run_cli("generate", "--config", cfg, "--out", log)
@@ -400,6 +419,7 @@ BAD_LOGS = {
     "infinite-value": '{"entry": "e", "t": 1, "prev": null, "new": -Infinity}',
     "overflowing-time": '{"entry": "e", "t": 1e400, "prev": null, "new": 1.0}',
     "overflowing-answer-time": '{"entry": "e", "t": 1e400, "answer": "a"}',
+    "time-beyond-int64": '{"entry": "e", "t": 9223372036854775808, "prev": null, "new": 1.0}',
 }
 # "t" must be a JSON integer in both log kinds, and a null answer withdraws
 # an answer, so the entry must hold one
@@ -451,6 +471,7 @@ class TestInputFailures:
             ("run", [], "overflowing-time"),
             ("run", ["release.kind=rr-dcr", 'release.labels=["a","b"]'], "overflowing-answer-time"),
             ("run", ["release.query.fn=table", 'release.query.table={"1": NaN}'], "log"),
+            ("run", [], "time-beyond-int64"),
             *(("run", RR_DCR if "answer" in name else [], name) for name in STRICT_LOGS),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
@@ -460,7 +481,8 @@ class TestInputFailures:
              "non-numeric-value-range", "infinite-value-range", "duplicate-labels",
              "infinite-query-bounds", "unknown-answer-labels", "infinite-delta-slack",
              "overflowing-composed-epsilon", "nan-log-value", "infinite-log-value",
-             "overflowing-log-time", "overflowing-answer-time", "nan-query-table", *STRICT_LOGS],
+             "overflowing-log-time", "overflowing-answer-time", "nan-query-table",
+             "time-beyond-int64", *STRICT_LOGS],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"
@@ -485,6 +507,25 @@ class TestInputFailures:
             argv += ["--out", tmp_path / "generated.jsonl"]
         capsys.readouterr()
         assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("where", ["log-line", "config-file", "set-value"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, cfg, capsys, where):
+        # deep enough for the JSON parser to raise RecursionError
+        deep = "[" * 100_000 + "]" * 100_000
+        log = tmp_path / "log.jsonl"
+        run_cli("generate", "--config", cfg, "--out", log)
+        config = cfg
+        overrides = []
+        if where == "log-line":
+            log.write_text(f'{{"entry": "e", "t": 1, "prev": null, "new": {deep}}}\n')
+        if where == "config-file":
+            config = tmp_path / "deep.json"
+            config.write_text(deep)
+        if where == "set-value":
+            overrides = ["--set", f"release.epsilon={deep}"]
+        capsys.readouterr()
+        assert run_cli("run", "--config", config, "--changelog", log, *overrides) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("command", ["generate", "run"])
@@ -600,7 +641,8 @@ class TestConfigFuzz:
 LOG_FIELDS = {
     "entry": (['"e1"', '"e2"'], ["7", "null", None]),
     "t": (["0", "3", "9", "17"],
-          ["-3", "1.5", "3.0", '"3"', "NaN", "Infinity", "-Infinity", "1e400", "true", "null", None]),
+          ["-3", "1.5", "3.0", '"3"', "NaN", "Infinity", "-Infinity", "1e400", "true", "null",
+           "9223372036854775808", None]),
     "prev": (["null", "1.5"], ["0", "NaN", "Infinity", "-Infinity", "1e400", '"x"', None]),
     "new": (["1.5", "100", "null"], ["NaN", "-Infinity", "1e400", "true", None]),
     "answer": (['"yes"', '"no"', "null"], ['"maybe"', "3", None]),

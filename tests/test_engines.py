@@ -3,8 +3,10 @@ import json
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from dpcr.accounting import HdcrParams, ReleaseSchedule, SwcrParams
 from dpcr.changelog import (
@@ -38,6 +40,8 @@ from dpcr.mechanisms import (
     sensitivity,
 )
 from dpcr.oracles import min_cover_oracle, snapshot_oracle
+
+from conftest import changelogs
 
 SPEC = LinearQuerySpec("identity", 0.0, 100.0)
 NOISE = NoiseSpec(1.0, sensitivity(SPEC), seed=13)
@@ -75,6 +79,19 @@ class TestRunDcr:
                 snapshot_oracle(log, record.window.end, SPEC), abs=1e-9
             )
 
+    def test_window_bounds_compare_as_exact_integers(self):
+        # 2**53 + 1 rounds to 2**53 as a float64, which would put it in the first window
+        log = Changelog([insert("x", 2**53 + 1, 50.0)])
+        result = run_dcr(log, ReleaseSchedule((2**53, 2**53 + 2)), SPEC, NOISE)
+        assert result.exact_values() == [0.0, 50.0]
+
+    def test_negative_zero_values_sum_to_positive_zero(self):
+        # a change summed from 0.0 is never -0.0, even when every term is -0.0
+        log = Changelog([insert("x", 1, -0.0), insert("y", 1, -0.0)])
+        spec = LinearQuerySpec("identity", -1.0, 1.0)
+        result = run_dcr(log, ReleaseSchedule((2,)), spec, NOISE)
+        assert repr(result.records[0].exact) == repr(linear_query_change(log, spec)) == "0.0"
+
     def test_deterministic_per_seed(self):
         result = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
         again = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
@@ -107,6 +124,58 @@ class TestRunSwcr:
         params = SwcrParams(window=4, period=2, first_release=4, count=4)
         result = run_swcr(Changelog(()), params, SPEC, NOISE)
         assert result.exact_values() == [0.0] * 4
+
+
+def value_specs(log: Changelog) -> list[LinearQuerySpec]:
+    """All four value functions, with bounds that clamp some of the log's values."""
+    values = sorted({v for m in log for v in (m.prev_value, m.new_value) if v is not None})
+    table = {v: (i % 5) * 1.5 - 3.0 for i, v in enumerate(values)}
+    return [
+        LinearQuerySpec("identity", 5.0, 60.0),
+        LinearQuerySpec("indicator", 0.0, 1.0, predicate=lambda v: v > 40.0),
+        LinearQuerySpec("second_moment", 10.0, 5000.0),
+        LinearQuerySpec("table", -2.0, 2.0, table=table),
+    ]
+
+
+def reference_exacts(log: Changelog, windows, spec: LinearQuerySpec) -> list[str]:
+    """``linear_query_change`` over a full scan of the log per window, as reprs."""
+    return [
+        repr(linear_query_change([m for m in log.mutations if w.accepts(m.time)], spec))
+        for w in windows
+    ]
+
+
+class TestReferenceScan:
+    """Exact values equal, bit for bit, a full scan of the log per window."""
+
+    @given(changelogs(), st.lists(st.integers(-10, 40), min_size=1, max_size=6, unique=True))
+    def test_dcr(self, log, ticks):
+        schedule = ReleaseSchedule(tuple(sorted(ticks)))  # first window starts at -inf
+        for spec in value_specs(log):
+            result = run_dcr(log, schedule, spec, NOISE)
+            got = [repr(r.exact) for r in result.records]
+            assert got == reference_exacts(log, schedule.filters(), spec)
+
+    @given(changelogs(), st.integers(1, 12), st.integers(1, 12), st.integers(-10, 40),
+           st.integers(1, 8))
+    def test_swcr(self, log, window, period, first, count):
+        params = SwcrParams(window=window, period=period, first_release=first, count=count)
+        for spec in value_specs(log):
+            result = run_swcr(log, params, spec, NOISE)
+            got = [repr(r.exact) for r in result.records]
+            assert got == reference_exacts(log, params.filters(), spec)
+
+    @given(changelogs(), st.integers(1, 4), st.integers(2, 3), st.integers(-10, 40),
+           st.integers(1, 30), st.integers(1, 5))
+    def test_hdcr_nodes(self, log, height, branching, start, span, interval):
+        params = HdcrParams(height, branching, start, span, interval)
+        for spec in value_specs(log):
+            tree = build_hdcr(log, params, spec, NOISE)
+            keys = sorted(tree.nodes)
+            got = [repr(tree.nodes[k].exact) for k in keys]
+            windows = [params.node_filter(layer, index) for layer, index in keys]
+            assert got == reference_exacts(log, windows, spec)
 
 
 class TestNoiseLayout:
