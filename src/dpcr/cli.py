@@ -520,10 +520,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         log = _load_input(lambda path: load_answer_log(path, space), args.changelog)
     else:
         log = _load_input(load_changelog, args.changelog)
-    bad = [eid for eid, ok in validate_constraint(log, constraint).items() if not ok]
-    if bad:
+    bad = np.flatnonzero(~validate_constraint(log, constraint))
+    if len(bad):
         raise ConstraintViolationError(
-            f"{len(bad)} entries violate the declared constraint (first: {bad[:3]})"
+            f"{len(bad)} entries violate the declared constraint "
+            f"(first: {[log.ids[i] for i in bad[:3]]})"
         )
     try:
         release = _run_rr(cfg, kind, log, space, seed) if rr else _run_release(cfg, kind, log, seed)

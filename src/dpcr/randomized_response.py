@@ -29,7 +29,7 @@ from .changelog import (
     Mutation,
     chains,
     id_ranks,
-    read_records,
+    read_columns,
     to_columns,
 )
 from .engines import check_prefix_cover, cover_values, node_table
@@ -313,19 +313,30 @@ def load_answer_log(path: str | Path, space: ResponseSpace) -> Changelog:
     answer is a deletion. Lines may come in any order; a label outside
     ``space`` is refused.
     """
-    codes = {label: float(i) for i, label in enumerate(space.labels)}
-
-    def parse(t: int, entry: str, rec: dict) -> tuple[int, str, None, float | None]:
-        answer = rec["answer"]
-        if answer is not None and answer not in codes:
-            raise ValueError(f"answer {answer!r} is not one of the labels {list(space.labels)}")
-        return t, entry, None, codes.get(answer)
-
-    columns = to_columns(read_records(path, "answer", parse))
+    columns = read_columns(path, "answer", *answer_rules(space))
     try:
         return _answer_log(columns)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{path}: {exc}") from exc
+
+
+def answer_rules(space: ResponseSpace) -> tuple[Callable, Callable]:
+    """The per-record and per-block rules ``read_columns`` reads an answer log with."""
+    codes = {label: float(i) for i, label in enumerate(space.labels)}
+    # one lookup maps a label to its code and null to an absent value
+    lookup = {None: None, **codes}
+
+    def record(rec: dict) -> tuple[None, float | None]:
+        answer = rec["answer"]
+        if answer is not None and answer not in codes:
+            raise ValueError(f"answer {answer!r} is not one of the labels {list(space.labels)}")
+        return None, codes.get(answer)
+
+    def values(records: list[dict]) -> tuple[list, list]:
+        answers = [rec["answer"] for rec in records]
+        return [None] * len(answers), list(map(lookup.__getitem__, answers))
+
+    return record, values
 
 
 def dump_answer_log(log: Iterable[Mutation], space: ResponseSpace, path: str | Path) -> None:

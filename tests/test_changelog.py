@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -232,27 +233,35 @@ class TestAdjacent:
         assert set(merged.entry_ids()) - set(self.base().entry_ids()) == {"b"}
 
 
+def verdicts(log: Changelog, constraint) -> list[bool]:
+    """``validate_constraint``'s verdicts, checked to be a bool array aligned with ``log.ids``."""
+    found = validate_constraint(log, constraint)
+    assert isinstance(found, np.ndarray) and found.dtype == bool
+    assert found.shape == (len(log.ids),)
+    return found.tolist()
+
+
 class TestConstraints:
     def test_at_most_k_boundary(self):
         log = Changelog.from_unsorted([insert("x", 0, 1.0), modify("x", 4, 1.0, 2.0)])
-        assert validate_constraint(log, AtMostK(2)) == {"x": True}
-        assert validate_constraint(log, AtMostK(1)) == {"x": False}
+        assert verdicts(log, AtMostK(2)) == [True]
+        assert verdicts(log, AtMostK(1)) == [False]
 
     def test_time_bounded_boundary(self):
         log = Changelog.from_unsorted([insert("x", 0, 1.0), modify("x", 5, 1.0, 2.0)])
-        assert validate_constraint(log, TimeBounded(4)) == {"x": False}
-        assert validate_constraint(log, TimeBounded(5)) == {"x": True}
+        assert verdicts(log, TimeBounded(4)) == [False]
+        assert verdicts(log, TimeBounded(5)) == [True]
 
     def test_hybrid_passes_if_any_branch_passes(self):
         muts = [insert("x", 0, 1.0), modify("x", 3, 1.0, 2.0), modify("x", 8, 2.0, 3.0)]
         log = Changelog.from_unsorted(muts)
         hybrid = Hybrid((AtMostK(1), TimeBounded(10)))
-        assert validate_constraint(log, hybrid) == {"x": True}
-        assert validate_constraint(log, Hybrid((AtMostK(1), TimeBounded(2)))) == {"x": False}
+        assert verdicts(log, hybrid) == [True]
+        assert verdicts(log, Hybrid((AtMostK(1), TimeBounded(2)))) == [False]
 
     def test_deletion_counts_as_mutation(self):
         log = Changelog.from_unsorted([insert("x", 0, 1.0), delete("x", 9, 1.0)])
-        assert validate_constraint(log, TimeBounded(8)) == {"x": False}
+        assert verdicts(log, TimeBounded(8)) == [False]
 
     @given(changelogs(max_entries=8), st.integers(1, 6), st.integers(0, 30),
            st.integers(1, 6), st.integers(0, 30))
@@ -260,16 +269,16 @@ class TestConstraints:
         nested = Hybrid((TimeBounded(bound2), Hybrid((AtMostK(k2), TimeBounded(bound)))))
         for constraint in (AtMostK(k), TimeBounded(bound),
                            Hybrid((AtMostK(k), TimeBounded(bound))), nested):
-            assert validate_constraint(log, constraint) == {
-                e: entry_satisfies(log.for_entry(e), constraint) for e in log.entry_ids()
-            }
+            assert verdicts(log, constraint) == [
+                entry_satisfies(log.for_entry(e), constraint) for e in log.entry_ids()
+            ]
 
     def test_span_beyond_int64_difference(self):
         # last - first exceeds the int64 range; the verdict must not wrap
         log = Changelog([insert("x", -(2**62) - 5, 1.0), modify("x", 2**62 + 5, 1.0, 2.0)])
-        assert validate_constraint(log, TimeBounded(2**63 - 1)) == {"x": False}
-        assert validate_constraint(log, TimeBounded(2**63 + 10)) == {"x": True}
-        assert validate_constraint(log, AtMostK(10**30)) == {"x": True}
+        assert verdicts(log, TimeBounded(2**63 - 1)) == [False]
+        assert verdicts(log, TimeBounded(2**63 + 10)) == [True]
+        assert verdicts(log, AtMostK(10**30)) == [True]
 
     def test_hybrid_requires_branches(self):
         with pytest.raises(ValueError):

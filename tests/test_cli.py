@@ -60,7 +60,8 @@ class TestGenerate:
         out = tmp_path / "log.jsonl"
         assert run_cli("generate", "--config", cfg, "--out", out) == 0
         log = load_changelog(out)
-        assert all(validate_constraint(log, AtMostK(3)).values())
+        verdicts = validate_constraint(log, AtMostK(3))
+        assert verdicts.dtype == bool and verdicts.shape == (len(log.ids),) and verdicts.all()
 
     def test_same_seed_gives_identical_bytes(self, tmp_path, cfg):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
