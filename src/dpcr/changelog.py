@@ -156,11 +156,12 @@ class Changelog:
 
     Row ``i`` is the mutation of ``ids[codes[i]]`` at ``times[i]`` from
     ``prev[i]`` (absent unless ``has_prev[i]``) to ``new[i]`` (absent
-    unless ``has_new[i]``); nothing reads an absent value's slot. The
-    arrays are read-only.
+    unless ``has_new[i]``); nothing reads an absent value's slot.
+    ``ranks[c]`` is ``ids[c]``'s position in sorted order
+    (``id_ranks(ids)``), kept from validation. The arrays are read-only.
     """
 
-    __slots__ = ("times", "codes", "ids", "prev", "new", "has_prev", "has_new")
+    __slots__ = ("times", "codes", "ids", "ranks", "prev", "new", "has_prev", "has_new")
 
     def __init__(self, mutations: Iterable[Mutation]) -> None:
         self._store(*to_columns((m.time, m.entry_id, m.prev_value, m.new_value) for m in mutations))
@@ -181,12 +182,20 @@ class Changelog:
 
     def _store(self, times, codes, ids, prev, new, has_prev, has_new) -> None:
         codes = np.asarray(codes, dtype=np.int64)
-        used, first = np.unique(codes, return_index=True)
-        order = used[np.argsort(first)]
-        renumber = np.empty(len(ids), dtype=np.int64)
-        renumber[order] = np.arange(len(order))
-        self.ids = tuple(ids[c] for c in order.tolist())
-        self.codes = renumber[codes]
+        # codes already in first-appearance order, every id used, are kept:
+        # each code is at most one past the running max before it, from 0
+        # up to the last id
+        running = np.maximum.accumulate(codes)
+        if (len(codes) and codes[0] == 0 and running[-1] == len(ids) - 1
+                and (codes[1:] <= running[:-1] + 1).all()):
+            self.ids, self.codes = tuple(ids), codes
+        else:
+            used, first = np.unique(codes, return_index=True)
+            order = used[np.argsort(first)]
+            renumber = np.empty(len(ids), dtype=np.int64)
+            renumber[order] = np.arange(len(order))
+            self.ids = tuple(ids[c] for c in order.tolist())
+            self.codes = renumber[codes]
         self.times = np.ascontiguousarray(times, dtype=np.int64)
         self.has_prev = np.asarray(has_prev, dtype=bool)
         self.has_new = np.asarray(has_new, dtype=bool)
@@ -207,7 +216,9 @@ class Changelog:
             raise ConsistencyError(
                 f"mutation of {ids[codes[i]]!r} at t={times[i]} records no change"
             )
-        rank = id_ranks(ids)[codes]
+        self.ranks = id_ranks(ids)
+        self.ranks.flags.writeable = False
+        rank = self.ranks[codes]
         ordered = (times[1:] > times[:-1]) | ((times[1:] == times[:-1]) & (rank[1:] > rank[:-1]))
         if not ordered.all():
             i = int(np.argmin(ordered)) + 1

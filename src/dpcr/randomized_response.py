@@ -265,16 +265,51 @@ def sample_responses(
     """One randomized response per entry, drawn from the rule's columns.
 
     Entry ``e`` with true cell ``j`` draws from column ``j``; draws use
-    one uniform per entry from the given stream, in entry order.
+    one uniform per entry from the given stream, in entry order. Each
+    call builds the rule's column CDFs, ``O(m^2)`` for ``m`` cells, and
+    then draws as ``_draw_responses``; a release builds them once.
     """
-    true_cells = np.asarray(true_cells, dtype=int)
-    cdf = np.cumsum(rule, axis=0)
-    u = rng.random(true_cells.shape[0])
-    out = np.empty(true_cells.shape[0], dtype=int)
-    for j in np.unique(true_cells):
-        mask = true_cells == j
-        out[mask] = np.searchsorted(cdf[:, j], u[mask], side="right")
-    return np.minimum(out, rule.shape[0] - 1)
+    return _draw_responses(rng, np.asarray(true_cells, dtype=int), _column_cdfs(rule))
+
+
+def _column_cdfs(rule: np.ndarray) -> np.ndarray:
+    """Row ``j`` is the cumulative sum of the rule's column ``j``.
+
+    The rows are contiguous, so a draw reads one in place. Each is
+    summed in order, so it equals ``np.cumsum(rule, axis=0)[:, j]``
+    bit for bit.
+    """
+    columns = np.asarray(rule, dtype=float).T
+    return np.cumsum(columns, axis=1, out=np.empty(columns.shape))
+
+
+def _draw_responses(
+    rng: np.random.Generator, true_cells: np.ndarray, cdf: np.ndarray
+) -> np.ndarray:
+    """``sample_responses`` given the rule's column CDFs (``_column_cdfs``).
+
+    Takes one ``rng.random(n)`` for ``n`` entries. The entries are
+    sorted by cell once (stable), and each run of one cell ``j`` is one
+    ``searchsorted`` of its uniforms into ``cdf[j]``; a uniform at or
+    past a column's last CDF value, which round-off can leave below 1,
+    takes the last response. That is ``O(n log n + n log m)`` plus one
+    ``searchsorted`` call per distinct cell; a masked pass over all
+    ``n`` entries per distinct cell would cost ``O(n g)`` for ``g``
+    cells.
+    """
+    u = rng.random(len(true_cells))
+    order = np.argsort(true_cells, kind="stable")
+    cells, u = true_cells[order], u[order]
+    # bounds of the runs of one cell in the sorted cells, 0 and n included
+    edges = np.ones(len(cells) + 1, dtype=bool)
+    edges[1:-1] = cells[1:] != cells[:-1]
+    bounds = np.flatnonzero(edges).tolist()
+    drawn = np.empty(len(cells), dtype=int)
+    for lo, hi in zip(bounds, bounds[1:]):
+        drawn[lo:hi] = cdf[cells[lo]].searchsorted(u[lo:hi], side="right")
+    out = np.empty_like(drawn)
+    out[order] = drawn
+    return np.minimum(out, cdf.shape[1] - 1, out=out)
 
 
 def answer_changelog(answers: Iterable[tuple[int, str, float | None]]) -> Changelog:
@@ -429,14 +464,20 @@ def _window_survey(
     A round reads its window's row slice (``Changelog.rows``). An entry's
     cell is the net change of its mutations there: the first one's
     previous answer and the last one's new answer. An entry without one
-    takes the no-change cell. The rule and the estimator's
-    ``delta @ inverse`` map are built once per release, from the
-    closed-form inverse of the optimal rule.
+    takes the no-change cell. The estimator's ``delta @ inverse`` map,
+    from the closed-form inverse of the optimal rule, and the rule's
+    column CDFs are built once per release, ``O(m^2)`` for ``m`` cells;
+    entries take their place from the log's id ranks. A round over
+    ``r`` rows and ``n`` entries then costs ``O(r log r)`` for the net
+    cells, ``O(n log n + n log m)`` plus one ``searchsorted`` call per
+    distinct cell for the draws, and ``O(z^2 m)`` for the estimate of
+    ``z`` labels.
     """
     mspace = AnswerMutationSpace(space)
-    rule = optimal_rule(mspace.size, epsilon)
     transform = mspace.delta_matrix() @ optimal_rule_inverse(mspace.size, epsilon)
-    position = id_ranks(log.ids)
+    # built after the transform, so the inverse's temporaries are freed by then
+    cdf = _column_cdfs(optimal_rule(mspace.size, epsilon))
+    position = log.ranks
 
     def survey(rows: slice, rng: np.random.Generator) -> HistogramEstimate:
         cells = np.full(len(position), mspace.size - 1)
@@ -448,7 +489,7 @@ def _window_survey(
                 log.prev[rows][first], log.has_prev[rows][first],
                 log.new[rows][last], log.has_new[rows][last],
             )
-        responses = sample_responses(rng, cells, rule)
+        responses = _draw_responses(rng, cells, cdf)
         return _estimate(np.bincount(responses, minlength=mspace.size), transform)
 
     return survey

@@ -21,6 +21,7 @@ from dpcr.changelog import (
     delete,
     dump_changelog,
     entry_satisfies,
+    id_ranks,
     insert,
     load_changelog,
     modify,
@@ -28,6 +29,7 @@ from dpcr.changelog import (
     validate_constraint,
     without_entry,
 )
+from dpcr.randomized_response import answer_changelog
 
 from conftest import changelogs
 
@@ -167,6 +169,82 @@ class TestColumnValidation:
         log = Changelog([insert("a", 1, 1.0)])
         with pytest.raises(ValueError):
             log.times[0] = 5
+        with pytest.raises(ValueError):
+            log.ranks[0] = 5
+
+
+def columns_of(log: Changelog) -> tuple:
+    return (log.times, log.codes, log.ids, log.prev, log.new, log.has_prev, log.has_new)
+
+
+class TestFromColumnsCodes:
+    """``from_columns`` renumbers codes into first-appearance order and drops unused ids."""
+
+    ROWS = [insert("b", 1, 1.0), insert("a", 2, 1.0), modify("b", 3, 1.0, 2.0)]
+
+    @pytest.mark.parametrize(
+        "codes, ids",
+        [
+            ([1, 0, 1], ("a", "b")),  # out of order, every id used
+            ([0, 1, 0], ("b", "a", "z")),  # in order, a trailing id unused
+            ([0, 2, 0], ("b", "z", "a")),  # an unused id between used ones
+            ([1, 2, 1], ("z", "b", "a")),  # no row has code 0
+        ],
+        ids=["out-of-order", "unused-last", "unused-middle", "unused-first"],
+    )
+    def test_renumbers_and_drops(self, codes, ids):
+        log = Changelog(self.ROWS)
+        times, _, _, prev, new, has_prev, has_new = columns_of(log)
+        got = Changelog.from_columns(times, np.array(codes), ids, prev, new, has_prev, has_new)
+        assert got.ids == ("b", "a")
+        assert got.codes.tolist() == [0, 1, 0]
+        assert got == log
+
+    def test_keeps_codes_already_in_first_appearance_order(self):
+        log = Changelog(self.ROWS)
+        times, _, _, prev, new, has_prev, has_new = columns_of(log)
+        got = Changelog.from_columns(
+            times, np.array([0, 1, 0]), ["b", "a"], prev, new, has_prev, has_new
+        )
+        assert got.ids == ("b", "a") and isinstance(got.ids, tuple)
+        assert got.codes.tolist() == [0, 1, 0]
+        assert got == log
+
+    @given(changelogs(), st.data())
+    def test_any_code_numbering_gives_the_same_log(self, log, data):
+        """Codes relabelled by a random permutation, with unused ids mixed in."""
+        extra = data.draw(st.integers(0, 3))
+        size = len(log.ids) + extra
+        perm = data.draw(st.permutations(range(size)))
+        ids = [f"unused{i}" for i in range(size)]
+        for code, entry in enumerate(log.ids):
+            ids[perm[code]] = entry
+        codes = np.array(perm, dtype=np.int64)[log.codes]
+        times, _, _, prev, new, has_prev, has_new = columns_of(log)
+        got = Changelog.from_columns(times, codes, ids, prev, new, has_prev, has_new)
+        assert got.ids == log.ids
+        assert np.array_equal(got.codes, log.codes)
+        assert got == log
+
+
+class TestStoredRanks:
+    """The id ranks computed during validation are kept on the log."""
+
+    @given(changelogs())
+    def test_equal_id_ranks_for_every_constructor(self, log):
+        rebuilt = Changelog.from_columns(*columns_of(log))
+        answers = answer_changelog(
+            (m.time, m.entry_id, m.new_value) for m in log if m.new_value is not None
+        )
+        for built in (log, Changelog(log.mutations), rebuilt, answers):
+            assert built.ranks.dtype == np.int64
+            assert np.array_equal(built.ranks, id_ranks(built.ids))
+            assert not built.ranks.flags.writeable
+
+    def test_ranks_follow_sorted_ids_not_codes(self):
+        log = Changelog([insert("c", 1, 1.0), insert("a", 2, 1.0), insert("b", 3, 1.0)])
+        assert log.ids == ("c", "a", "b")
+        assert log.ranks.tolist() == [2, 0, 1]
 
 
 class TestFilter:

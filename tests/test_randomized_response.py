@@ -1,8 +1,11 @@
 import json
 import math
+from typing import Callable
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 import dpcr.randomized_response as rr
 from dpcr.accounting import ReleaseSchedule, dcr_folds, local_folds
@@ -372,11 +375,13 @@ def test_survey_cells_equal_snapshot_cells(tmp_path, monkeypatch, seed):
                for a, b in zip(log.for_entry(e), log.for_entry(e)[1:]))
     drawn = []
 
-    def recording(rng, true_cells, rule):
-        drawn.append(np.asarray(true_cells).tolist())
-        return sample_responses(rng, true_cells, rule)
+    draw = rr._draw_responses
 
-    monkeypatch.setattr(rr, "sample_responses", recording)
+    def recording(rng, true_cells, cdf):
+        drawn.append(np.asarray(true_cells).tolist())
+        return draw(rng, true_cells, cdf)
+
+    monkeypatch.setattr(rr, "_draw_responses", recording)
     schedule = ReleaseSchedule((0, 3, 4, 9, 16))
     rr_dcr(log, space, schedule, 1.0, seed=seed)
     params = HdcrParams(height=3, branching=2, start=-2, span=16, interval=3)
@@ -554,3 +559,130 @@ class TestRrHdcr:
         params = HdcrParams(height=1, branching=2, start=0, span=8, interval=1)
         with pytest.raises(RangeTooWideError):
             rr_hdcr(answer_log({"e0": ((0, "r1"),)}), SPACE, params, 1.0, seed=1)
+
+
+def reference_draws(u: np.ndarray, true_cells: np.ndarray, rule: np.ndarray) -> np.ndarray:
+    """Entry by entry: its uniform's ``searchsorted`` into the cumulative sum of
+    its cell's column, clamped to the last cell."""
+    cdf = np.cumsum(rule, axis=0)
+    last = rule.shape[0] - 1
+    draws = [np.searchsorted(cdf[:, j], x, side="right") for j, x in zip(true_cells, u)]
+    return np.array([min(int(d), last) for d in draws], dtype=int)
+
+
+class StubStream:
+    """A stream whose ``random(n)`` returns preset uniforms and records ``n``."""
+
+    def __init__(self, values) -> None:
+        self.values = np.asarray(values, dtype=float)
+        self.calls: list[int] = []
+
+    def random(self, n: int) -> np.ndarray:
+        self.calls.append(n)
+        assert n == len(self.values)
+        return self.values.copy()
+
+
+@st.composite
+def column_stochastic_rules(draw) -> np.ndarray:
+    """Square rules whose columns are normalized integer weights: zero weights make
+    CDF plateaus, and a column may be scaled short of 1 by a few ulps, so that its
+    cumulative sum ends below 1.0."""
+    m = draw(st.integers(1, 7))
+    columns = []
+    for _ in range(m):
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
+        if not weights.any():
+            weights[draw(st.integers(0, m - 1))] = 1.0
+        short = draw(st.sampled_from([0.0, 2.0**-53, 2.0**-50, 1e-12]))
+        columns.append(weights / weights.sum() * (1.0 - short))
+    return np.column_stack(columns)
+
+
+def uniforms(cdf: np.ndarray) -> st.SearchStrategy[float]:
+    """Values in ``[0, 1)``, often exactly a CDF entry or the largest float below 1."""
+    special = {float(c) for c in cdf.ravel() if c < 1.0} | {0.0, np.nextafter(1.0, 0.0)}
+    return st.one_of(st.sampled_from(sorted(special)), st.floats(0.0, 1.0, exclude_max=True))
+
+
+def cell_arrays(m: int) -> st.SearchStrategy[list[int]]:
+    return st.one_of(
+        st.lists(st.integers(0, m - 1), max_size=40),
+        st.just([]),
+        st.integers(0, m - 1).map(lambda j: [j]),
+        st.permutations(range(m)),  # every cell at once
+    )
+
+
+class TestGroupedDraw:
+    """The grouped draw equals a per-entry ``searchsorted`` reference, draw for draw."""
+
+    @given(st.data())
+    def test_equals_per_entry_reference_on_a_stub_stream(self, data):
+        rule = data.draw(column_stochastic_rules())
+        cdf = rr._column_cdfs(rule)
+        assert cdf.flags.c_contiguous
+        assert np.cumsum(rule, axis=0).T.tobytes() == cdf.tobytes()
+        cells = np.array(data.draw(cell_arrays(len(rule))), dtype=int)
+        u = data.draw(st.lists(uniforms(cdf), min_size=len(cells), max_size=len(cells)))
+        want = reference_draws(np.array(u), cells, rule)
+        for draw in (lambda rng: sample_responses(rng, cells, rule),
+                     lambda rng: rr._draw_responses(rng, cells, cdf)):
+            stream = StubStream(u)
+            got = draw(stream)
+            assert stream.calls == [len(cells)]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @given(column_stochastic_rules(), st.data(), st.integers(0, 2**32 - 1))
+    def test_equals_per_entry_reference_on_a_generator(self, rule, data, seed):
+        cells = np.array(data.draw(cell_arrays(len(rule))), dtype=int)
+        want = reference_draws(np.random.default_rng(seed).random(len(cells)), cells, rule)
+        assert np.array_equal(sample_responses(np.random.default_rng(seed), cells, rule), want)
+
+    def test_uniform_past_a_short_column_takes_the_last_cell(self):
+        rule = np.full((10, 10), 0.1)
+        cdf = np.cumsum(rule, axis=0)
+        assert cdf[-1, 0] < 1.0
+        u = [np.nextafter(1.0, 0.0), cdf[-1, 3], cdf[4, 5], 0.0]
+        cells = np.array([0, 3, 5, 5])
+        assert reference_draws(np.array(u), cells, rule).tolist() == [9, 9, 5, 0]
+        assert sample_responses(StubStream(u), cells, rule).tolist() == [9, 9, 5, 0]
+
+
+def masked_loop_draw(rule: np.ndarray) -> Callable:
+    """The draw as one masked pass over all entries per distinct cell, over ``rule``'s
+    own cumulative sum (the passed CDF is ignored)."""
+    cdf = np.cumsum(rule, axis=0)
+
+    def draw(rng, true_cells, _cdf):
+        u = rng.random(true_cells.shape[0])
+        out = np.empty(true_cells.shape[0], dtype=int)
+        for j in np.unique(true_cells):
+            mask = true_cells == j
+            out[mask] = np.searchsorted(cdf[:, j], u[mask], side="right")
+        return np.minimum(out, rule.shape[0] - 1)
+
+    return draw
+
+
+@pytest.mark.parametrize("labels", [2, 3, 26])
+def test_releases_equal_masked_loop_survey(monkeypatch, labels):
+    """rr_dcr and rr_hdcr release exactly what a survey drawing by masked loops does."""
+    space = ResponseSpace(tuple(chr(ord("a") + i) for i in range(labels)))
+    log = _survey_log(space, 400)
+    schedule = ReleaseSchedule((2, 3, 5, 8))
+    params = HdcrParams(height=3, branching=2, start=0, span=8, interval=2)
+
+    def release() -> list:
+        return rr_dcr(log, space, schedule, 1.5, seed=9) + rr_hdcr(log, space, params, 1.5, seed=9)
+
+    got = release()
+    rule = optimal_rule(AnswerMutationSpace(space).size, 1.5)
+    monkeypatch.setattr(rr, "_draw_responses", masked_loop_draw(rule))
+    want = release()
+    assert len(got) == len(want) == 8
+    for a, b in zip(got, want):
+        assert (a.time, a.node_count) == (b.time, b.node_count)
+        assert np.array_equal(a.estimate.values, b.estimate.values)
+        assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
