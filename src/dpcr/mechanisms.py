@@ -136,22 +136,26 @@ def named_stream(seed: int, *parts: int | str) -> np.random.Generator:
     draws depend only on the seed, the name, and the draw position.
     Releases open one stream per noise vector and read it by position:
     ``(seed, "dcr")`` and ``(seed, "swcr")`` hold one draw per query,
-    ``(seed, "hdcr", layer)`` one draw per node of that layer, and the
-    randomized-response engine opens ``(seed, "rr-dcr", i)`` and
-    ``(seed, "rr-hdcr", layer, index)`` per survey round. Building a
-    stream costs tens of microseconds, so callers open one per vector,
-    not one per draw. Caveat: ``SeedSequence`` pads entropy shorter than
-    its four-word pool with zeros, so for a seed below ``2**32`` and one
-    string part the streams ``(seed, "dcr")`` and ``(seed, "dcr", 0)``
-    coincide; no caller opens both.
+    ``(seed, "hdcr", layer)`` one draw per node of that layer,
+    ``(seed, "rr-dcr")`` one block of uniforms per survey round and
+    ``(seed, "rr-hdcr", layer)`` one block per node of that layer.
+    Building a stream costs tens of microseconds, so callers open one
+    per vector, not one per draw.
+
+    The part count, the seed and each part are written as 64-bit
+    values, each two little-endian 32-bit entropy words. So the words
+    determine the name, and no name's words are another's with zeros
+    appended, which ``SeedSequence``'s zero padding would merge:
+    ``(seed, "dcr")`` and ``(seed, "dcr", 0)`` are distinct streams.
     """
-    words = [seed & 0xFFFFFFFFFFFFFFFF]
+    values = [len(parts), seed]
     for part in parts:
-        if isinstance(part, int):
-            words.append(part & 0xFFFFFFFFFFFFFFFF)
-        else:
-            digest = hashlib.sha256(part.encode("utf-8")).digest()
-            words.append(int.from_bytes(digest[:8], "little"))
+        if isinstance(part, str):
+            part = int.from_bytes(hashlib.sha256(part.encode("utf-8")).digest()[:8], "little")
+        values.append(part)
+    # a uint32 array, which SeedSequence takes as is, where a list of Python ints
+    # is converted int by int at several times the cost
+    words = np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype="<u8").view("<u4")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
 
 

@@ -9,7 +9,8 @@ answer)`` with ``None`` marking absence, and "no net change" canonicalized
 to ``(None, None)`` so that silence is indistinguishable from stability.
 Entries randomize that pair through a column-stochastic rule and the
 collector inverts the rule to recover an unbiased estimate of the
-histogram change.
+histogram change. Releases draw and estimate from the optimal rule's two
+entries alone, never from a cells-by-cells matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .changelog import (
     Changelog,
     ConsistencyError,
     Mutation,
+    TimeRangeFilter,
     chains,
     id_ranks,
     read_columns,
@@ -86,23 +88,6 @@ def optimal_rule(size: int, epsilon: float) -> np.ndarray:
     return rule
 
 
-def optimal_rule_inverse(size: int, epsilon: float) -> np.ndarray:
-    """Closed-form inverse of ``optimal_rule`` (rank-one update of identity).
-
-    The rule is symmetric with eigenvalues 1 and ``p - q``, so its 2-norm
-    condition number is exactly ``1 / (p - q)``; like ``invert_rule``,
-    this refuses a rule whose condition number exceeds CONDITION_LIMIT.
-    """
-    p, q = _rule_entries(size, epsilon)
-    gap = p - q
-    condition = 1 / gap if gap > 0 else math.inf
-    if condition > CONDITION_LIMIT:
-        raise SingularMatrixError(
-            f"rule condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    return np.eye(size) / gap - np.full((size, size), q / gap)
-
-
 def _rule_entries(size: int, epsilon: float) -> tuple[float, float]:
     """Diagonal and off-diagonal entries of the optimal rule."""
     if size < 2:
@@ -111,6 +96,18 @@ def _rule_entries(size: int, epsilon: float) -> tuple[float, float]:
         raise InvalidEpsilonError(f"epsilon must be > 0, got {epsilon}")
     denom = size - 1 + math.exp(epsilon)
     return math.exp(epsilon) / denom, 1.0 / denom
+
+
+def _invertible_rule_entries(size: int, epsilon: float) -> tuple[float, float]:
+    """``_rule_entries``, refusing as ``invert_rule`` does a rule too ill-conditioned:
+    its eigenvalues are 1 and ``p - q``, so its condition number is ``1 / (p - q)``."""
+    p, q = _rule_entries(size, epsilon)
+    condition = 1 / (p - q) if p > q else math.inf
+    if condition > CONDITION_LIMIT:
+        raise SingularMatrixError(
+            f"rule condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        )
+    return p, q
 
 
 def verify_dp(rule: np.ndarray, epsilon: float) -> bool:
@@ -230,24 +227,12 @@ class HistogramEstimate:
 def estimate_from_counts(
     counts: np.ndarray, rule: np.ndarray, delta: np.ndarray
 ) -> HistogramEstimate:
-    """Unbiased histogram-change estimate from a response histogram."""
-    return _estimate(counts, delta @ invert_rule(rule))
+    """Unbiased histogram-change estimate from a response histogram, for any rule.
 
-
-def estimate_delta_v(
-    responses: Sequence[int] | np.ndarray, rule: np.ndarray, delta: np.ndarray
-) -> HistogramEstimate:
-    """Unbiased histogram-change estimate from per-entry response indices."""
-    counts = np.bincount(np.asarray(responses, dtype=int), minlength=rule.shape[0])
-    return estimate_from_counts(counts, rule, delta)
-
-
-def _estimate(counts: np.ndarray, transform: np.ndarray) -> HistogramEstimate:
-    """``T c`` and its covariance ``(T * c) T^T - v v^T / n``.
-
-    That equals ``n T (diag(o) - o o^T) T^T`` for ``o = c / n`` without
-    building the cells-by-cells inner matrix.
+    ``v = T c`` for ``T = delta @ invert_rule(rule)``; the covariance
+    ``(T * c) T^T - v v^T / n`` is ``n T (diag(o) - o o^T) T^T`` for ``o = c / n``.
     """
+    transform = delta @ invert_rule(rule)
     counts = np.asarray(counts, dtype=float)
     values = transform @ counts
     n = counts.sum()
@@ -259,57 +244,72 @@ def _estimate(counts: np.ndarray, transform: np.ndarray) -> HistogramEstimate:
     return HistogramEstimate(values, covariance, int(n))
 
 
+def estimate_delta_v(
+    responses: Sequence[int] | np.ndarray, rule: np.ndarray, delta: np.ndarray
+) -> HistogramEstimate:
+    """Unbiased histogram-change estimate from per-entry response indices."""
+    counts = np.bincount(np.asarray(responses, dtype=int), minlength=rule.shape[0])
+    return estimate_from_counts(counts, rule, delta)
+
+
+def _change_values(counts: np.ndarray, gap: float) -> np.ndarray:
+    """The optimal rule's estimate from the ``(z+1) x (z+1)`` counts ``C[prev, new]``.
+
+    The rule's inverse is ``I / gap - (q / gap) 1 1^T`` for ``gap = p - q`` and the rows
+    of ``delta_matrix()`` sum to zero, so ``delta @ inverse`` is ``delta / gap``.
+    """
+    return (counts.sum(axis=0) - counts.sum(axis=1))[:-1] / gap
+
+
+def _estimate(counts: np.ndarray, gap: float) -> HistogramEstimate:
+    """``estimate_from_counts`` for the optimal rule from the counts ``C[prev, new]``.
+
+    ``O(z^2)`` for ``z`` labels. With ``T = delta / gap``, ``(T * c) T^T`` is
+    ``S / gap^2``: ``S[a, a] = col_a + row_a - 2 C[a, a]`` counts the
+    entries that move label ``a``, and ``S[a, b] = -(C[a, b] + C[b, a])``.
+    """
+    values = _change_values(counts, gap)
+    n = counts.sum()
+    if n > 0:
+        moved = -(counts + counts.T)[:-1, :-1]
+        moved[np.diag_indices(len(values))] = (
+            counts.sum(axis=0) + counts.sum(axis=1) - 2 * counts.diagonal()
+        )[:-1]
+        covariance = moved / gap**2 - np.outer(values, values) / n
+    else:
+        covariance = np.zeros((len(values), len(values)))
+    return HistogramEstimate(values, covariance, int(n))
+
+
 def sample_responses(
     rng: np.random.Generator, true_cells: np.ndarray, rule: np.ndarray
 ) -> np.ndarray:
-    """One randomized response per entry, drawn from the rule's columns.
+    """One randomized response per entry, drawn from any rule's columns.
 
-    Entry ``e`` with true cell ``j`` draws from column ``j``; draws use
-    one uniform per entry from the given stream, in entry order. Each
-    call builds the rule's column CDFs, ``O(m^2)`` for ``m`` cells, and
-    then draws as ``_draw_responses``; a release builds them once.
+    Entry ``e`` with true cell ``j`` takes one uniform ``u``, in entry
+    order, and responds ``searchsorted(np.cumsum(rule, axis=0)[:, j], u,
+    side="right")``, the count of sums at or below ``u``, clamped to the
+    last cell. The releases draw through ``_draw_responses`` instead.
     """
-    return _draw_responses(rng, np.asarray(true_cells, dtype=int), _column_cdfs(rule))
-
-
-def _column_cdfs(rule: np.ndarray) -> np.ndarray:
-    """Row ``j`` is the cumulative sum of the rule's column ``j``.
-
-    The rows are contiguous, so a draw reads one in place. Each is
-    summed in order, so it equals ``np.cumsum(rule, axis=0)[:, j]``
-    bit for bit.
-    """
-    columns = np.asarray(rule, dtype=float).T
-    return np.cumsum(columns, axis=1, out=np.empty(columns.shape))
+    cdf = np.cumsum(rule, axis=0)
+    u = rng.random(len(true_cells))
+    drawn = np.count_nonzero(cdf[:, true_cells] <= u, axis=0)
+    return np.minimum(drawn, len(cdf) - 1)
 
 
 def _draw_responses(
-    rng: np.random.Generator, true_cells: np.ndarray, cdf: np.ndarray
+    rng: np.random.Generator, true_cells: np.ndarray, size: int, p: float, q: float
 ) -> np.ndarray:
-    """``sample_responses`` given the rule's column CDFs (``_column_cdfs``).
+    """One response per entry from the optimal rule over ``size`` cells, in ``O(n)``.
 
-    Takes one ``rng.random(n)`` for ``n`` entries. The entries are
-    sorted by cell once (stable), and each run of one cell ``j`` is one
-    ``searchsorted`` of its uniforms into ``cdf[j]``; a uniform at or
-    past a column's last CDF value, which round-off can leave below 1,
-    takes the last response. That is ``O(n log n + n log m)`` plus one
-    ``searchsorted`` call per distinct cell; a masked pass over all
-    ``n`` entries per distinct cell would cost ``O(n g)`` for ``g``
-    cells.
+    Entry ``e`` with true cell ``j`` takes one uniform ``u``, in entry order, and keeps
+    ``j`` if ``u < p``. Otherwise ``k = floor((u - p) / q)``, clamped to ``size - 2``
+    against round-off, picks ``k + (k >= j)``: each other cell with probability ``q``.
     """
     u = rng.random(len(true_cells))
-    order = np.argsort(true_cells, kind="stable")
-    cells, u = true_cells[order], u[order]
-    # bounds of the runs of one cell in the sorted cells, 0 and n included
-    edges = np.ones(len(cells) + 1, dtype=bool)
-    edges[1:-1] = cells[1:] != cells[:-1]
-    bounds = np.flatnonzero(edges).tolist()
-    drawn = np.empty(len(cells), dtype=int)
-    for lo, hi in zip(bounds, bounds[1:]):
-        drawn[lo:hi] = cdf[cells[lo]].searchsorted(u[lo:hi], side="right")
-    out = np.empty_like(drawn)
-    out[order] = drawn
-    return np.minimum(out, cdf.shape[1] - 1, out=out)
+    other = np.minimum(np.maximum(u - p, 0.0) / q, size - 2).astype(np.int64)
+    other += other >= true_cells
+    return np.where(u < p, true_cells, other)
 
 
 def answer_changelog(answers: Iterable[tuple[int, str, float | None]]) -> Changelog:
@@ -415,14 +415,13 @@ def rr_dcr(
     Every entry responds once per interval, including a randomized
     ``(None, None)`` when nothing changed, so response timing reveals
     nothing. Summing the estimates up to ``t`` estimates the histogram
-    at ``t`` relative to the release start.
+    at ``t`` relative to the release start. Round ``i`` over ``n`` entries
+    takes uniforms ``[i n, (i + 1) n)`` of ``named_stream(seed, "rr-dcr")``.
     """
     survey = _window_survey(log, space, epsilon)
     windows = schedule.filters()
-    return [
-        RrRecord(window.end, survey(rows, named_stream(seed, "rr-dcr", i)))
-        for i, (window, rows) in enumerate(zip(windows, log.rows(windows)))
-    ]
+    estimates = survey(windows, named_stream(seed, "rr-dcr"))
+    return [RrRecord(window.end, estimate) for window, estimate in zip(windows, estimates)]
 
 
 def rr_hdcr(
@@ -437,14 +436,15 @@ def rr_hdcr(
     Every node collects one response per entry over its own interval and
     holds a histogram-change estimate; the estimate at each bottom-layer
     endpoint sums the node cover of the prefix range, so its variance
-    follows the cover size instead of the elapsed time.
+    follows the cover size instead of the elapsed time. Node
+    ``(layer, index)`` over ``n`` entries takes uniforms
+    ``[index n, (index + 1) n)`` of ``named_stream(seed, "rr-hdcr", layer)``.
     """
     check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
-    nodes = node_table(params, lambda layer, windows: [
-        survey(rows, named_stream(seed, "rr-hdcr", layer, index))
-        for index, rows in enumerate(log.rows(windows))
-    ])
+    nodes = node_table(
+        params, lambda layer, windows: survey(windows, named_stream(seed, "rr-hdcr", layer))
+    )
 
     records, entries = [], len(log.ids)
     for j in range(1, params.grid_size() + 1):
@@ -458,38 +458,36 @@ def rr_hdcr(
 
 def _window_survey(
     log: Changelog, space: ResponseSpace, epsilon: float
-) -> Callable[[slice, np.random.Generator], HistogramEstimate]:
-    """One survey round per window: net cells, responses in entry-id order, estimate.
+) -> Callable[[list[TimeRangeFilter], np.random.Generator], list[HistogramEstimate]]:
+    """One survey round per window, in order: net cells, responses in entry-id order, estimate.
 
     A round reads its window's row slice (``Changelog.rows``). An entry's
     cell is the net change of its mutations there: the first one's
-    previous answer and the last one's new answer. An entry without one
-    takes the no-change cell. The estimator's ``delta @ inverse`` map,
-    from the closed-form inverse of the optimal rule, and the rule's
-    column CDFs are built once per release, ``O(m^2)`` for ``m`` cells;
-    entries take their place from the log's id ranks. A round over
-    ``r`` rows and ``n`` entries then costs ``O(r log r)`` for the net
-    cells, ``O(n log n + n log m)`` plus one ``searchsorted`` call per
-    distinct cell for the draws, and ``O(z^2 m)`` for the estimate of
-    ``z`` labels.
+    previous answer and the last one's new answer, both ends of its run
+    in one stable argsort (``chains``). An entry without one takes the
+    no-change cell. Entries take their place from the log's id ranks and
+    read the next ``n`` uniforms of the given stream. A round over ``r``
+    rows, ``n`` entries and ``z`` labels costs ``O(r log r + n + z^2)``.
     """
     mspace = AnswerMutationSpace(space)
-    transform = mspace.delta_matrix() @ optimal_rule_inverse(mspace.size, epsilon)
-    # built after the transform, so the inverse's temporaries are freed by then
-    cdf = _column_cdfs(optimal_rule(mspace.size, epsilon))
+    p, q = _invertible_rule_entries(mspace.size, epsilon)
     position = log.ranks
 
-    def survey(rows: slice, rng: np.random.Generator) -> HistogramEstimate:
-        cells = np.full(len(position), mspace.size - 1)
-        if rows.start < rows.stop:
-            codes = log.codes[rows]
-            entries, first = np.unique(codes, return_index=True)
-            last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
-            cells[position[entries]] = mspace.code_cells(
-                log.prev[rows][first], log.has_prev[rows][first],
-                log.new[rows][last], log.has_new[rows][last],
-            )
-        responses = _draw_responses(rng, cells, cdf)
-        return _estimate(np.bincount(responses, minlength=mspace.size), transform)
+    def survey(windows: list[TimeRangeFilter], rng: np.random.Generator) -> list[HistogramEstimate]:
+        estimates = []
+        for rows in log.rows(windows):
+            cells = np.full(len(position), mspace.size - 1)
+            if rows.start < rows.stop:
+                codes = log.codes[rows]
+                chain, starts = chains(codes)
+                first, last = chain[starts], chain[np.append(starts[1:], True)]
+                cells[position[codes[first]]] = mspace.code_cells(
+                    log.prev[rows][first], log.has_prev[rows][first],
+                    log.new[rows][last], log.has_new[rows][last],
+                )
+            responses = _draw_responses(rng, cells, mspace.size, p, q)
+            counts = np.bincount(responses, minlength=mspace.size).reshape(len(mspace.alphabet), -1)
+            estimates.append(_estimate(counts, p - q))
+        return estimates
 
     return survey

@@ -32,9 +32,12 @@ from .mechanisms import LinearQuerySpec, NoiseSpec, linear_query_change, sensiti
 from .randomized_response import (
     AnswerMutationSpace,
     ResponseSpace,
+    _change_values,
+    _draw_responses,
+    _estimate,
+    _invertible_rule_entries,
+    estimate_from_counts,
     optimal_rule,
-    optimal_rule_inverse,
-    sample_responses,
     verify_dp,
 )
 
@@ -295,7 +298,7 @@ def check_response_rule(trials: int, seed: int) -> list[OracleReport]:
 
     rule = optimal_rule(4, 1.0)
     rng = np.random.default_rng(seed)
-    draws = sample_responses(rng, np.zeros(trials, dtype=int), rule)
+    draws = _draw_responses(rng, np.zeros(trials, dtype=int), 4, *_invertible_rule_entries(4, 1.0))
     freq = np.bincount(draws, minlength=4) / trials
     stderr = np.sqrt(rule[:, 0] * (1 - rule[:, 0]) / trials)
     freq_ok = bool(np.all(np.abs(freq - rule[:, 0]) <= 3.5 * stderr))
@@ -304,13 +307,34 @@ def check_response_rule(trials: int, seed: int) -> list[OracleReport]:
                 "within 3.5 binomial stderr", f"max dev {np.abs(freq - rule[:, 0]).max():.4g}",
                 freq_ok)
     )
-
-    inv_err = float(np.abs(np.linalg.inv(rule) - optimal_rule_inverse(4, 1.0)).max())
-    reports.append(
-        _report("rule-inverse-closed-form", "size 4, eps 1",
-                "<= 1e-10", f"{inv_err:.2e}", inv_err <= 1e-10)
-    )
+    reports.append(_check_estimator_closed_form(seed))
     return reports
+
+
+def _check_estimator_closed_form(seed: int) -> OracleReport:
+    """The releases' closed-form estimate against ``estimate_from_counts``, which maps
+    through ``delta @ invert_rule(optimal_rule)``.
+
+    Deviations are measured in standard deviations for the values and
+    relative to the largest covariance entry for the covariance.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for labels in (2, 3):
+        mspace = AnswerMutationSpace(ResponseSpace(tuple("abc"[:labels])))
+        for epsilon in (0.5, 1.0, 4.0):
+            counts = rng.integers(0, 1000, size=mspace.size)
+            p, q = _invertible_rule_entries(mspace.size, epsilon)
+            got = _estimate(counts.reshape(labels + 1, -1), p - q)
+            want = estimate_from_counts(
+                counts, optimal_rule(mspace.size, epsilon), mspace.delta_matrix()
+            )
+            sd = np.sqrt(np.diag(want.covariance))
+            cov_scale = np.abs(want.covariance).max()
+            worst = max(worst, float(np.max(np.abs(got.values - want.values) / sd)),
+                        float(np.abs(got.covariance - want.covariance).max() / cov_scale))
+    return _report("estimator-closed-form", "labels {2,3} x eps {0.5,1,4}, random counts",
+                   "<= 1e-9", f"{worst:.2e}", worst <= 1e-9)
 
 
 def _random_changelog(rng: np.random.Generator, entries: int, horizon: int) -> Changelog:
@@ -381,18 +405,18 @@ def check_aggregate_exactness(seed: int) -> list[OracleReport]:
 def check_estimator_unbiasedness(trials: int, seed: int) -> list[OracleReport]:
     """Monte Carlo mean of the histogram-change estimator hits the truth.
 
-    Each trial estimates through ``delta @ optimal_rule_inverse``, built
-    once, as the randomized-response releases do.
+    Each trial draws and estimates as the randomized-response releases
+    do (``_draw_responses``, ``_change_values``).
     """
     space = ResponseSpace(("a", "b"))
     mspace = AnswerMutationSpace(space)
-    rule = optimal_rule(mspace.size, 1.0)
-    transform = mspace.delta_matrix() @ optimal_rule_inverse(mspace.size, 1.0)
+    p, q = _invertible_rule_entries(mspace.size, 1.0)
     true_cells = np.array([mspace.index("a", "b")] * 5 + [mspace.index(None, None)] * 15)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        responses = sample_responses(rng, true_cells, rule)
-        return transform @ np.bincount(responses, minlength=mspace.size)
+        responses = _draw_responses(rng, true_cells, mspace.size, p, q)
+        counts = np.bincount(responses, minlength=mspace.size)
+        return _change_values(counts.reshape(len(mspace.alphabet), -1), p - q)
 
     mc = oracles.monte_carlo("mean", sampler, trials, seed)
     truth = np.array([-5.0, 5.0])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -132,3 +133,10 @@ class TestNamedStream:
 
     def test_negative_parts_allowed(self):
         assert 0 <= named_stream(-5, -2).random() < 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_a_trailing_zero_part_names_another_stream(self, seed):
+        # SeedSequence pads short entropy with zero words, which used to merge these
+        a = named_stream(seed, "dcr").random(4)
+        b = named_stream(seed, "dcr", 0).random(4)
+        assert not np.array_equal(a, b)

@@ -1,8 +1,9 @@
 import json
 import math
-from typing import Callable
+import tracemalloc
 
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,7 +27,6 @@ from dpcr.randomized_response import (
     load_answer_log,
     net_mutation,
     optimal_rule,
-    optimal_rule_inverse,
     rr_dcr,
     rr_hdcr,
     sample_responses,
@@ -83,23 +83,31 @@ class TestOptimalRule:
             assert np.allclose(rule.sum(axis=0), 1.0, atol=1e-12)
 
     def test_closed_form_inverse(self):
-        for size, eps in ((2, 0.5), (9, 1.0), (16, 2.0)):
-            rule = optimal_rule(size, eps)
-            assert np.allclose(
-                np.linalg.inv(rule), optimal_rule_inverse(size, eps), atol=1e-10
-            )
+        # delta @ inverse is delta / (p - q): the releases' estimate equals the
+        # dense-inverse one on the same random counts
+        rng = np.random.default_rng(3)
+        for labels in (2, 3, 26):
+            mspace = AnswerMutationSpace(ResponseSpace(tuple(f"l{i}" for i in range(labels))))
+            for epsilon in (0.5, 1.0, 4.0):
+                rule = optimal_rule(mspace.size, epsilon)
+                counts = rng.integers(0, 400, size=mspace.size)
+                got = rr._estimate(counts.reshape(labels + 1, -1), rule[0, 0] - rule[1, 0])
+                _assert_same_estimate(got, dense_estimate(counts, rule, mspace.delta_matrix()))
 
     @pytest.mark.parametrize("epsilon,refused", [(1e-14, True), (1e-6, False)])
     def test_closed_form_refuses_where_invert_rule_refuses(self, epsilon, refused):
         # the optimal rule's 2-norm condition number is exactly 1 / (p - q)
-        rule = optimal_rule(16, epsilon)
+        space = ResponseSpace(("a", "b", "c"))
+        log = answer_log({"e": ((1, "a"),)}, space)
+        rule = optimal_rule(AnswerMutationSpace(space).size, epsilon)
+        assert rule.shape == (16, 16)
         if refused:
             with pytest.raises(SingularMatrixError):
-                optimal_rule_inverse(16, epsilon)
+                rr_dcr(log, space, ReleaseSchedule((2,)), epsilon, seed=1)
             with pytest.raises(SingularMatrixError):
                 invert_rule(rule)
         else:
-            assert np.allclose(optimal_rule_inverse(16, epsilon) @ rule, np.eye(16), atol=1e-6)
+            rr_dcr(log, space, ReleaseSchedule((2,)), epsilon, seed=1)
             invert_rule(rule)
 
 
@@ -377,9 +385,9 @@ def test_survey_cells_equal_snapshot_cells(tmp_path, monkeypatch, seed):
 
     draw = rr._draw_responses
 
-    def recording(rng, true_cells, cdf):
+    def recording(rng, true_cells, *rule):
         drawn.append(np.asarray(true_cells).tolist())
-        return draw(rng, true_cells, cdf)
+        return draw(rng, true_cells, *rule)
 
     monkeypatch.setattr(rr, "_draw_responses", recording)
     schedule = ReleaseSchedule((0, 3, 4, 9, 16))
@@ -401,12 +409,14 @@ class TestRrDcr:
         records = rr_dcr(log, SPACE, schedule, epsilon=1.0, seed=21)
         mspace = AnswerMutationSpace(SPACE)
         rule = optimal_rule(mspace.size, 1.0)
-        rng = named_stream(21, "rr-dcr", 0)
-        cells = np.array([mspace.index(None, "r2")])
-        expected = estimate_delta_v(
-            sample_responses(rng, cells, rule), rule, mspace.delta_matrix()
+        u = named_stream(21, "rr-dcr").random(1)
+        responses = reference_optimal_draws(u, [mspace.index(None, "r2")], rule)
+        values, covariance = dense_estimate(
+            np.bincount(responses, minlength=mspace.size), rule, mspace.delta_matrix()
         )
-        assert np.allclose(records[0].estimate.values, expected.values)
+        # one entry has zero plug-in variance, so the values compare by relative error
+        assert np.allclose(records[0].estimate.values, values, rtol=1e-12, atol=0.0)
+        assert np.allclose(records[0].estimate.covariance, covariance, rtol=0.0, atol=1e-12)
 
     def test_static_population_centers_on_zero(self):
         log = answer_log({f"e{i}": ((0, "r1"),) for i in range(40)})
@@ -461,24 +471,51 @@ def _survey_log(space: ResponseSpace, entries: int) -> Changelog:
     return answer_log(timelines, space)
 
 
-def _caller_rule_estimate(log, space, window, rng, epsilon) -> HistogramEstimate:
-    """The estimate of one survey round through the caller-supplied-rule path."""
+def dense_estimate(counts, rule: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference values and covariance through the dense ``T = delta @ inv(rule)``:
+    ``T c`` and ``n T (diag(o) - o o^T) T^T`` for the frequencies ``o = c / n``."""
+    counts = np.asarray(counts, dtype=float)
+    n = counts.sum()
+    transform = delta @ np.linalg.inv(rule)
+    freqs = counts / n
+    covariance = n * transform @ (np.diag(freqs) - np.outer(freqs, freqs)) @ transform.T
+    return transform @ counts, covariance
+
+
+def reference_optimal_draws(u, true_cells, rule: np.ndarray) -> np.ndarray:
+    """Entry by entry: keep the true cell for a uniform below the diagonal entry ``p``;
+    otherwise take the ``k``-th of the other cells, ``k = floor((u - p) / q)`` clamped
+    to the last of them."""
+    m = len(rule)
+    p, q = rule[0, 0], rule[1, 0]
+    draws = []
+    for x, j in zip(np.asarray(u).tolist(), true_cells):
+        k = min(math.floor((x - p) / q), m - 2) if x >= p else None
+        draws.append(j if k is None else k + (k >= j))
+    return np.array(draws, dtype=int)
+
+
+def _round_reference(log, space, window, u, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """The dense estimate of one survey round's responses, drawn entry by entry from
+    the round's uniforms ``u``."""
     mspace = AnswerMutationSpace(space)
     rule = optimal_rule(mspace.size, epsilon)
-    cells = _snapshot_cells(log, space, window)
-    counts = np.bincount(sample_responses(rng, cells, rule), minlength=mspace.size)
-    return estimate_from_counts(counts, rule, mspace.delta_matrix())
+    responses = reference_optimal_draws(u, _snapshot_cells(log, space, window), rule)
+    counts = np.bincount(responses, minlength=mspace.size)
+    return dense_estimate(counts, rule, mspace.delta_matrix())
 
 
-def _assert_same_estimate(got: HistogramEstimate, want: HistogramEstimate) -> None:
-    sd = np.sqrt(np.diag(want.covariance))
-    assert np.all(np.abs(got.values - want.values) <= 1e-9 * sd)
-    assert np.abs(got.covariance - want.covariance).max() <= 1e-9 * np.abs(want.covariance).max()
+def _assert_same_estimate(got: HistogramEstimate, want: tuple[np.ndarray, np.ndarray]) -> None:
+    values, covariance = want
+    sd = np.sqrt(np.diag(covariance))
+    assert np.all(np.abs(got.values - values) <= 1e-9 * sd)
+    assert np.abs(got.covariance - covariance).max() <= 1e-9 * np.abs(covariance).max()
 
 
 @pytest.mark.parametrize("labels", [2, 26], ids=["rule-9", "rule-729"])
 class TestPrecomputedEstimator:
-    """The once-per-release closed-form estimator matches the per-call path.
+    """The releases' closed-form estimates equal a dense ``delta @ inv(rule)`` estimate
+    of the same responses, drawn from the documented stream positions.
 
     400 entries make every label's variance clearly positive even over
     729 response cells, so the tolerance scales with a real deviation.
@@ -489,10 +526,10 @@ class TestPrecomputedEstimator:
         log = _survey_log(space, 400)
         schedule = ReleaseSchedule((3, 8))
         records = rr_dcr(log, space, schedule, epsilon=1.0, seed=5)
+        n = len(log.ids)
+        u = named_stream(5, "rr-dcr").random(2 * n)
         for i, (record, window) in enumerate(zip(records, schedule.filters())):
-            want = _caller_rule_estimate(
-                log, space, window, named_stream(5, "rr-dcr", i), 1.0
-            )
+            want = _round_reference(log, space, window, u[i * n:(i + 1) * n], 1.0)
             _assert_same_estimate(record.estimate, want)
 
     def test_rr_hdcr(self, labels):
@@ -502,12 +539,39 @@ class TestPrecomputedEstimator:
         records = rr_hdcr(log, space, params, 1.0, seed=5)
         # grid prefixes (0, 1] and (0, 2] are single nodes: bottom node 0, then the top node
         assert [r.node_count for r in records] == [1, 1]
-        for record, (layer, index) in zip(records, [(0, 0), (1, 0)]):
-            want = _caller_rule_estimate(
-                log, space, params.node_filter(layer, index),
-                named_stream(5, "rr-hdcr", layer, index), 1.0,
-            )
+        for record, layer in zip(records, [0, 1]):
+            u = named_stream(5, "rr-hdcr", layer).random(len(log.ids))
+            want = _round_reference(log, space, params.node_filter(layer, 0), u, 1.0)
             _assert_same_estimate(record.estimate, want)
+
+
+def test_extending_a_schedule_or_span_keeps_earlier_rounds():
+    space = ResponseSpace(("a", "b", "c"))
+    log = _survey_log(space, 200)
+    dcr = [rr_dcr(log, space, ReleaseSchedule(ticks), 1.0, seed=4)
+           for ticks in ((2, 4), (2, 4, 6, 8))]
+    hdcr = [rr_hdcr(log, space, HdcrParams(3, 2, 0, span, 1), 1.0, seed=4) for span in (4, 8)]
+    for short, long in (dcr, hdcr):
+        assert len(long) == 2 * len(short)
+        for a, b in zip(short, long):
+            assert (a.time, a.node_count) == (b.time, b.node_count)
+            assert np.array_equal(a.estimate.values, b.estimate.values)
+            assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
+
+
+def test_rr_hdcr_memory_is_linear_in_cells():
+    # 200 labels make 40,401 cells: one cells x cells float array would take 13 GB
+    space = ResponseSpace(tuple(f"l{i:03d}" for i in range(200)))
+    log = _survey_log(space, 2000)
+    params = HdcrParams(height=3, branching=2, start=0, span=8, interval=2)
+    tracemalloc.start()
+    try:
+        records = rr_hdcr(log, space, params, 1.0, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4
+    assert peak < 64 * 2**20
 
 
 class TestRrHdcr:
@@ -615,24 +679,21 @@ def cell_arrays(m: int) -> st.SearchStrategy[list[int]]:
 
 
 class TestGroupedDraw:
-    """The grouped draw equals a per-entry ``searchsorted`` reference, draw for draw."""
+    """``sample_responses``, the generic-rule draw, equals a per-entry ``searchsorted``
+    reference, draw for draw."""
 
     @given(st.data())
     def test_equals_per_entry_reference_on_a_stub_stream(self, data):
         rule = data.draw(column_stochastic_rules())
-        cdf = rr._column_cdfs(rule)
-        assert cdf.flags.c_contiguous
-        assert np.cumsum(rule, axis=0).T.tobytes() == cdf.tobytes()
         cells = np.array(data.draw(cell_arrays(len(rule))), dtype=int)
-        u = data.draw(st.lists(uniforms(cdf), min_size=len(cells), max_size=len(cells)))
+        u = data.draw(st.lists(uniforms(np.cumsum(rule, axis=0)),
+                               min_size=len(cells), max_size=len(cells)))
         want = reference_draws(np.array(u), cells, rule)
-        for draw in (lambda rng: sample_responses(rng, cells, rule),
-                     lambda rng: rr._draw_responses(rng, cells, cdf)):
-            stream = StubStream(u)
-            got = draw(stream)
-            assert stream.calls == [len(cells)]
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        stream = StubStream(u)
+        got = sample_responses(stream, cells, rule)
+        assert stream.calls == [len(cells)]
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     @given(column_stochastic_rules(), st.data(), st.integers(0, 2**32 - 1))
     def test_equals_per_entry_reference_on_a_generator(self, rule, data, seed):
@@ -650,39 +711,53 @@ class TestGroupedDraw:
         assert sample_responses(StubStream(u), cells, rule).tolist() == [9, 9, 5, 0]
 
 
-def masked_loop_draw(rule: np.ndarray) -> Callable:
-    """The draw as one masked pass over all entries per distinct cell, over ``rule``'s
-    own cumulative sum (the passed CDF is ignored)."""
-    cdf = np.cumsum(rule, axis=0)
-
-    def draw(rng, true_cells, _cdf):
-        u = rng.random(true_cells.shape[0])
-        out = np.empty(true_cells.shape[0], dtype=int)
-        for j in np.unique(true_cells):
-            mask = true_cells == j
-            out[mask] = np.searchsorted(cdf[:, j], u[mask], side="right")
-        return np.minimum(out, rule.shape[0] - 1)
-
-    return draw
+# at 3.35 the uniform just below 1 gives floor((u - p) / q) = m - 1 for the 9, 16 and
+# 729 cells of 2, 3 and 26 labels, so the draw's clamp to the last other cell is hit
+CLAMP_EPSILON = 3.35
 
 
-@pytest.mark.parametrize("labels", [2, 3, 26])
-def test_releases_equal_masked_loop_survey(monkeypatch, labels):
-    """rr_dcr and rr_hdcr release exactly what a survey drawing by masked loops does."""
-    space = ResponseSpace(tuple(chr(ord("a") + i) for i in range(labels)))
-    log = _survey_log(space, 400)
-    schedule = ReleaseSchedule((2, 3, 5, 8))
-    params = HdcrParams(height=3, branching=2, start=0, span=8, interval=2)
+class TestOptimalDraw:
+    """The releases' draw from the optimal rule's two entries (``_draw_responses``)."""
 
-    def release() -> list:
-        return rr_dcr(log, space, schedule, 1.5, seed=9) + rr_hdcr(log, space, params, 1.5, seed=9)
+    @given(st.sampled_from([2, 3, 26]), st.floats(0.05, 12.0), st.data())
+    def test_equals_per_entry_reference_on_a_stub_stream(self, labels, epsilon, data):
+        m = (labels + 1) ** 2
+        rule = optimal_rule(m, epsilon)
+        p, q = rule[0, 0], rule[1, 0]
+        cells = np.array(data.draw(cell_arrays(m)), dtype=int)
+        edges = [p + k * q for k in range(min(m, 40))] + [p, np.nextafter(p, 0.0), 0.0]
+        special = st.sampled_from([x for x in edges if x < 1.0] + [np.nextafter(1.0, 0.0)])
+        u = data.draw(st.lists(st.one_of(special, st.floats(0.0, 1.0, exclude_max=True)),
+                               min_size=len(cells), max_size=len(cells)))
+        stream = StubStream(u)
+        got = rr._draw_responses(stream, cells, m, p, q)
+        assert stream.calls == [len(cells)]
+        assert np.array_equal(got, reference_optimal_draws(u, cells, rule))
 
-    got = release()
-    rule = optimal_rule(AnswerMutationSpace(space).size, 1.5)
-    monkeypatch.setattr(rr, "_draw_responses", masked_loop_draw(rule))
-    want = release()
-    assert len(got) == len(want) == 8
-    for a, b in zip(got, want):
-        assert (a.time, a.node_count) == (b.time, b.node_count)
-        assert np.array_equal(a.estimate.values, b.estimate.values)
-        assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
+    @pytest.mark.parametrize("labels", [2, 3, 26])
+    def test_uniform_just_below_one_takes_the_last_other_cell(self, labels):
+        m = (labels + 1) ** 2
+        p, q = rr._rule_entries(m, CLAMP_EPSILON)
+        top = np.nextafter(1.0, 0.0)
+        assert math.floor((top - p) / q) == m - 1  # past the other cells: the clamp applies
+        cells = np.array([0, m - 2, m - 1])
+        got = rr._draw_responses(StubStream([top] * 3), cells, m, p, q)
+        assert got.tolist() == [m - 1, m - 1, m - 2]
+
+    @pytest.mark.parametrize("epsilon", [1.0, CLAMP_EPSILON])
+    @pytest.mark.parametrize("labels", [2, 3, 26])
+    def test_frequencies_per_column(self, labels, epsilon):
+        """A chi-square test of every column's response counts against ``p`` on the
+        diagonal and ``q`` elsewhere, with at least 5 expected draws per cell."""
+        m = (labels + 1) ** 2
+        rule = optimal_rule(m, epsilon)
+        per_column = max(2000, math.ceil(8 / rule[1, 0]))
+        cells = np.repeat(np.arange(m), per_column)
+        rng = np.random.default_rng(labels)
+        drawn = rr._draw_responses(rng, cells, m, *rr._rule_entries(m, epsilon))
+        counts = np.bincount(cells * m + drawn, minlength=m * m).reshape(m, m)
+        expected = per_column * rule.T  # row j: the expected counts of column j
+        chi2 = ((counts - expected) ** 2 / expected).sum(axis=1)
+        smallest = min(float(mpmath.gammainc((m - 1) / 2, x / 2, mpmath.inf, regularized=True))
+                       for x in chi2)
+        assert smallest > 1e-6
