@@ -17,7 +17,6 @@ from .accounting import (
     PrivacyLoss,
     ReleaseSchedule,
     SwcrParams,
-    affected_query_count,
     compose_fold,
     dcr_folds,
     hdcr_folds,

@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 from .changelog import (
     AtMostK,
     Hybrid,
-    Mutation,
     MutationConstraint,
     NEG_INF,
     TimeBounded,
@@ -301,11 +300,3 @@ def local_folds(global_folds: int) -> int:
         raise ValueError(f"fold count must be >= 0, got {global_folds}")
     return 2 * global_folds
 
-
-def affected_query_count(
-    entry_muts: Sequence[Mutation], filters: Sequence[TimeRangeFilter]
-) -> int:
-    """How many filters accept at least one of the entry's mutations."""
-    return sum(
-        1 for f in filters if any(f.accepts(m.time) for m in entry_muts)
-    )

@@ -106,9 +106,6 @@ class TimeRangeFilter:
         if not self.start < self.end:
             raise ValueError(f"empty time range ({self.start}, {self.end}]")
 
-    def accepts(self, time: int) -> bool:
-        return self.start < time <= self.end
-
 
 @dataclass(frozen=True)
 class AtMostK:
@@ -417,29 +414,12 @@ def without_entry(log: Changelog, entry_id: str) -> Changelog:
     return Changelog(m for m in log if m.entry_id != entry_id)
 
 
-def entry_satisfies(chain: tuple[Mutation, ...], constraint: MutationConstraint) -> bool:
-    """Whether one entry's mutation chain satisfies a constraint.
-
-    AtMostK counts every mutation (insertion and deletion included);
-    TimeBounded measures last mutation time minus insertion time.
-    An empty chain passes vacuously.
-    """
-    if not chain:
-        return True
-    if isinstance(constraint, AtMostK):
-        return len(chain) <= constraint.k
-    if isinstance(constraint, TimeBounded):
-        return chain[-1].time - chain[0].time <= constraint.bound
-    if isinstance(constraint, Hybrid):
-        return any(entry_satisfies(chain, b) for b in constraint.branches)
-    raise TypeError(f"unknown constraint {constraint!r}")
-
-
 def validate_constraint(log: Changelog, constraint: MutationConstraint) -> np.ndarray:
     """Per-entry verdicts for a mutation constraint, a ``bool`` array aligned with ``log.ids``.
 
     Computed from the columns, by each entry's mutation count and its
-    first and last times; ``entry_satisfies`` is the per-chain rule.
+    first and last times: ``AtMostK`` counts insertions and deletions too,
+    and ``TimeBounded`` measures the last time minus the insertion time.
     """
     counts = np.bincount(log.codes, minlength=len(log.ids))
     chain, starts = chains(log.codes)

@@ -41,12 +41,11 @@ from .changelog import (
     AtMostK,
     Changelog,
     Hybrid,
-    Mutation,
     MutationConstraint,
     TimeBounded,
     dump_changelog,
-    entry_satisfies,
     load_changelog,
+    to_columns,
     validate_constraint,
 )
 from .engines import (
@@ -394,15 +393,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = args.out or _get(cfg, "output.path", str)
     labels = _get(cfg, "generator.labels", list, default=[])
     space = _space_from_config(cfg, "generator.labels") if labels else None
-    muts = generate_log(cfg, seed, space)
+    log = generate_log(cfg, seed, space)
     try:
         if space is None:
-            dump_changelog(Changelog(muts), out)
+            dump_changelog(log, out)
         else:
-            dump_answer_log(muts, space, out)
+            dump_answer_log(log, space, out)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
-    print(f"wrote {len(muts)} {'answer records' if space else 'mutations'} to {out}")
+    print(f"wrote {len(log)} {'answer records' if space else 'mutations'} to {out}")
     return 0
 
 
@@ -444,13 +443,14 @@ def _mutation_times(
     return times
 
 
-def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> list[Mutation]:
-    """Synthesize mutations under the declared constraint, sorted by ``(time, entry)``.
+def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> Changelog:
+    """Synthesize a log under the declared constraint, sorted by ``(time, entry)``.
 
     With a response space the values are answer-log label codes, each
     answer differing from the one before; without one they are drawn
     from ``generator.value_range`` and rounded to 6 decimals. Only the
-    stream name and the value draws differ between the two kinds.
+    stream name and the value draws differ between the two kinds. Every
+    entry is checked against the constraint.
     """
     entries, horizon, constraint, rate = _generator_params(cfg)
     if space is None:
@@ -474,26 +474,26 @@ def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> list[M
             other = int(rng.integers(0, space.size - 1))  # an index among the other labels
             return float(other + (other >= value))
 
-    muts: list[Mutation] = []
+    rows: list[tuple[int, str, float | None, float | None]] = []
     for i in range(entries):
         rng = named_stream(seed, stream, i)
         eid = f"e{i:06d}"
         times = _mutation_times(
             rng, int(rng.integers(0, horizon)), horizon, _pick_branch(constraint, rng), rate
         )
-        chain, value = [], None
+        value = None
         for t in times:
             new_value = draw(rng, value)
-            chain.append(Mutation(t, eid, value, new_value))
+            rows.append((t, eid, value, new_value))
             value = new_value
-        if len(chain) > 1 and rng.random() < 0.25 * rate:
-            tail = chain.pop()
-            chain.append(Mutation(tail.time, eid, tail.prev_value, None))
-        if not entry_satisfies(tuple(chain), constraint):
-            raise AssertionError(f"generator produced constraint-violating entry {eid!r}")
-        muts.extend(chain)
-    muts.sort(key=lambda m: (m.time, m.entry_id))
-    return muts
+        if len(times) > 1 and rng.random() < 0.25 * rate:
+            t, _, prev, _ = rows.pop()
+            rows.append((t, eid, prev, None))
+    rows.sort(key=lambda row: row[:2])
+    log = Changelog.from_columns(*to_columns(rows))
+    if not validate_constraint(log, constraint).all():
+        raise AssertionError("generator produced a constraint-violating entry")
+    return log
 
 
 # -- run ----------------------------------------------------------------------

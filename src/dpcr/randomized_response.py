@@ -374,12 +374,12 @@ def answer_rules(space: ResponseSpace) -> tuple[Callable, Callable]:
     return record, values
 
 
-def dump_answer_log(log: Iterable[Mutation], space: ResponseSpace, path: str | Path) -> None:
-    """Write sorted answer mutations in the JSON Lines answer-log format."""
+def dump_answer_log(log: Changelog, space: ResponseSpace, path: str | Path) -> None:
+    """Write an answer changelog in the JSON Lines answer-log format."""
     with open(path, "w", encoding="utf-8") as fh:
-        for m in log:
-            answer = None if m.new_value is None else space.labels[int(m.new_value)]
-            fh.write(json.dumps({"entry": m.entry_id, "t": m.time, "answer": answer}))
+        for t, entry, _, new in log._records(slice(None)):
+            answer = None if new is None else space.labels[int(new)]
+            fh.write(json.dumps({"entry": entry, "t": t, "answer": answer}))
             fh.write("\n")
 
 

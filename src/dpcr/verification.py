@@ -21,8 +21,8 @@ from .accounting import (
     ReleaseSchedule,
     SwcrParams,
     TimeBounded,
-    affected_query_count,
     dcr_folds,
+    hdcr_folds,
     most_span,
     swcr_folds,
 )
@@ -175,12 +175,31 @@ def _entry_chain(times: list[int]) -> list[Mutation]:
     return chain
 
 
+def _random_entry(
+    rng: np.random.Generator, insertion: int, reach: int, max_bound: int
+) -> tuple[list[Mutation], AtMostK | TimeBounded]:
+    """A probe entry from ``insertion`` meeting its random constraint: at most ``k``
+    mutations within ``reach`` ticks, or a bound up to ``max_bound`` reached exactly."""
+    if rng.random() < 0.5:
+        k = int(rng.integers(1, 6))
+        offsets = np.unique(rng.integers(0, reach + 1, size=k))
+        constraint: AtMostK | TimeBounded = AtMostK(k)
+    else:
+        b = int(rng.integers(0, max_bound + 1))
+        n_muts = int(rng.integers(1, 6))
+        offsets = np.unique(np.append(rng.integers(0, b + 1, size=n_muts), [0, b]))
+        constraint = TimeBounded(b)
+    return _entry_chain([insertion + int(o) for o in offsets]), constraint
+
+
 def check_dominance(instances: int, seed: int) -> list[OracleReport]:
     """Affected-query counts never exceed the accounted fold counts.
 
     Random schedules are uniform or not, may have a single endpoint, and
     draw time bounds up to past the schedule span; packed adversarial
-    entries must achieve equality for uniform disjoint schedules.
+    entries must achieve equality for uniform disjoint schedules. About
+    a tenth as many random hierarchies follow, each counted over the
+    release's own node windows (``HdcrParams.node_filter``).
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -214,7 +233,7 @@ def check_dominance(instances: int, seed: int) -> list[OracleReport]:
         )
     )
 
-    dcr_bad = swcr_bad = disagreements = 0
+    dcr_bad = swcr_bad = 0
     for _ in range(instances):
         interval = int(rng.integers(1, 8))
         count = int(rng.integers(1, 20))
@@ -226,30 +245,34 @@ def check_dominance(instances: int, seed: int) -> list[OracleReport]:
         insertion = int(rng.integers(start - 4, schedule.ticks[-1] + 2))
         if rng.random() < 0.5:
             insertion = schedule.ticks[int(rng.integers(0, count))]
-        if rng.random() < 0.5:
-            k = int(rng.integers(1, 6))
-            offsets = np.unique(rng.integers(0, 4 * interval + 1, size=k))
-            constraint: AtMostK | TimeBounded = AtMostK(k)
-        else:
-            b = int(rng.integers(0, span + 4 * interval + 1))
-            n_muts = int(rng.integers(1, 6))
-            offsets = np.unique(np.append(rng.integers(0, b + 1, size=n_muts), [0, b]))
-            constraint = TimeBounded(b)
-        chain = _entry_chain([insertion + int(o) for o in offsets])
+        chain, constraint = _random_entry(rng, insertion, 4 * interval, span + 4 * interval)
         filters = schedule.filters()
         hits = oracles.affected_count_oracle(filters, chain)
-        disagreements += hits != affected_query_count(chain, filters)
         dcr_bad += hits > dcr_folds(schedule, constraint)
         window = interval * int(rng.integers(1, 5))
         swcr = SwcrParams(window=window, period=interval, first_release=start, count=count)
         swcr_bad += oracles.affected_count_oracle(swcr.filters(), chain) > swcr_folds(swcr, constraint)
     instance = f"{instances} random instances"
-    reports.append(
-        _report("affected-count-agreement", instance, "accountant equals exhaustive oracle",
-                f"{disagreements} disagreements", disagreements == 0)
-    )
     for name, bad in (("dcr-dominance", dcr_bad), ("swcr-dominance", swcr_bad)):
         reports.append(_report(name, instance, "0 exceedances", f"{bad} exceedances", bad == 0))
+
+    hierarchies = max(instances // 10, 1)
+    hdcr_bad = 0
+    for _ in range(hierarchies):
+        params = HdcrParams(
+            height=int(rng.integers(1, 5)), branching=int(rng.integers(2, 4)),
+            start=int(rng.integers(-5, 6)), span=int(rng.integers(1, 41)),
+            interval=int(rng.integers(1, 4)),
+        )
+        insertion = int(rng.integers(params.start - 4, params.start + params.span + 2))
+        chain, constraint = _random_entry(rng, insertion, params.span, params.span + 4 * params.interval)
+        nodes = [
+            params.node_filter(layer, index)
+            for layer in range(params.height) for index in range(params.layer_size(layer))
+        ]
+        hdcr_bad += oracles.affected_count_oracle(nodes, chain) > hdcr_folds(params, constraint)
+    reports.append(_report("hdcr-dominance", f"{hierarchies} random hierarchies",
+                           "0 exceedances", f"{hdcr_bad} exceedances", hdcr_bad == 0))
     return reports
 
 

@@ -10,7 +10,6 @@ from dpcr.accounting import (
     PrivacyLoss,
     ReleaseSchedule,
     SwcrParams,
-    affected_query_count,
     compose_fold,
     dcr_folds,
     hdcr_folds,
@@ -286,24 +285,6 @@ class TestLocalBound:
 
     def test_zero_folds(self):
         assert compose_fold(PrivacyLoss(0.3, 0.1), local_folds(0)) == PrivacyLoss(0.0, 0.0)
-
-
-class TestAffectedQueryCount:
-    def test_single_mutation_disjoint_filters(self):
-        schedule = ReleaseSchedule.uniform(2, 2, 5)
-        entry = [insert("x", 3, 1.0)]
-        assert affected_query_count(entry, schedule.filters()) == 1
-
-    def test_k_mutations_in_k_intervals(self):
-        schedule = ReleaseSchedule.uniform(2, 2, 6)
-        entry = [insert("x", 2, 1.0)] + [
-            modify("x", 2 + 2 * i, 1.0, 1.0) for i in range(1, 4)
-        ]
-        assert affected_query_count(entry, schedule.filters()) == 4
-
-    def test_empty_entry(self):
-        schedule = ReleaseSchedule.uniform(2, 2, 5)
-        assert affected_query_count([], schedule.filters()) == 0
 
 
 class TestSchedules:

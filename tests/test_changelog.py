@@ -12,6 +12,7 @@ from dpcr.changelog import (
     DuplicateEntryError,
     Hybrid,
     Mutation,
+    MutationConstraint,
     NEG_INF,
     TimeBounded,
     TimeRangeFilter,
@@ -20,7 +21,6 @@ from dpcr.changelog import (
     apply_mutations,
     delete,
     dump_changelog,
-    entry_satisfies,
     id_ranks,
     insert,
     load_changelog,
@@ -317,6 +317,23 @@ def verdicts(log: Changelog, constraint) -> list[bool]:
     assert isinstance(found, np.ndarray) and found.dtype == bool
     assert found.shape == (len(log.ids),)
     return found.tolist()
+
+
+def entry_satisfies(chain: tuple[Mutation, ...], constraint: MutationConstraint) -> bool:
+    """Whether one entry's mutation chain satisfies a constraint: the per-chain
+    reference for ``validate_constraint``.
+
+    AtMostK counts every mutation (insertion and deletion included);
+    TimeBounded measures last mutation time minus insertion time.
+    An empty chain passes vacuously.
+    """
+    if not chain:
+        return True
+    if isinstance(constraint, AtMostK):
+        return len(chain) <= constraint.k
+    if isinstance(constraint, TimeBounded):
+        return chain[-1].time - chain[0].time <= constraint.bound
+    return any(entry_satisfies(chain, b) for b in constraint.branches)
 
 
 class TestConstraints:

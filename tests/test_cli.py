@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -84,6 +85,17 @@ class TestGenerate:
         else:
             dump_changelog(load_changelog(generated), dumped)
         assert dumped.read_bytes() == generated.read_bytes()
+
+    @pytest.mark.parametrize("labels, digest", [
+        (None, "34d37a17aaafdf602b6a1536da32a07ffd1378724a7c38560239f429e96c8ab2"),
+        (["yes", "no", "maybe"], "d6d22ff043b0345a5e14cab376f546d233236376433dbc759014623d8ebcd04a"),
+    ], ids=["changelog", "answers"])
+    def test_generated_bytes_are_pinned(self, tmp_path, cfg, labels, digest):
+        # a change to the seeded streams, the draws or the writers changes these
+        out = tmp_path / "log.jsonl"
+        overrides = ["--set", f"generator.labels={json.dumps(labels)}"] if labels else []
+        assert run_cli("generate", "--config", cfg, *overrides, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_zero_mutation_rate_gives_insertions_only(self, tmp_path, cfg):
         out = tmp_path / "log.jsonl"

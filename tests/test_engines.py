@@ -141,7 +141,7 @@ def value_specs(log: Changelog) -> list[LinearQuerySpec]:
 def reference_exacts(log: Changelog, windows, spec: LinearQuerySpec) -> list[str]:
     """``linear_query_change`` over a full scan of the log per window, as reprs."""
     return [
-        repr(linear_query_change([m for m in log.mutations if w.accepts(m.time)], spec))
+        repr(linear_query_change([m for m in log.mutations if w.start < m.time <= w.end], spec))
         for w in windows
     ]
 

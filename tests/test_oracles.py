@@ -63,6 +63,16 @@ class TestAffectedCountOracle:
         muts = [insert("x", 1, 1.0), modify("x", 2, 1.0, 1.0), modify("x", 3, 1.0, 1.0)]
         assert affected_count_oracle(schedule.filters(), muts) == 2 // 1 + 1
 
+    @pytest.mark.parametrize(
+        "uniform, times, hits",
+        [((2, 2, 5), (3,), 1), ((2, 2, 6), (2, 4, 6, 8), 4), ((2, 2, 5), (), 0)],
+        ids=["single-mutation", "k-mutations-in-k-intervals", "empty-entry"],
+    )
+    def test_disjoint_schedule_counts(self, uniform, times, hits):
+        muts = [insert("x", t, 1.0) for t in times[:1]]
+        muts += [modify("x", t, 1.0, 1.0) for t in times[1:]]
+        assert affected_count_oracle(ReleaseSchedule.uniform(*uniform).filters(), muts) == hits
+
     def test_sliding_window_single_mutation(self):
         params = SwcrParams(window=14, period=7, first_release=14, count=8)
         assert affected_count_oracle(params.filters(), [insert("x", 20, 1.0)]) <= 2

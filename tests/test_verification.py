@@ -18,3 +18,8 @@ def test_report_table_lists_every_check():
     table = format_reports(reports)
     assert len(table.splitlines()) == len(reports)
     assert all(line.startswith(("PASS", "FAIL")) for line in table.splitlines())
+    # one seed gives one table, and no check is dropped
+    assert format_reports(run_all(trials=1000, seed=5)) == table
+    assert len(reports) >= 22
+    names = {r.name for r in reports}
+    assert "hdcr-dominance" in names and "affected-count-agreement" not in names
