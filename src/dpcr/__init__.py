@@ -36,13 +36,11 @@ from .changelog import (
     TimeBounded,
     TimeRangeFilter,
     adjacent_changelog,
-    apply_mutations,
     delete,
     dump_changelog,
     insert,
     load_changelog,
     modify,
-    snapshot_at,
     validate_constraint,
     without_entry,
 )

@@ -1,9 +1,10 @@
 """Changelog data model for dynamic databases.
 
 A dynamic database is stored as a time-ordered log of immutable mutation
-records in "value change" format (previous value -> new value). Snapshot
-reconstruction, time-range filtering, neighbouring-log construction, and
-mutation-constraint checks all operate on this log.
+records in "value change" format (previous value -> new value).
+Time-range filtering, neighbouring-log construction, and
+mutation-constraint checks all operate on this log; snapshots are rebuilt
+independently in ``dpcr.oracles``.
 
 A ``Changelog`` holds its mutations as columns: sorted ``int64`` times,
 integer entry codes into ``ids`` (the entry ids in order of first
@@ -16,9 +17,11 @@ objects are built only on demand: by ``mutations``, iteration,
 JSON Lines logs, changelogs and answer logs alike, are read by one block
 reader (``read_columns``). It parses ``BLOCK_LINES`` lines at a time and
 checks and converts each block a column at a time, with type sets and
-numpy, so no per-record Python check runs on a well-formed log. A block
-that fails a check is re-read line by line with the per-record rule,
-which names the first bad line as ``path:lineno``.
+numpy, so no per-record Python check runs on a well-formed log. Each check
+also writes its own error message. When a block fails, each of its lines
+is checked alone by the same code, and the first bad line is named as
+``path:lineno``. Chain validation likewise builds its message from the
+first broken row it finds.
 
 Time is an integer tick that must fit in a signed 64-bit integer.
 Values are 64-bit floats; an absent value is ``None`` in a ``Mutation``
@@ -28,14 +31,13 @@ and a false presence flag in the columns, never a sentinel number.
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,16 +225,25 @@ class Changelog:
                 f"mutations out of order or duplicated at t={times[i]}, entry {ids[codes[i]]!r}"
             )
         chain, starts = chains(codes)
-        entry, has_prev, has_new = codes[chain], self.has_prev[chain], self.has_new[chain]
+        has_prev, has_new = self.has_prev[chain], self.has_new[chain]
         prev, new = self.prev[chain], self.new[chain]
         linked = np.ones(len(chain), dtype=bool)
         linked[1:] = (has_prev[1:] == has_new[:-1]) & (~has_prev[1:] | (prev[1:] == new[:-1]))
         broken = np.where(starts, has_prev, ~linked)
         if broken.any():
-            # the first broken chain raises through the per-chain check, which
-            # names its first bad link
-            entry_id = ids[entry[np.argmax(broken)]]
-            _check_chain(entry_id, self.for_entry(entry_id))
+            # the first broken row is its entry's first bad link
+            i = int(np.argmax(broken))
+            t, entry_id, prev_value, _ = next(self._records(chain[[i]]))
+            if starts[i]:
+                raise ConsistencyError(
+                    f"entry {entry_id!r} starts with prev_value={prev_value!r} at t={t}, "
+                    "expected an insertion"
+                )
+            earlier = next(self._records(chain[[i - 1]]))[3]
+            raise ConsistencyError(
+                f"entry {entry_id!r} at t={t}: prev_value {prev_value!r} "
+                f"does not match earlier value {earlier!r}"
+            )
 
     def _records(
         self, rows: slice | np.ndarray
@@ -341,55 +352,6 @@ def id_ranks(ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def _check_chain(entry_id: str, chain: Sequence[Mutation]) -> None:
-    if not chain[0].is_insertion:
-        raise ConsistencyError(
-            f"entry {entry_id!r} starts with prev_value="
-            f"{chain[0].prev_value!r} at t={chain[0].time}, expected an insertion"
-        )
-    for before, after in zip(chain, chain[1:]):
-        if after.prev_value != before.new_value:
-            raise ConsistencyError(
-                f"entry {entry_id!r} at t={after.time}: prev_value "
-                f"{after.prev_value!r} does not match earlier value {before.new_value!r}"
-            )
-
-
-def apply_mutations(
-    snapshot: Mapping[str, float], mutations: Iterable[Mutation]
-) -> dict[str, float]:
-    """Apply an ordered mutation batch to a snapshot, returning a new snapshot.
-
-    Raises ConsistencyError identifying the first mutation that does not
-    match the current state (insertion of a present id, or a prev_value
-    mismatch). The input snapshot is never modified.
-    """
-    state = dict(snapshot)
-    for i, m in enumerate(mutations):
-        current = state.get(m.entry_id)
-        if m.is_insertion:
-            if m.entry_id in state:
-                raise ConsistencyError(
-                    f"mutation #{i}: insertion of {m.entry_id!r} at t={m.time}, "
-                    f"but the entry is present with value {current!r}"
-                )
-        elif current != m.prev_value:
-            raise ConsistencyError(
-                f"mutation #{i}: {m.entry_id!r} at t={m.time} expects value "
-                f"{m.prev_value!r}, snapshot holds {current!r}"
-            )
-        if m.is_deletion:
-            del state[m.entry_id]
-        else:
-            state[m.entry_id] = m.new_value  # type: ignore[assignment]
-    return state
-
-
-def snapshot_at(log: Changelog, time: int) -> dict[str, float]:
-    """Reconstruct the database state at ``time`` from an empty start."""
-    return apply_mutations({}, log.filter(TimeRangeFilter(NEG_INF, time)))
-
-
 def adjacent_changelog(base: Changelog, entry_muts: Iterable[Mutation]) -> Changelog:
     """Merge one new entry's mutations into ``base``, keeping sort order.
 
@@ -405,7 +367,6 @@ def adjacent_changelog(base: Changelog, entry_muts: Iterable[Mutation]) -> Chang
     (entry_id,) = ids
     if base.for_entry(entry_id):
         raise DuplicateEntryError(f"entry {entry_id!r} already present in the base log")
-    _check_chain(entry_id, muts)
     return Changelog(sorted(base.mutations + tuple(muts), key=_sort_key))
 
 
@@ -452,36 +413,31 @@ def _satisfied(
 # 4096-line blocks. Larger blocks are no faster: an 18k-line log loads in
 # 75 ms with 256- or 1024-line blocks and 82 ms with 4096-line blocks.
 BLOCK_LINES = 256
-# the exceptions a malformed record raises in either reading path
+# the exceptions a malformed record raises
 _BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 _NUMBER_OR_NULL = {int, float, type(None)}
 _decode = json.JSONDecoder().raw_decode
 
 
 def read_columns(
-    path: str | Path,
-    what: str,
-    record: Callable[[dict], tuple[float | None, float | None]],
-    values: Callable[[list[dict]], tuple[list, list]],
+    path: str | Path, what: str, values: Callable[[list[dict]], tuple[np.ndarray, ...]]
 ) -> tuple:
     """Read a JSON Lines log into the columns ``from_columns`` takes.
 
     Returns ``(times, codes, ids, prev, new, has_prev, has_new)`` as
     ``to_columns`` does. Each non-blank line holds one JSON object;
     ``"t"`` must be a JSON integer that fits in a signed 64-bit integer,
-    ``"entry"`` is read as a string, and ``record(rec)`` is the
-    per-record rule for the rest of the line, returning its ``(prev,
-    new)`` values. A malformed line, nesting too deep for the JSON
-    parser included, raises ConsistencyError naming ``path:lineno``.
+    ``"entry"`` is read as a string, and ``values(records)`` is the rule
+    for the rest of the line: it returns the ``(prev, has_prev, new,
+    has_new)`` columns of a list of records (``_optional``), or raises
+    with the message of the first record that fails it. A malformed
+    line, nesting too deep for the JSON parser included, raises
+    ConsistencyError naming ``path:lineno``.
 
-    The file is read in blocks of ``BLOCK_LINES`` lines. A block is
-    parsed and checked column by column: ``values(records)`` returns
-    the block's ``prev`` and ``new`` lists (numbers or ``None``),
-    raising on anything ``record`` would refuse, and the numbers are
-    converted and checked for finiteness in numpy. A block that fails
-    any check is re-read one line at a time with the per-record rule,
-    which raises for its first bad line; that rule is the only source
-    of error messages.
+    The file is read in blocks of ``BLOCK_LINES`` lines, each parsed and
+    checked a column at a time by ``_checked``. When a block fails, each
+    of its lines is checked alone by the same ``_checked``, and the first
+    one that fails is named.
     """
     times, codes, prevs, news = array("q"), array("q"), array("d"), array("d")
     has_prev, has_new = array("B"), array("B")
@@ -498,12 +454,14 @@ def read_columns(
             except UnicodeDecodeError as exc:
                 error = exc
             try:
-                columns = _block(*_fields(block, values))
+                t, entries, prev, present_prev, new, present_new = _checked(
+                    _parsed(block), values
+                )
             except _BAD_RECORD:
-                columns = _block(*_record_fields(path, what, record, block, lineno))
+                _explain(path, what, values, block, lineno)
+                raise  # not reached: a block fails only where one of its lines does
             if error is not None:
                 raise error
-            t, entries, prev, present_prev, new, present_new = columns
             codes.extend(map(code_of.__getitem__, entries))
             for column, part in ((times, t), (prevs, prev), (news, new),
                                  (has_prev, present_prev), (has_new, present_new)):
@@ -519,82 +477,77 @@ def read_columns(
     )
 
 
-def _fields(block: list[str], values: Callable[[list[dict]], tuple[list, list]]) -> tuple:
-    """A block's ``(t, entry, prev, new)`` lists, checked a column at a time.
-
-    Raises one of ``_BAD_RECORD`` wherever the per-record rule might
-    refuse a line; the numbers are checked further in ``_block``.
-    """
+def _parsed(block: list[str]) -> list:
+    """The JSON value of each non-blank line of a block, as ``json.loads`` reads it."""
     lines = [line for line in map(str.strip, block) if line]
     parsed = list(map(_decode, lines))
     # the end-of-line check of json.loads: nothing may follow the value
     if [end for _, end in parsed] != list(map(len, lines)):
         raise ValueError("extra data after a JSON value")
-    records = [rec for rec, _ in parsed]
+    return [rec for rec, _ in parsed]
+
+
+def _checked(records: list, values: Callable[[list[dict]], tuple[np.ndarray, ...]]) -> tuple:
+    """``(times, entries, prev, has_prev, new, has_new)`` of parsed records.
+
+    The checks run a column at a time, in the order one record's fields
+    are read: ``t``'s type, then its range, then ``entry``, then
+    ``values``. Each raises one of ``_BAD_RECORD`` with the message of
+    the first record that fails it.
+    """
     ts = [rec["t"] for rec in records]
     if not set(map(type, ts)) <= {int}:
-        raise TypeError("t must be an integer")
+        t = next(t for t in ts if type(t) is not int)
+        raise ValueError(f"t must be an integer, got {t!r}")
+    try:
+        times = np.array(ts, dtype=np.int64)
+    except OverflowError:
+        t = next(t for t in ts if not INT64_MIN <= t <= INT64_MAX)
+        raise ValueError(f"t must fit in a signed 64-bit integer, got {t}") from None
     entries = list(map(str, [rec["entry"] for rec in records]))
-    prev, new = values(records)
-    return ts, entries, prev, new
+    return times, entries, *values(records)
 
 
-def _record_fields(
-    path: str | Path, what: str, record: Callable[[dict], tuple[float | None, float | None]],
+def _explain(
+    path: str | Path, what: str, values: Callable[[list[dict]], tuple[np.ndarray, ...]],
     block: list[str], first: int,
-) -> tuple[list, ...]:
-    """A block's ``(t, entry, prev, new)`` lists by the per-record rule.
+) -> None:
+    """Raise ConsistencyError for the first line of a failed block that fails alone.
 
     ``first`` is the line number of the block's first line.
     """
-    rows = []
     for lineno, line in enumerate(block, start=first):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            t = rec["t"]
-            if isinstance(t, bool) or not isinstance(t, int):
-                raise ValueError(f"t must be an integer, got {t!r}")
-            if not INT64_MIN <= t <= INT64_MAX:
-                raise ValueError(f"t must fit in a signed 64-bit integer, got {t}")
-            rows.append((t, str(rec["entry"]), *record(rec)))
-        except _BAD_RECORD as exc:
-            raise ConsistencyError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
-    return tuple(map(list, zip(*rows))) or ([], [], [], [])
-
-
-def _block(ts: list, entries: list[str], prev: list, new: list) -> tuple:
-    """``(times, entries, prev, has_prev, new, has_new)`` of a block's checked lists.
-
-    Raises OverflowError for a time outside int64 or a number beyond
-    float64, and ValueError for a non-finite number.
-    """
-    return (np.array(ts, dtype=np.int64), entries, *_optional(prev), *_optional(new))
+        if line:
+            try:
+                _checked([json.loads(line)], values)
+            except _BAD_RECORD as exc:
+                raise ConsistencyError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
 
 
 def _optional(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """A ``float64`` column of numbers or ``None``, 0.0 where absent, and its presence mask."""
+    """A ``float64`` column of numbers or ``None``, 0.0 where absent, and its presence mask.
+
+    Raises for the first value that is not a finite number or null;
+    an integer beyond float64 raises OverflowError.
+    """
+    if not set(map(type, values)) <= _NUMBER_OR_NULL:
+        value = next(v for v in values if type(v) not in _NUMBER_OR_NULL)
+        raise ValueError(f"expected a number or null, got {value!r}")
     column = np.array(values, dtype=np.float64)  # None converts to NaN
     present = np.isfinite(column)
     if len(values) - np.count_nonzero(present) != values.count(None):
-        raise ValueError("a value is not finite")
+        value = next(column[i] for i in np.flatnonzero(~present) if values[i] is not None)
+        raise ValueError(f"expected a finite number or null, got {value.item()!r}")
     column[~present] = 0.0
     return column, present
 
 
-def mutation_record(rec: dict) -> tuple[float | None, float | None]:
-    """The per-record rule of a changelog line's values."""
-    return _opt_float(rec["prev"]), _opt_float(rec["new"])
-
-
-def mutation_values(records: list[dict]) -> tuple[list, list]:
-    """The ``prev`` and ``new`` lists of a block of changelog records."""
-    prev, new = [rec["prev"] for rec in records], [rec["new"] for rec in records]
-    if not set(map(type, prev)) | set(map(type, new)) <= _NUMBER_OR_NULL:
-        raise TypeError("a value is not a number or null")
-    return prev, new
+def mutation_values(records: list[dict]) -> tuple[np.ndarray, ...]:
+    """The ``read_columns`` rule of changelog records: ``prev`` and ``new``
+    are finite numbers or null, ``prev`` checked first."""
+    return (*_optional([rec["prev"] for rec in records]),
+            *_optional([rec["new"] for rec in records]))
 
 
 def load_changelog(path: str | Path) -> Changelog:
@@ -604,7 +557,7 @@ def load_changelog(path: str | Path) -> Changelog:
     "new": <number|null>}``; numbers must be finite. Records are read
     block by block straight into the columns (``read_columns``).
     """
-    columns = read_columns(path, "mutation", mutation_record, mutation_values)
+    columns = read_columns(path, "mutation", mutation_values)
     try:
         return Changelog.from_columns(*columns)
     except ConsistencyError as exc:
@@ -617,14 +570,3 @@ def dump_changelog(log: Changelog, path: str | Path) -> None:
         for t, entry, prev, new in log._records(slice(None)):
             fh.write(json.dumps({"entry": entry, "t": t, "prev": prev, "new": new}))
             fh.write("\n")
-
-
-def _opt_float(value: object) -> float | None:
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number or null, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number or null, got {value!r}")
-    return value

@@ -190,13 +190,18 @@ def _get(cfg: Mapping, path: str, kind: type, default=None):
                 raise ConfigError(f"missing field {path!r}")
             return default
         node = node[part]
-    if kind is float and isinstance(node, int) and not isinstance(node, bool):
-        node = float(node)
-    if kind is int and isinstance(node, bool):
+    return _typed(node, path, kind)
+
+
+def _typed(value, path: str, kind: type):
+    """``value`` as a ``kind``, an int accepted as a float; ConfigError names ``path``."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if kind is int and isinstance(value, bool):
         raise ConfigError(f"field {path!r} must be {kind.__name__}, got a boolean")
-    if not isinstance(node, kind):
-        raise ConfigError(f"field {path!r} must be {kind.__name__}, got {type(node).__name__}")
-    return node
+    if not isinstance(value, kind):
+        raise ConfigError(f"field {path!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _seed(cfg: Mapping) -> int:
@@ -211,9 +216,9 @@ def constraint_from_config(obj, path: str) -> MutationConstraint:
     kind = obj["kind"]
     try:
         if kind == "at_most_k":
-            return AtMostK(int(obj["k"]))
+            return AtMostK(_typed(obj["k"], f"{path}.k", int))
         if kind == "time_bounded":
-            return TimeBounded(int(obj["bound"]))
+            return TimeBounded(_typed(obj["bound"], f"{path}.bound", int))
         if kind == "hybrid":
             branches = obj.get("branches")
             if not isinstance(branches, list) or not branches:
@@ -337,10 +342,15 @@ def _schedule_from_config(cfg: Mapping) -> ReleaseSchedule:
     scfg = _get(cfg, "release.schedule", dict)
     try:
         if "ticks" in scfg:
-            return ReleaseSchedule(tuple(int(t) for t in scfg["ticks"]))
-        return ReleaseSchedule.uniform(
-            int(scfg["start"]), int(scfg["interval"]), int(scfg["count"])
-        )
+            return ReleaseSchedule(tuple(
+                _typed(t, f"release.schedule.ticks[{i}]", int) for i, t in enumerate(scfg["ticks"])
+            ))
+        return ReleaseSchedule.uniform(*(
+            _typed(scfg[name], f"release.schedule.{name}", int)
+            for name in ("start", "interval", "count")
+        ))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"release.schedule: {exc}") from exc
 

@@ -1,8 +1,9 @@
 """Brute-force oracles, independent of the code paths they check.
 
 Nothing here calls into the release engines, the accountant's fold
-arithmetic, or the mechanism fold: snapshot sums are rebuilt from
-scratch, covers are minimized by dynamic programming, and overlap
+arithmetic, the mechanism fold, or the changelog's window slicing:
+snapshots are rebuilt from scratch by applying every mutation up to
+their time, covers are minimized by dynamic programming, and overlap
 counts come from exhaustive membership tests. Integer oracles are
 exact; Monte Carlo ones report a standard error for tolerance
 decisions.
@@ -11,12 +12,51 @@ decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .changelog import Changelog, Mutation, snapshot_at
+from .changelog import Changelog, ConsistencyError, Mutation
 from .mechanisms import LinearQuerySpec
+
+
+def apply_mutations(
+    snapshot: Mapping[str, float], mutations: Iterable[Mutation]
+) -> dict[str, float]:
+    """Apply an ordered mutation batch to a snapshot, returning a new snapshot.
+
+    Raises ConsistencyError identifying the first mutation that does not
+    match the current state (insertion of a present id, or a prev_value
+    mismatch). The input snapshot is never modified.
+    """
+    state = dict(snapshot)
+    for i, m in enumerate(mutations):
+        current = state.get(m.entry_id)
+        if m.is_insertion:
+            if m.entry_id in state:
+                raise ConsistencyError(
+                    f"mutation #{i}: insertion of {m.entry_id!r} at t={m.time}, "
+                    f"but the entry is present with value {current!r}"
+                )
+        elif current != m.prev_value:
+            raise ConsistencyError(
+                f"mutation #{i}: {m.entry_id!r} at t={m.time} expects value "
+                f"{m.prev_value!r}, snapshot holds {current!r}"
+            )
+        if m.is_deletion:
+            del state[m.entry_id]
+        else:
+            state[m.entry_id] = m.new_value  # type: ignore[assignment]
+    return state
+
+
+def snapshot_at(log: Changelog, time: int) -> dict[str, float]:
+    """Reconstruct the database state at ``time`` from an empty start.
+
+    The mutations up to ``time`` are selected here, not by the
+    changelog's window slices (``Changelog.rows``), which the releases use.
+    """
+    return apply_mutations({}, [m for m in log.mutations if m.time <= time])
 
 
 def snapshot_oracle(log: Changelog, time: int, spec: LinearQuerySpec) -> float:

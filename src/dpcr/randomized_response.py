@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -29,6 +30,7 @@ from .changelog import (
     ConsistencyError,
     Mutation,
     TimeRangeFilter,
+    _optional,
     chains,
     id_ranks,
     read_columns,
@@ -348,30 +350,29 @@ def load_answer_log(path: str | Path, space: ResponseSpace) -> Changelog:
     answer is a deletion. Lines may come in any order; a label outside
     ``space`` is refused.
     """
-    columns = read_columns(path, "answer", *answer_rules(space))
+    columns = read_columns(path, "answer", answer_values(space))
     try:
         return _answer_log(columns)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{path}: {exc}") from exc
 
 
-def answer_rules(space: ResponseSpace) -> tuple[Callable, Callable]:
-    """The per-record and per-block rules ``read_columns`` reads an answer log with."""
-    codes = {label: float(i) for i, label in enumerate(space.labels)}
+def answer_values(space: ResponseSpace) -> Callable[[list[dict]], tuple[np.ndarray, ...]]:
+    """The ``read_columns`` rule of answer records: no previous value, and
+    the answer's label index as the new one, null an absent value."""
     # one lookup maps a label to its code and null to an absent value
-    lookup = {None: None, **codes}
+    lookup = {None: None, **{label: float(i) for i, label in enumerate(space.labels)}}
 
-    def record(rec: dict) -> tuple[None, float | None]:
-        answer = rec["answer"]
-        if answer is not None and answer not in codes:
-            raise ValueError(f"answer {answer!r} is not one of the labels {list(space.labels)}")
-        return None, codes.get(answer)
-
-    def values(records: list[dict]) -> tuple[list, list]:
+    def values(records: list[dict]) -> tuple[np.ndarray, ...]:
         answers = [rec["answer"] for rec in records]
-        return [None] * len(answers), list(map(lookup.__getitem__, answers))
+        # ``in`` raises TypeError at an unhashable answer; None is never unknown
+        unknown = next(filterfalse(lookup.__contains__, answers), None)
+        if unknown is not None:
+            raise ValueError(f"answer {unknown!r} is not one of the labels {list(space.labels)}")
+        new = list(map(lookup.__getitem__, answers))
+        return (*_optional([None] * len(new)), *_optional(new))
 
-    return record, values
+    return values
 
 
 def dump_answer_log(log: Changelog, space: ResponseSpace, path: str | Path) -> None:

@@ -16,19 +16,17 @@ from dpcr.changelog import (
     NEG_INF,
     TimeBounded,
     TimeRangeFilter,
-    _check_chain,
     adjacent_changelog,
-    apply_mutations,
     delete,
     dump_changelog,
     id_ranks,
     insert,
     load_changelog,
     modify,
-    snapshot_at,
     validate_constraint,
     without_entry,
 )
+from dpcr.oracles import apply_mutations, snapshot_at
 from dpcr.randomized_response import answer_changelog
 
 from conftest import changelogs
@@ -101,6 +99,22 @@ class TestChangelogValidation:
     def test_ties_sort_by_entry_id(self):
         log = Changelog.from_unsorted([insert("b", 1, 2.0), insert("a", 1, 1.0)])
         assert [m.entry_id for m in log] == ["a", "b"]
+
+
+def _check_chain(entry_id: str, chain: list[Mutation]) -> None:
+    """The per-chain reference: an insertion first, then each ``prev_value``
+    equal to the ``new_value`` before it."""
+    if not chain[0].is_insertion:
+        raise ConsistencyError(
+            f"entry {entry_id!r} starts with prev_value="
+            f"{chain[0].prev_value!r} at t={chain[0].time}, expected an insertion"
+        )
+    for before, after in zip(chain, chain[1:]):
+        if after.prev_value != before.new_value:
+            raise ConsistencyError(
+                f"entry {entry_id!r} at t={after.time}: prev_value "
+                f"{after.prev_value!r} does not match earlier value {before.new_value!r}"
+            )
 
 
 def reference_check(muts: list[Mutation]) -> str | None:
@@ -301,6 +315,10 @@ class TestAdjacent:
     def test_round_trip(self):
         merged = adjacent_changelog(self.base(), [insert("b", 3, 9.0)])
         assert without_entry(merged, "b") == self.base()
+
+    def test_broken_chain_rejected(self):
+        with pytest.raises(ConsistencyError, match="'b' starts with prev_value=1.0 at t=3"):
+            adjacent_changelog(self.base(), [modify("b", 3, 1.0, 2.0)])
 
     def test_duplicate_entry_rejected(self):
         with pytest.raises(DuplicateEntryError):

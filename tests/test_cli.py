@@ -486,6 +486,20 @@ class TestInputFailures:
             ("run", ["release.query.fn=table", 'release.query.table={"1": NaN}'], "log"),
             ("run", [], "time-beyond-int64"),
             *(("run", RR_DCR if "answer" in name else [], name) for name in STRICT_LOGS),
+            ("account", ["release.constraint.k=2.5"], "log"),
+            ("account", ['release.constraint.k="3"'], "log"),
+            ("account", ['release.constraint={"kind":"time_bounded","bound":true}'], "log"),
+            ("account", ['release.constraint={"kind":"hybrid","branches":'
+                         '[{"kind":"at_most_k","k":2},{"kind":"time_bounded","bound":4.5}]}'],
+             "log"),
+            ("account", ['release.schedule={"ticks":[8,16.5]}'], "log"),
+            ("account", ['release.schedule={"ticks":[8,"16"]}'], "log"),
+            ("account", ["release.schedule.start=1.5"], "log"),
+            ("account", ["release.schedule.interval=true"], "log"),
+            ("account", ['release.schedule.count="8"'], "log"),
+            ("generate", ["generator.constraint.k=2.5"], "log"),
+            ("generate", ['generator.constraint.k="3"'], "log"),
+            ("generate", ['generator.constraint={"kind":"time_bounded","bound":false}'], "log"),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
              "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
@@ -495,7 +509,10 @@ class TestInputFailures:
              "infinite-query-bounds", "unknown-answer-labels", "infinite-delta-slack",
              "overflowing-composed-epsilon", "nan-log-value", "infinite-log-value",
              "overflowing-log-time", "overflowing-answer-time", "nan-query-table",
-             "time-beyond-int64", *STRICT_LOGS],
+             "time-beyond-int64", *STRICT_LOGS, "fractional-k", "string-k", "boolean-bound",
+             "fractional-hybrid-bound", "fractional-tick", "string-tick", "fractional-start",
+             "boolean-interval", "string-count", "fractional-generator-k", "string-generator-k",
+             "boolean-generator-bound"],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"

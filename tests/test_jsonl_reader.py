@@ -19,12 +19,11 @@ from dpcr.changelog import (
     Changelog,
     ConsistencyError,
     load_changelog,
-    mutation_record,
     mutation_values,
     read_columns,
     to_columns,
 )
-from dpcr.randomized_response import ResponseSpace, answer_rules
+from dpcr.randomized_response import ResponseSpace, answer_values
 
 SPACE = ResponseSpace(("yes", "no"))
 
@@ -73,8 +72,8 @@ def reference_rows(path, what, values):
 
 
 KINDS = {
-    "mutation": (reference_mutation, (mutation_record, mutation_values)),
-    "answer": (reference_answer, answer_rules(SPACE)),
+    "mutation": (reference_mutation, mutation_values),
+    "answer": (reference_answer, answer_values(SPACE)),
 }
 
 
@@ -90,9 +89,9 @@ def outcome(read):
 
 
 def assert_same_as_reference(path, kind):
-    reference, rules = KINDS[kind]
+    reference, values = KINDS[kind]
     expected = outcome(lambda: to_columns(reference_rows(path, kind, reference)))
-    assert outcome(lambda: read_columns(path, kind, *rules)) == expected
+    assert outcome(lambda: read_columns(path, kind, values)) == expected
     return expected
 
 
@@ -152,6 +151,11 @@ NAMED_LINES = {
     "list-entry": '{"entry": [1, 2], "t": 1, "prev": null, "new": 1.5}',
     "deep": '{"entry": "e", "t": 1, "prev": null, "new": ' + DEEP + "}",
     "missing-key": '{"entry": "e", "t": 1, "prev": null}',
+    # two bad fields: the message is the one of the field read first
+    "bool-time-string-value": '{"entry": "e", "t": true, "prev": "1.5", "new": 1.0}',
+    "time-2**63-no-entry": f'{{"t": {2**63}, "prev": null, "new": 1.0}}',
+    "bad-prev-no-new": '{"entry": "e", "t": 1, "prev": "1.5"}',
+    "string-time-unknown-answer": '{"entry": "e", "t": "3", "answer": "maybe"}',
 }
 
 

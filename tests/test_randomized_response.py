@@ -10,8 +10,9 @@ from hypothesis import given
 
 import dpcr.randomized_response as rr
 from dpcr.accounting import ReleaseSchedule, dcr_folds, local_folds
-from dpcr.changelog import NEG_INF, AtMostK, Changelog, ConsistencyError, TimeRangeFilter, snapshot_at
+from dpcr.changelog import NEG_INF, AtMostK, Changelog, ConsistencyError, TimeRangeFilter
 from dpcr.mechanisms import named_stream
+from dpcr.oracles import snapshot_at
 from dpcr.randomized_response import (
     AnswerMutationSpace,
     HistogramEstimate,
