@@ -71,7 +71,6 @@ from .randomized_response import (
     rr_dcr,
     rr_hdcr,
 )
-from .verification import format_reports, run_all
 
 RELEASE_KINDS = ("dcr", "swcr", "hdcr", "rr-dcr", "rr-hdcr")
 
@@ -686,6 +685,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--trials must be >= 100, got {args.trials}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    from .verification import format_reports, run_all  # only verify loads the oracle suite
+
     reports = run_all(trials=args.trials, seed=args.seed, fault=args.inject_fault)
     print(format_reports(reports))
     failed = sum(1 for r in reports if not r.passed)

@@ -102,17 +102,19 @@ def most_span_oracle(ticks: Sequence[int], span: int) -> int:
     return res
 
 
-def min_cover_oracle(low: int, high: int, branching: int, height: int) -> int:
-    """True minimal number of aligned hierarchy nodes covering ``(low, high]``.
+def min_cover_oracle(high: int, branching: int, height: int) -> list[int]:
+    """True minimal numbers of aligned hierarchy nodes covering ``(low, high]``.
 
-    Dynamic program over grid positions: any exact disjoint cover is a
-    left-to-right sequence of aligned blocks, so the minimum from ``a``
-    is one block plus the minimum from the block end.
+    Element ``low`` of the result is the minimum for ``(low, high]``, for
+    every ``0 <= low < high``. Dynamic program over grid positions: any
+    exact disjoint cover is a left-to-right sequence of aligned blocks,
+    so the minimum from ``a`` is one block plus the minimum from the
+    block end. It does not depend on ``low``, so one pass gives them all.
     """
-    if low < 0 or high <= low:
-        raise ValueError(f"need 0 <= low < high, got ({low}, {high}]")
-    best = {high: 0}
-    for a in range(high - 1, low - 1, -1):
+    if high < 1:
+        raise ValueError(f"need high >= 1, got {high}")
+    best = [0] * (high + 1)
+    for a in range(high - 1, -1, -1):
         b = None
         for level in range(height):
             width = branching**level
@@ -123,24 +125,38 @@ def min_cover_oracle(low: int, high: int, branching: int, height: int) -> int:
         if b is None:
             raise ValueError(f"position {a} cannot start any node")
         best[a] = b
-    return best[low]
+    return best[:high]
+
+
+# The ``-inf`` start of a window, and a padding time that no window holds:
+# no start lies before it.
+FAR_PAST = np.iinfo(np.int64).min
 
 
 def affected_count_oracle(
-    filters: Sequence[tuple[float, int]] | Sequence,
-    entry_muts: Sequence[Mutation],
-) -> int:
-    """Exhaustive count of filters containing at least one mutation time.
+    starts: np.typing.ArrayLike, ends: np.typing.ArrayLike, times: np.typing.ArrayLike
+) -> np.ndarray:
+    """Per instance, the number of windows ``(start, end]`` holding a mutation time.
 
-    Accepts ``(start, end]`` pairs or objects with start/end attributes;
-    membership is recomputed here rather than delegated.
+    One row per instance: ``starts`` and ``ends`` are ``(rows, windows)``
+    integer arrays, ``times`` a ``(rows, mutations)`` one. Rows are
+    padded with empty windows (``start >= end``) and with repeated times
+    or ``FAR_PAST``, which is also the ``-inf`` start. Membership is
+    recomputed here, window by window and time by time, in exact
+    integer comparisons.
     """
-    count = 0
-    for f in filters:
-        start, end = (f[0], f[1]) if isinstance(f, tuple) else (f.start, f.end)
-        if any(start < m.time <= end for m in entry_muts):
-            count += 1
-    return count
+    starts, ends, times = (np.asarray(a) for a in (starts, ends, times))
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (starts, ends, times)):
+        raise TypeError("windows and times must be integer arrays")
+    if starts.ndim != 2 or times.ndim != 2 or starts.shape != ends.shape or len(times) != len(starts):
+        raise ValueError(
+            f"need (rows, windows) starts and ends and (rows, mutations) times, "
+            f"got {starts.shape}, {ends.shape} and {times.shape}"
+        )
+    hit = np.zeros(starts.shape, dtype=bool)
+    for column in times.T[:, :, None]:  # one time per row at a time: no 3-d temporaries
+        hit |= (starts < column) & (column <= ends)
+    return hit.sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,12 +5,20 @@ runs an engine path and its independent oracle side by side and emits
 one report per claim. Integer claims are exact; Monte Carlo claims pass
 within three standard errors (means) or ten percent (variances), so a
 larger ``trials`` tightens them automatically.
+
+The random dominance instances are drawn in chunks (``CHUNK``
+schedules or ``HIERARCHY_CHUNK`` hierarchies), one vectorized draw per
+parameter. Each instance still builds its release and fold count
+through the code under test, and its windows are read from the release
+itself (``filters()``, ``HdcrParams.node_filter``), so a widened window
+shows. ``oracles.affected_count_oracle`` then counts the whole chunk
+over padded integer arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +34,7 @@ from .accounting import (
     most_span,
     swcr_folds,
 )
-from .changelog import Changelog, Mutation
+from .changelog import NEG_INF, Changelog, Mutation, TimeRangeFilter
 from .engines import build_hdcr, aggregate, cover_range, run_dcr
 from .mechanisms import LinearQuerySpec, NoiseSpec, linear_query_change, sensitivity
 from .randomized_response import (
@@ -82,8 +90,9 @@ def check_cover_bounds(fault: str | None = None) -> list[OracleReport]:
         broken = 0
         matches = 0
         ranges = 0
-        for low in range(top):
-            for high in range(low + 1, min(top, low + branching**height) + 1):
+        for high in range(1, top + 1):
+            minima = oracles.min_cover_oracle(high, branching, height)
+            for low in range(max(0, high - branching**height), high):
                 ranges += 1
                 cover = cover_range(low, high, branching, height)
                 count = len(cover) + bump
@@ -97,7 +106,7 @@ def check_cover_bounds(fault: str | None = None) -> list[OracleReport]:
                 )
                 if not ok:
                     broken += 1
-                if count == oracles.min_cover_oracle(low, high, branching, height):
+                if count == minima[low]:
                     matches += 1
         reports.append(
             _report(
@@ -136,7 +145,10 @@ def check_cover_bounds(fault: str | None = None) -> list[OracleReport]:
 def _cover_bound(branching: int, width: int) -> int:
     if width == 1:
         return 1
-    return 2 * (branching - 1) * math.ceil(math.log(width) / math.log(branching))
+    levels = 0  # ceil(log_c(width)), in integers: floats round 125 up past 5**3
+    while branching**levels < width:
+        levels += 1
+    return 2 * (branching - 1) * levels
 
 
 def check_most_span(seed: int) -> list[OracleReport]:
@@ -169,27 +181,164 @@ def _packed_time_bounded_times(ticks: tuple[int, ...], interval: int, bound: int
     return sorted(set(times))
 
 
-def _entry_chain(times: list[int]) -> list[Mutation]:
-    chain = [Mutation(times[0], "probe", None, 1.0)]
-    chain += [Mutation(t, "probe", 1.0, 1.0) for t in times[1:]]
-    return chain
+# Random dominance instances are drawn and counted this many at a time.
+# A chunk's arrays are padded to its widest release: a schedule has up to
+# 19 windows and a hierarchy up to 75 nodes, so hierarchies go a quarter
+# as many at a time.
+CHUNK = 1_000
+HIERARCHY_CHUNK = CHUNK // 4
 
 
-def _random_entry(
-    rng: np.random.Generator, insertion: int, reach: int, max_bound: int
-) -> tuple[list[Mutation], AtMostK | TimeBounded]:
-    """A probe entry from ``insertion`` meeting its random constraint: at most ``k``
-    mutations within ``reach`` ticks, or a bound up to ``max_bound`` reached exactly."""
-    if rng.random() < 0.5:
-        k = int(rng.integers(1, 6))
-        offsets = np.unique(rng.integers(0, reach + 1, size=k))
-        constraint: AtMostK | TimeBounded = AtMostK(k)
-    else:
-        b = int(rng.integers(0, max_bound + 1))
-        n_muts = int(rng.integers(1, 6))
-        offsets = np.unique(np.append(rng.integers(0, b + 1, size=n_muts), [0, b]))
-        constraint = TimeBounded(b)
-    return _entry_chain([insertion + int(o) for o in offsets]), constraint
+@dataclass(frozen=True, eq=False)
+class _Entries:
+    """One random probe entry per row: at most ``k`` mutations within a reach
+    of the insertion, or a bound reached exactly."""
+
+    times: np.ndarray  # (rows, 7), padded with oracles.FAR_PAST
+    at_most_k: np.ndarray
+    k: np.ndarray
+    bound: np.ndarray
+
+    def constraints(self) -> Iterator[AtMostK | TimeBounded]:
+        return (
+            AtMostK(k) if at_most_k else TimeBounded(bound)
+            for at_most_k, k, bound in zip(self.at_most_k.tolist(), self.k.tolist(), self.bound.tolist())
+        )
+
+
+def _draw_entries(
+    rng: np.random.Generator, insertion: np.ndarray, reach: np.ndarray, max_bound: np.ndarray
+) -> _Entries:
+    """Per row, a probe entry from ``insertion``: ``k`` in [1, 5] mutation offsets
+    within ``reach`` ticks, or a bound up to ``max_bound`` with offsets 0, the
+    bound and 1 to 5 random ones between them."""
+    rows = len(insertion)
+    at_most_k = rng.random(rows) < 0.5
+    k = rng.integers(1, 6, rows)
+    bound = rng.integers(0, max_bound + 1)
+    offsets = rng.integers(0, np.where(at_most_k, reach, bound)[:, None] + 1, size=(rows, 5))
+    offsets = np.column_stack([offsets, np.zeros(rows, dtype=np.int64), bound])
+    times = insertion[:, None] + offsets
+    times[:, :5][np.arange(5) >= k[:, None]] = oracles.FAR_PAST
+    times[at_most_k, 5:] = oracles.FAR_PAST
+    return _Entries(times, at_most_k, k, bound)
+
+
+@dataclass(frozen=True, eq=False)
+class _Schedules:
+    """Random disjoint and sliding-window instances, one per row."""
+
+    interval: np.ndarray
+    count: np.ndarray
+    start: np.ndarray
+    ticks: np.ndarray  # (rows, max count); row i holds count[i] endpoints
+    insertion: np.ndarray
+    entries: _Entries
+    window: np.ndarray
+
+
+def _draw_schedules(rng: np.random.Generator, rows: int) -> _Schedules:
+    """``rows`` instances, each parameter one vectorized draw.
+
+    Schedules are uniform or have random gaps in [1, 2 * interval], and
+    may have a single endpoint. Half the insertions fall on an endpoint.
+    Time bounds reach up to 4 intervals past the schedule span.
+    """
+    index = np.arange(rows)
+    interval = rng.integers(1, 8, rows)
+    count = rng.integers(1, 20, rows)
+    start = rng.integers(-5, 6, rows)
+    uniform = rng.random(rows) < 0.5
+    ticks = np.empty((rows, int(count.max())), dtype=np.int64)  # the start, then the gaps
+    ticks[:, 0] = start
+    ticks[:, 1:] = rng.integers(1, 2 * interval[:, None] + 1, size=(rows, ticks.shape[1] - 1))
+    ticks[uniform, 1:] = interval[uniform, None]
+    np.cumsum(ticks, axis=1, out=ticks)
+    last = ticks[index, count - 1]
+    insertion = np.where(
+        rng.random(rows) < 0.5,
+        ticks[index, rng.integers(0, count)],
+        rng.integers(start - 4, last + 2),
+    )
+    entries = _draw_entries(rng, insertion, 4 * interval, last - start + 4 * interval)
+    window = interval * rng.integers(1, 5, rows)
+    return _Schedules(interval, count, start, ticks, insertion, entries, window)
+
+
+def _counts(
+    instances: Iterable[tuple[Sequence[TimeRangeFilter], int]], times: np.typing.ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Affected counts over each release's own windows, and the fold counts.
+
+    ``instances`` gives one ``(windows, folds)`` pair per row of
+    ``times`` and is read once, so each release lives only while its
+    row is written. Padding windows are empty, ``(0, 0]``, and a
+    ``-inf`` start becomes ``oracles.FAR_PAST``.
+    """
+    folds, lengths, starts, ends = [], [], [], []
+    for filters, count in instances:
+        folds.append(count)
+        lengths.append(len(filters))
+        starts += [oracles.FAR_PAST if f.start == NEG_INF else f.start for f in filters]
+        ends += [f.end for f in filters]
+    written = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    padded = np.zeros((2, *written.shape), dtype=np.int64)
+    padded[0][written] = starts
+    padded[1][written] = ends
+    return oracles.affected_count_oracle(padded[0], padded[1], times), np.array(folds)
+
+
+def _exceedances(instances: Iterable[tuple[Sequence[TimeRangeFilter], int]], entries: _Entries) -> int:
+    hits, folds = _counts(instances, entries.times)
+    return int(np.count_nonzero(hits > folds))
+
+
+def _schedule_exceedances(rng: np.random.Generator, rows: int) -> tuple[int, int]:
+    """Disjoint and sliding-window exceedances over ``rows`` random instances."""
+    s = _draw_schedules(rng, rows)
+    ticks, count, interval, start, window = (
+        a.tolist() for a in (s.ticks, s.count, s.interval, s.start, s.window)
+    )
+    schedules = (ReleaseSchedule(tuple(t[:c])) for t, c in zip(ticks, count))
+    dcr = _exceedances(
+        ((x.filters(), dcr_folds(x, c)) for x, c in zip(schedules, s.entries.constraints())),
+        s.entries,
+    )
+    swcrs = (
+        SwcrParams(window=w, period=i, first_release=t, count=c)
+        for w, i, t, c in zip(window, interval, start, count)
+    )
+    swcr = _exceedances(
+        ((x.filters(), swcr_folds(x, c)) for x, c in zip(swcrs, s.entries.constraints())),
+        s.entries,
+    )
+    return dcr, swcr
+
+
+def _node_filters(params: HdcrParams) -> list[TimeRangeFilter]:
+    return [
+        params.node_filter(layer, index)
+        for layer in range(params.height) for index in range(params.layer_size(layer))
+    ]
+
+
+def _hierarchy_exceedances(rng: np.random.Generator, rows: int) -> int:
+    """Hierarchical exceedances over ``rows`` random hierarchies of height 1 to 4."""
+    height = rng.integers(1, 5, rows)
+    branching = rng.integers(2, 4, rows)
+    start = rng.integers(-5, 6, rows)
+    span = rng.integers(1, 41, rows)
+    interval = rng.integers(1, 4, rows)
+    insertion = rng.integers(start - 4, start + span + 2)
+    entries = _draw_entries(rng, insertion, span, span + 4 * interval)
+    hierarchies = (
+        HdcrParams(height=h, branching=b, start=t, span=s, interval=i)
+        for h, b, t, s, i in zip(*(a.tolist() for a in (height, branching, start, span, interval)))
+    )
+    return _exceedances(
+        ((_node_filters(p), hdcr_folds(p, c)) for p, c in zip(hierarchies, entries.constraints())),
+        entries,
+    )
 
 
 def check_dominance(instances: int, seed: int) -> list[OracleReport]:
@@ -198,17 +347,19 @@ def check_dominance(instances: int, seed: int) -> list[OracleReport]:
     Random schedules are uniform or not, may have a single endpoint, and
     draw time bounds up to past the schedule span; packed adversarial
     entries must achieve equality for uniform disjoint schedules. About
-    a tenth as many random hierarchies follow, each counted over the
-    release's own node windows (``HdcrParams.node_filter``).
+    a tenth as many random hierarchies follow. Instances are drawn and
+    counted in chunks, each over the release's own windows (``filters()``,
+    ``HdcrParams.node_filter``).
     """
     rng = np.random.default_rng(seed)
     reports = []
 
     interval, bound = 3, 7
     ticks = ReleaseSchedule.uniform(3, interval, 12)
-    packed = _entry_chain(_packed_time_bounded_times(ticks.ticks, interval, bound))
-    folds = dcr_folds(ticks, TimeBounded(bound))
-    hits = oracles.affected_count_oracle(ticks.filters(), packed)
+    hits, folds = (int(x[0]) for x in _counts(
+        [(ticks.filters(), dcr_folds(ticks, TimeBounded(bound)))],
+        [_packed_time_bounded_times(ticks.ticks, interval, bound)],
+    ))
     reports.append(
         _report(
             "dcr-time-bounded-equality",
@@ -220,57 +371,34 @@ def check_dominance(instances: int, seed: int) -> list[OracleReport]:
     )
 
     k = 4
-    times = [ticks.ticks[0] + interval * j for j in range(k)]
-    packed_k = _entry_chain(times)
-    hits_k = oracles.affected_count_oracle(ticks.filters(), packed_k)
+    hits_k, folds_k = (int(x[0]) for x in _counts(
+        [(ticks.filters(), dcr_folds(ticks, AtMostK(k)))],
+        [[ticks.ticks[0] + interval * j for j in range(k)]],
+    ))
     reports.append(
         _report(
             "dcr-at-most-k-equality",
             f"uniform schedule, k={k} mutations in distinct intervals",
-            dcr_folds(ticks, AtMostK(k)),
+            folds_k,
             hits_k,
-            hits_k == dcr_folds(ticks, AtMostK(k)),
+            hits_k == folds_k,
         )
     )
 
     dcr_bad = swcr_bad = 0
-    for _ in range(instances):
-        interval = int(rng.integers(1, 8))
-        count = int(rng.integers(1, 20))
-        start = int(rng.integers(-5, 6))
-        uniform = rng.random() < 0.5
-        gaps = [interval] * (count - 1) if uniform else rng.integers(1, 2 * interval + 1, count - 1)
-        schedule = ReleaseSchedule(tuple((start + np.cumsum([0, *gaps])).tolist()))
-        span = schedule.ticks[-1] - schedule.ticks[0]
-        insertion = int(rng.integers(start - 4, schedule.ticks[-1] + 2))
-        if rng.random() < 0.5:
-            insertion = schedule.ticks[int(rng.integers(0, count))]
-        chain, constraint = _random_entry(rng, insertion, 4 * interval, span + 4 * interval)
-        filters = schedule.filters()
-        hits = oracles.affected_count_oracle(filters, chain)
-        dcr_bad += hits > dcr_folds(schedule, constraint)
-        window = interval * int(rng.integers(1, 5))
-        swcr = SwcrParams(window=window, period=interval, first_release=start, count=count)
-        swcr_bad += oracles.affected_count_oracle(swcr.filters(), chain) > swcr_folds(swcr, constraint)
+    for done in range(0, instances, CHUNK):
+        dcr, swcr = _schedule_exceedances(rng, min(CHUNK, instances - done))
+        dcr_bad += dcr
+        swcr_bad += swcr
     instance = f"{instances} random instances"
     for name, bad in (("dcr-dominance", dcr_bad), ("swcr-dominance", swcr_bad)):
         reports.append(_report(name, instance, "0 exceedances", f"{bad} exceedances", bad == 0))
 
     hierarchies = max(instances // 10, 1)
-    hdcr_bad = 0
-    for _ in range(hierarchies):
-        params = HdcrParams(
-            height=int(rng.integers(1, 5)), branching=int(rng.integers(2, 4)),
-            start=int(rng.integers(-5, 6)), span=int(rng.integers(1, 41)),
-            interval=int(rng.integers(1, 4)),
-        )
-        insertion = int(rng.integers(params.start - 4, params.start + params.span + 2))
-        chain, constraint = _random_entry(rng, insertion, params.span, params.span + 4 * params.interval)
-        nodes = [
-            params.node_filter(layer, index)
-            for layer in range(params.height) for index in range(params.layer_size(layer))
-        ]
-        hdcr_bad += oracles.affected_count_oracle(nodes, chain) > hdcr_folds(params, constraint)
+    hdcr_bad = sum(
+        _hierarchy_exceedances(rng, min(HIERARCHY_CHUNK, hierarchies - done))
+        for done in range(0, hierarchies, HIERARCHY_CHUNK)
+    )
     reports.append(_report("hdcr-dominance", f"{hierarchies} random hierarchies",
                            "0 exceedances", f"{hdcr_bad} exceedances", hdcr_bad == 0))
     return reports

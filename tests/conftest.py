@@ -1,7 +1,9 @@
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 
-from dpcr.changelog import Changelog, Mutation
+from dpcr.changelog import NEG_INF, Changelog, Mutation
+from dpcr.oracles import FAR_PAST, affected_count_oracle
 
 settings.register_profile("ci", max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -29,3 +31,13 @@ def changelogs(draw, max_entries: int = 6, horizon: int = 24):
             muts.append(Mutation(t, eid, prev, new))
             prev = new
     return Changelog.from_unsorted(muts)
+
+
+def affected_count(filters, mutations) -> int:
+    """``affected_count_oracle`` on one instance: ``(start, end]`` pairs or
+    filters, and one entry's mutations."""
+    pairs = [f if isinstance(f, tuple) else (f.start, f.end) for f in filters]
+    starts = np.array([[FAR_PAST if s == NEG_INF else s for s, _ in pairs]], dtype=np.int64)
+    ends = np.array([[e for _, e in pairs]], dtype=np.int64)
+    times = np.array([[m.time for m in mutations] or [FAR_PAST]], dtype=np.int64)
+    return int(affected_count_oracle(starts, ends, times)[0])

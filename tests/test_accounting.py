@@ -20,7 +20,9 @@ from dpcr.accounting import (
     swcr_folds,
 )
 from dpcr.changelog import AtMostK, Hybrid, TimeBounded, insert, modify
-from dpcr.oracles import affected_count_oracle, most_span_oracle
+from dpcr.oracles import most_span_oracle
+
+from conftest import affected_count
 
 LOSS = PrivacyLoss(0.1, 1e-6)
 
@@ -99,14 +101,14 @@ def _entry(times):
 class TestSpanFolds:
     def test_non_uniform_ticks_within_span(self):
         schedule = ReleaseSchedule((5, 10, 11, 12, 14))
-        hits = affected_count_oracle(schedule.filters(), _entry([10, 11, 12, 13]))
+        hits = affected_count(schedule.filters(), _entry([10, 11, 12, 13]))
         assert hits == 4
         assert most_span(schedule.ticks, 5) == 2
         assert dcr_folds(schedule, TimeBounded(5)) >= hits
 
     def test_bound_wider_than_schedule(self):
         schedule = ReleaseSchedule((0, 1, 2))
-        hits = affected_count_oracle(schedule.filters(), _entry([0, 1, 2]))
+        hits = affected_count(schedule.filters(), _entry([0, 1, 2]))
         assert hits == 3
         assert most_span(schedule.ticks, 100) == 0
         assert dcr_folds(schedule, TimeBounded(100)) >= hits
@@ -123,7 +125,7 @@ class TestSpanFolds:
             for layer in range(params.height)
             for index in range(params.layer_size(layer))
         ]
-        hits = affected_count_oracle(nodes, _entry(list(range(1, 9))))
+        hits = affected_count(nodes, _entry(list(range(1, 9))))
         assert hits == 14
         assert hdcr_folds(params, TimeBounded(100)) >= hits
 
@@ -150,7 +152,7 @@ class TestSpanFolds:
                 for index in range(params.layer_size(layer))
             ]
             best = max(
-                affected_count_oracle(nodes, _entry(list(range(first, first + bound + 1))))
+                affected_count(nodes, _entry(list(range(first, first + bound + 1))))
                 for first in range(params.start - bound + 1, params.start + params.span + 1)
             )
             assert hdcr_folds(params, TimeBounded(bound)) == best
@@ -182,7 +184,7 @@ class TestSpanFolds:
             times = sorted({first + int(o) for o in offsets})
             if isinstance(constraint, AtMostK):
                 times = times[: constraint.k]
-            assert affected_count_oracle(nodes, _entry(times)) <= hdcr_folds(params, constraint)
+            assert affected_count(nodes, _entry(times)) <= hdcr_folds(params, constraint)
 
     def test_hybrid_folds_take_largest_branch(self):
         params = HdcrParams(height=3, branching=2, start=0, span=8, interval=1)

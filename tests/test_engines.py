@@ -226,6 +226,7 @@ class TestCoverRange:
 
     @pytest.mark.parametrize("branching,height,top", [(2, 4, 16), (3, 3, 27), (10, 2, 100)])
     def test_exhaustive_small_universes(self, branching, height, top):
+        minima = {high: min_cover_oracle(high, branching, height) for high in range(1, top + 1)}
         for low in range(top):
             for high in range(low + 1, top + 1):
                 cover = cover_range(low, high, branching, height)
@@ -235,11 +236,12 @@ class TestCoverRange:
                 assert segments[-1][1] == high
                 assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
                 width = high - low
-                bound = 1 if width == 1 else 2 * (branching - 1) * math.ceil(
-                    math.log(width) / math.log(branching)
-                )
+                levels = 0  # ceil(log_c(width)), in integers
+                while branching**levels < width:
+                    levels += 1
+                bound = 1 if width == 1 else 2 * (branching - 1) * levels
                 assert len(cover) <= bound
-                assert len(cover) >= min_cover_oracle(low, high, branching, height)
+                assert len(cover) >= minima[high][low]
 
 
 class TestBuildHdcr:
