@@ -2,10 +2,13 @@
 
 Configuration lives in a JSON file; any leaf can be overridden with
 ``--set dotted.path=value``. The seed is mandatory (no wall-clock
-default) so every artifact is reproducible byte for byte. A run refuses
-to release anything until the input log satisfies the constraint
-declared for accounting, because the privacy bound printed in the
-header is meaningless otherwise.
+default) so every artifact is reproducible byte for byte. ``account``
+and ``run`` read and check all of ``release.*`` in one place, query,
+labels and noise included: ``account`` refuses what ``run`` refuses,
+and ``run`` refuses a bad release before it opens the log. A run then
+refuses to release anything until the input log satisfies the
+constraint declared for accounting, because the privacy bound printed
+in the header is meaningless otherwise.
 
 Exit codes: 0 success, 2 configuration error, 3 constraint violation,
 4 verification failure.
@@ -60,12 +63,12 @@ from .engines import (
     run_swcr,
     swcr_equivalent_hdcr_params,
 )
-from .mechanisms import InvalidNoiseError, LinearQuerySpec, NoiseSpec, named_stream, sensitivity
+from .mechanisms import LinearQuerySpec, NoiseSpec, named_stream, sensitivity
 from .randomized_response import (
-    InvalidEpsilonError,
+    AnswerMutationSpace,
     ResponseSpace,
     RrRecord,
-    SingularMatrixError,
+    _invertible_rule_entries,
     dump_answer_log,
     load_answer_log,
     rr_dcr,
@@ -195,7 +198,10 @@ def _get(cfg: Mapping, path: str, kind: type, default=None):
 def _typed(value, path: str, kind: type):
     """``value`` as a ``kind``, an int accepted as a float; ConfigError names ``path``."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"field {path!r} is too large for a float") from None
     if kind is int and isinstance(value, bool):
         raise ConfigError(f"field {path!r} must be {kind.__name__}, got a boolean")
     if not isinstance(value, kind):
@@ -242,24 +248,30 @@ def _constraint_json(constraint: MutationConstraint) -> dict:
 
 
 def query_from_config(cfg: Mapping) -> LinearQuerySpec:
-    qcfg = _get(cfg, "release.query", dict, default={"fn": "identity", "bounds": [0.0, 1.0]})
+    qcfg = _get(cfg, "release.query", dict, default={})
     fn = qcfg.get("fn", "identity")
-    bounds = qcfg.get("bounds", [0.0, 1.0])
-    if not (isinstance(bounds, list) and len(bounds) == 2):
-        raise ConfigError("release.query.bounds must be [lower, upper]")
-    if fn == "indicator" and "threshold" not in qcfg:
-        raise ConfigError("release.query.threshold is required for indicator queries")
+    lower, upper = _pair(qcfg.get("bounds", [0.0, 1.0]), "release.query.bounds")
     predicate = None
+    if fn == "indicator":
+        threshold = _get(cfg, "release.query.threshold", float)
+        predicate = lambda v: v > threshold  # noqa: E731
     table = qcfg.get("table")
     try:
-        if fn == "indicator":
-            threshold = float(qcfg["threshold"])
-            predicate = lambda v: v > threshold  # noqa: E731
         if table is not None:
-            table = {float(k): float(v) for k, v in table.items()}
-        return LinearQuerySpec(fn, float(bounds[0]), float(bounds[1]), predicate, table)
+            # JSON keys are strings, read as numbers
+            table = {float(k): _typed(v, f"release.query.table.{k}", float) for k, v in table.items()}
+        return LinearQuerySpec(fn, lower, upper, predicate, table)
+    except ConfigError:
+        raise
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"release.query: {exc}") from exc
+
+
+def _pair(value, path: str) -> tuple[float, float]:
+    """A ``[low, high]`` list of two numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{path} must be [low, high], got {value!r}")
+    return tuple(_typed(v, f"{path}[{i}]", float) for i, v in enumerate(value))
 
 
 def strategy_from_config(cfg: Mapping) -> CompositionStrategy:
@@ -277,11 +289,18 @@ def strategy_from_config(cfg: Mapping) -> CompositionStrategy:
 
 # -- accounting reports ------------------------------------------------------
 
-def release_accounting(cfg: Mapping) -> tuple[MutationConstraint, dict]:
-    """The declared constraint plus folds and composed losses of the release.
+def release_accounting(cfg: Mapping) -> tuple[
+    MutationConstraint, dict, ReleaseSchedule | SwcrParams | HdcrParams,
+    ReleaseSchedule | SwcrParams | HdcrParams, LinearQuerySpec | ResponseSpace,
+]:
+    """``(constraint, report, params, accounted, mechanism)``, each read and checked once.
 
-    The returned mapping is embedded verbatim in run headers, so the
-    CLI can never drift from the library's accountant.
+    ``params`` are what the engine runs; ``accounted`` are what the folds
+    are counted on: the equivalent hierarchy of a ``from_hdcr`` window
+    release, else ``params``. ``mechanism`` is the query of a Laplace
+    release or the response space of a randomized-response one, whose
+    noise or rule is checked here. The report is embedded verbatim in
+    run headers, so the CLI can never drift from the library's accountant.
     """
     kind = _get(cfg, "release.kind", str)
     if kind not in RELEASE_KINDS:
@@ -289,28 +308,34 @@ def release_accounting(cfg: Mapping) -> tuple[MutationConstraint, dict]:
     constraint = constraint_from_config(_get(cfg, "release.constraint", dict), "release.constraint")
     epsilon = _get(cfg, "release.epsilon", float)
     delta = _get(cfg, "release.delta", float, default=0.0)
-    try:
-        per_query = PrivacyLoss(epsilon, delta)
-    except ValueError as exc:
-        raise ConfigError(f"release: {exc}") from exc
     strategy = strategy_from_config(cfg)
     # randomized response is a local guarantee; the Laplace releases are global
     local = kind.startswith("rr-")
-
-    if kind in ("dcr", "rr-dcr"):
-        global_folds = dcr_folds(_schedule_from_config(cfg), constraint)
-    elif kind != "swcr":
-        global_folds = hdcr_folds(_hdcr_from_config(cfg), constraint)
-    elif _get(cfg, "release.from_hdcr", bool, default=False):
-        # the derived release's loss is the underlying hierarchy's
-        swcr, branching = _swcr_from_config(cfg), _get(cfg, "release.branching", int, default=2)
-        try:
-            params = swcr_equivalent_hdcr_params(swcr, branching)
-        except ValueError as exc:  # a branching below 2
-            raise ConfigError(f"release: {exc}") from exc
-        global_folds = hdcr_folds(params, constraint)
-    else:
-        global_folds = swcr_folds(_swcr_from_config(cfg), constraint)
+    try:  # the library's own checks of the loss, the parameters and the mechanism
+        per_query = PrivacyLoss(epsilon, delta)
+        if kind in ("dcr", "rr-dcr"):
+            params = _schedule_from_config(cfg)
+        elif kind == "swcr":
+            params = _swcr_from_config(cfg)
+        else:
+            params = _hdcr_from_config(cfg)
+        accounted = params
+        if kind == "swcr" and _get(cfg, "release.from_hdcr", bool, default=False):
+            # the derived release's loss is the underlying hierarchy's
+            branching = _get(cfg, "release.branching", int, default=2)
+            accounted = swcr_equivalent_hdcr_params(params, branching)
+        if local:
+            mechanism = _space_from_config(cfg, "release.labels")
+            _invertible_rule_entries(AnswerMutationSpace(mechanism).size, epsilon)
+        else:
+            mechanism = query_from_config(cfg)
+            NoiseSpec(epsilon, sensitivity(mechanism), seed=0)  # the check reads no seed
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"release: {exc}") from exc
+    fold_count = {ReleaseSchedule: dcr_folds, SwcrParams: swcr_folds, HdcrParams: hdcr_folds}
+    global_folds = fold_count[type(accounted)](accounted, constraint)
     local_fold_count = local_folds(global_folds)
     folds = local_fold_count if local else global_folds
     try:
@@ -331,10 +356,8 @@ def release_accounting(cfg: Mapping) -> tuple[MutationConstraint, dict]:
         "local_delta": local_loss.delta,
     }
     if kind in ("hdcr", "rr-hdcr") and isinstance(constraint, TimeBounded):
-        report["nominal_layer_sum_folds"] = hdcr_time_bounded_nominal_folds(
-            _hdcr_from_config(cfg), constraint.bound
-        )
-    return constraint, report
+        report["nominal_layer_sum_folds"] = hdcr_time_bounded_nominal_folds(params, constraint.bound)
+    return constraint, report, params, accounted, mechanism
 
 
 def _schedule_from_config(cfg: Mapping) -> ReleaseSchedule:
@@ -355,41 +378,31 @@ def _schedule_from_config(cfg: Mapping) -> ReleaseSchedule:
 
 
 def _swcr_from_config(cfg: Mapping) -> SwcrParams:
-    try:
-        return SwcrParams(
-            window=_get(cfg, "release.window", int),
-            period=_get(cfg, "release.period", int),
-            first_release=_get(cfg, "release.first_release", int),
-            count=_get(cfg, "release.count", int),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"release: {exc}") from exc
+    return SwcrParams(
+        window=_get(cfg, "release.window", int),
+        period=_get(cfg, "release.period", int),
+        first_release=_get(cfg, "release.first_release", int),
+        count=_get(cfg, "release.count", int),
+    )
 
 
 def _hdcr_from_config(cfg: Mapping) -> HdcrParams:
-    """The hierarchy of a prefix release (``hdcr``, ``rr-hdcr``).
-
-    Refused here, on the path ``account`` and ``run`` share, when it is
-    too flat for its grid, so both commands agree that no such release exists.
-    """
-    try:
-        params = HdcrParams(
-            height=_get(cfg, "release.height", int),
-            branching=_get(cfg, "release.branching", int),
-            start=_get(cfg, "release.start", int),
-            span=_get(cfg, "release.span", int),
-            interval=_get(cfg, "release.interval", int),
-        )
-        check_prefix_cover(params)
-    except ValueError as exc:  # RangeTooWideError is a ValueError
-        raise ConfigError(f"release: {exc}") from exc
+    """A prefix release's hierarchy; a ``RangeTooWideError`` when too flat for its grid."""
+    params = HdcrParams(
+        height=_get(cfg, "release.height", int),
+        branching=_get(cfg, "release.branching", int),
+        start=_get(cfg, "release.start", int),
+        span=_get(cfg, "release.span", int),
+        interval=_get(cfg, "release.interval", int),
+    )
+    check_prefix_cover(params)
     return params
 
 
 def _space_from_config(cfg: Mapping, path: str) -> ResponseSpace:
-    labels = _get(cfg, path, list)
+    labels = tuple(_typed(l, f"{path}[{i}]", str) for i, l in enumerate(_get(cfg, path, list)))
     try:
-        return ResponseSpace(tuple(str(l) for l in labels))
+        return ResponseSpace(labels)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -464,10 +477,7 @@ def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> Change
     entries, horizon, constraint, rate = _generator_params(cfg)
     if space is None:
         value_range = _get(cfg, "generator.value_range", list, default=[0.0, 100.0])
-        try:
-            low, high = (float(v) for v in value_range)
-        except (TypeError, ValueError, OverflowError):
-            low = high = float("nan")
+        low, high = _pair(value_range, "generator.value_range")
         if not (low <= high and math.isfinite(high - low)):
             raise ConfigError(f"generator.value_range must be finite [low, high], got {value_range}")
         stream = "generate"
@@ -510,7 +520,7 @@ def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> Change
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     seed = _seed(cfg)
-    constraint, accounting = release_accounting(cfg)
+    constraint, accounting, params, accounted, mechanism = release_accounting(cfg)
     kind = accounting["kind"]
     out = args.out or _get(cfg, "output.path", str)
     fmt = _get(cfg, "output.format", str, default="csv")
@@ -525,8 +535,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     rr = kind.startswith("rr-")
     if rr:
-        space = _space_from_config(cfg, "release.labels")
-        log = _load_input(lambda path: load_answer_log(path, space), args.changelog)
+        log = _load_input(lambda path: load_answer_log(path, mechanism), args.changelog)
     else:
         log = _load_input(load_changelog, args.changelog)
     bad = np.flatnonzero(~validate_constraint(log, constraint))
@@ -535,15 +544,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{len(bad)} entries violate the declared constraint "
             f"(first: {[log.ids[i] for i in bad[:3]]})"
         )
-    try:
-        release = _run_rr(cfg, kind, log, space, seed) if rr else _run_release(cfg, kind, log, seed)
-    except (InvalidEpsilonError, InvalidNoiseError, SingularMatrixError) as exc:
-        # the engines check these release parameters only once they run
-        raise ConfigError(f"release: {exc}") from exc
+    epsilon = accounting["per_query"]["epsilon"]
+    if rr:
+        release = (rr_dcr if kind == "rr-dcr" else rr_hdcr)(log, mechanism, params, epsilon, seed)
+    else:
+        noise = NoiseSpec(epsilon, sensitivity(mechanism), seed)
+        if accounted is not params:  # a window release answered by the hierarchy it is accounted on
+            release = derive_swcr_from_hdcr(log, params, accounted.branching, noise, mechanism)
+        else:
+            engine = {"dcr": run_dcr, "swcr": run_swcr, "hdcr": run_hdcr}[kind]
+            release = engine(log, params, mechanism, noise)
     try:
         with open(out, "w", encoding="utf-8") as fh:
             if rr:
-                _write_rr(release, space, fh, fmt, header)
+                _write_rr(release, mechanism, fh, fmt, header)
             else:
                 _write_release(release, fh, fmt, header, include_exact)
     except OSError as exc:
@@ -558,30 +572,6 @@ def _load_input(loader, path: str):
         return loader(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--changelog {path}: {exc}") from exc
-
-
-def _run_release(cfg: Mapping, kind: str, log: Changelog, seed: int) -> ReleaseResult:
-    spec = query_from_config(cfg)
-    noise = NoiseSpec(_get(cfg, "release.epsilon", float), sensitivity(spec), seed)
-    if kind == "dcr":
-        return run_dcr(log, _schedule_from_config(cfg), spec, noise)
-    if kind == "swcr":
-        if _get(cfg, "release.from_hdcr", bool, default=False):
-            return derive_swcr_from_hdcr(
-                log, _swcr_from_config(cfg), _get(cfg, "release.branching", int, default=2),
-                noise, spec,
-            )
-        return run_swcr(log, _swcr_from_config(cfg), spec, noise)
-    return run_hdcr(log, _hdcr_from_config(cfg), spec, noise)
-
-
-def _run_rr(
-    cfg: Mapping, kind: str, log: Changelog, space: ResponseSpace, seed: int
-) -> list[RrRecord]:
-    epsilon = _get(cfg, "release.epsilon", float)
-    if kind == "rr-dcr":
-        return rr_dcr(log, space, _schedule_from_config(cfg), epsilon, seed)
-    return rr_hdcr(log, space, _hdcr_from_config(cfg), epsilon, seed)
 
 
 def _write_header(fh: IO[str], fmt: str, header: dict) -> None:
@@ -636,7 +626,7 @@ def _write_rr(
 
 def cmd_account(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    constraint, report = release_accounting(cfg)
+    constraint, report, *_ = release_accounting(cfg)
     note = " (per-branch sup)" if isinstance(constraint, Hybrid) else ""
     print(f"release kind:      {report['kind']}")
     print(f"constraint:        {json.dumps(report['constraint'])}")
@@ -658,14 +648,12 @@ def cmd_account(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         name, _, value = args.constraint.partition(":")
-        if name == "at_most_k":
-            constraint: AtMostK | TimeBounded = AtMostK(int(value or 1))
-        elif name == "time_bounded":
-            constraint = TimeBounded(int(value))
-        else:
+        kinds = {"at_most_k": AtMostK, "time_bounded": TimeBounded}
+        if name not in kinds or not value:
             raise ConfigError(
                 f"--constraint must be at_most_k:<k> or time_bounded:<bound>, got {args.constraint!r}"
             )
+        constraint = kinds[name](int(value))
         factors = [int(c) for c in args.branching.split(",") if c]
         swcr = SwcrParams(window=args.window, period=args.period, first_release=args.window, count=2)
         rows = [(c, compare_hdcr_swcr(swcr, c, constraint)) for c in factors]

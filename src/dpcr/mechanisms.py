@@ -22,7 +22,7 @@ VALUE_FN_KINDS = ("identity", "indicator", "second_moment", "table")
 
 
 class InvalidNoiseError(ValueError):
-    """Noise parameters do not define a positive Laplace scale."""
+    """Noise parameters do not define a positive, finite Laplace scale."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ class NoiseSpec:
             raise InvalidNoiseError(f"epsilon must be > 0, got {self.epsilon}")
         if not self.sensitivity > 0:
             raise InvalidNoiseError(f"sensitivity must be > 0, got {self.sensitivity}")
+        if not math.isfinite(self.scale):
+            raise InvalidNoiseError(f"scale {self.sensitivity} / {self.epsilon} is not finite")
 
     @property
     def scale(self) -> float:

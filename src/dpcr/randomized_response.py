@@ -43,7 +43,7 @@ CONDITION_LIMIT = 1e12
 
 
 class InvalidEpsilonError(ValueError):
-    """The privacy parameter must be strictly positive."""
+    """The privacy parameter must be strictly positive, with ``e^epsilon`` a finite float."""
 
 
 class UnknownLabelError(KeyError):
@@ -94,10 +94,14 @@ def _rule_entries(size: int, epsilon: float) -> tuple[float, float]:
     """Diagonal and off-diagonal entries of the optimal rule."""
     if size < 2:
         raise ValueError(f"rule size must be >= 2, got {size}")
-    if not epsilon > 0:
-        raise InvalidEpsilonError(f"epsilon must be > 0, got {epsilon}")
-    denom = size - 1 + math.exp(epsilon)
-    return math.exp(epsilon) / denom, 1.0 / denom
+    try:
+        odds = math.exp(epsilon)
+    except OverflowError:
+        odds = math.inf
+    if not (epsilon > 0 and odds < math.inf):
+        raise InvalidEpsilonError(f"epsilon must be > 0 with e^epsilon finite, got {epsilon}")
+    denom = size - 1 + odds
+    return odds / denom, 1.0 / denom
 
 
 def _invertible_rule_entries(size: int, epsilon: float) -> tuple[float, float]:

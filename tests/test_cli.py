@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -407,6 +409,14 @@ class TestAccountAndCompare:
         out = capsys.readouterr().out
         assert "432" in out and "4096" in out and "yes" in out
 
+    @pytest.mark.parametrize("constraint", ["at_most_k", "at_most_k:", "time_bounded"])
+    def test_compare_constraint_needs_a_value(self, capsys, constraint):
+        assert run_cli(
+            "compare", "--window", 64, "--period", 1, "--constraint", constraint, "--branching", "2",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "at_most_k:<k>" in err and "time_bounded:<bound>" in err
+
     def test_config_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"seed": 1, "release": {"kind": "dcr"}}))
@@ -500,6 +510,27 @@ class TestInputFailures:
             ("generate", ["generator.constraint.k=2.5"], "log"),
             ("generate", ['generator.constraint.k="3"'], "log"),
             ("generate", ['generator.constraint={"kind":"time_bounded","bound":false}'], "log"),
+            ("account", ["release.epsilon=0"], "log"),
+            ("account", ["release.query.bounds=[5,5]"], "log"),
+            ("account", ["release.query.fn=bogus"], "log"),
+            ("account", ["release.kind=rr-dcr", "release.epsilon=1e-14",
+                         'release.labels=["a","b","c"]'], "log"),
+            ("account", ["release.kind=rr-dcr"], "log"),
+            ("account", ["release.kind=rr-dcr", 'release.labels=["a","a"]'], "log"),
+            ("account", [*RR_DCR, "release.epsilon=1000"], "log"),
+            ("account", ["release.epsilon=1e-320"], "log"),
+            ("account", ["release.query.bounds=[-1e308,1e308]"], "log"),
+            ("account", ["release.kind=rr-dcr", "release.labels=[1,2]"], "log"),
+            ("account", ["release.epsilon=1" + "0" * 400], "log"),
+            ("run", [*RR_DCR, "release.epsilon=1000"], "answers"),
+            ("run", ["release.epsilon=1e-320"], "log"),
+            ("run", ["release.query.bounds=[-1e308,1e308]"], "log"),
+            ("run", ['release.query.bounds=["0","100"]'], "log"),
+            ("run", ["release.query.bounds=[false,true]"], "log"),
+            ("run", ["release.query.fn=indicator", 'release.query.threshold="5"'], "log"),
+            ("run", ["release.query.fn=table", 'release.query.table={"1":"2"}'], "log"),
+            ("generate", ['generator.value_range=["0","100"]'], "log"),
+            ("generate", ["generator.labels=[1,2]"], "log"),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
              "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
@@ -512,7 +543,14 @@ class TestInputFailures:
              "time-beyond-int64", *STRICT_LOGS, "fractional-k", "string-k", "boolean-bound",
              "fractional-hybrid-bound", "fractional-tick", "string-tick", "fractional-start",
              "boolean-interval", "string-count", "fractional-generator-k", "string-generator-k",
-             "boolean-generator-bound"],
+             "boolean-generator-bound", "zero-epsilon-account", "zero-width-bounds-account",
+             "unknown-query-fn-account", "rr-singular-rule-account", "rr-missing-labels-account",
+             "rr-duplicate-labels-account", "rr-overflowing-epsilon-account",
+             "subnormal-epsilon-account", "overflowing-bounds-width-account",
+             "numeric-labels-account", "integer-epsilon-beyond-float", "rr-overflowing-epsilon",
+             "subnormal-epsilon", "overflowing-bounds-width", "string-bounds", "boolean-bounds",
+             "string-threshold", "string-table-value", "string-value-range",
+             "numeric-generator-labels"],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"
@@ -538,6 +576,19 @@ class TestInputFailures:
         capsys.readouterr()
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("changelog", ["missing", "violating"])
+    def test_release_is_refused_before_the_log_is_read(self, tmp_path, cfg, capsys, changelog):
+        log = tmp_path / "log.jsonl"
+        violating = ["--set", "release.constraint.k=1"]  # generated under at_most_k:3
+        if changelog == "violating":
+            run_cli("generate", "--config", cfg, "--out", log)
+        argv = ["run", "--config", cfg, "--changelog", log, *violating]
+        capsys.readouterr()
+        assert run_cli(*argv) == (3 if changelog == "violating" else 2)
+        capsys.readouterr()
+        assert run_cli(*argv, "--set", "release.epsilon=0") == 2
+        assert capsys.readouterr().err.startswith("config error: release: ")
 
     @pytest.mark.parametrize("where", ["log-line", "config-file", "set-value"])
     def test_deeply_nested_json_exits_2(self, tmp_path, cfg, capsys, where):
@@ -624,7 +675,7 @@ FUZZ_LEAVES = [
 # duplicates, labels the input does not carry, and a non-JSON word
 FUZZ_VALUES = [
     '"x"', "true", "null", "[]", "{}", "NaN", "1e400", "-1e400", "0", "-1", "-2.5",
-    '["a","a"]', "[0,0]", '["x","y"]', "[1e400]", "x",
+    '["a","a"]', "[0,0]", '["x","y"]', "[1e400]", "x", "1000", "1e-320",
 ]
 
 
@@ -663,6 +714,29 @@ class TestConfigFuzz:
         if command == "run":
             argv += ["--changelog", data]
         assert run_cli(*argv) in (0, 2, 3)
+
+
+class TestAccountRunAgreement:
+    @given(
+        st.sampled_from(sorted(FUZZ_RELEASES)),
+        st.lists(st.tuples(st.sampled_from([l for l in FUZZ_LEAVES if l.startswith("release.")]),
+                           st.sampled_from(FUZZ_VALUES)),
+                 min_size=1, max_size=3),
+    )
+    def test_account_refuses_what_run_refuses(self, fuzz_inputs, release, overrides):
+        """Only reading the log may make ``run`` refuse a release that ``account`` accepts."""
+        cfg, data = fuzz_inputs[release]
+        sets = [arg for path, value in overrides for arg in ("--set", f"{path}={value}")]
+        codes, errors = {}, {}
+        for command, extra in (("account", []), ("run", ["--changelog", data])):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes[command] = run_cli(command, "--config", cfg, *sets, *extra)
+            errors[command] = err.getvalue()
+        if codes["account"] == 2:
+            assert codes["run"] == 2, errors
+        if codes["run"] == 2 and not errors["run"].startswith("config error: --changelog"):
+            assert codes["account"] == 2, errors
 
 
 # JSON texts for input-log fields: a valid pool, and an adversarial pool of

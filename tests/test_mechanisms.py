@@ -111,6 +111,11 @@ class TestPerturb:
         with pytest.raises(InvalidNoiseError):
             NoiseSpec(1.0, -1.0, seed=1)
 
+    @pytest.mark.parametrize("epsilon,sens", [(1e-320, 100.0), (1.0, math.inf), (1e-300, 1e300)])
+    def test_infinite_scale_rejected(self, epsilon, sens):
+        with pytest.raises(InvalidNoiseError):
+            NoiseSpec(epsilon, sens, seed=1)
+
     def test_monte_carlo_mean(self):
         noise = NoiseSpec(0.5, 2.0, seed=3)
         sigma = math.sqrt(2) * noise.scale

@@ -78,6 +78,11 @@ class TestOptimalRule:
         with pytest.raises(InvalidEpsilonError):
             optimal_rule(3, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [709.79, 1000.0, math.inf])
+    def test_rejects_epsilon_whose_odds_overflow(self, epsilon):
+        with pytest.raises(InvalidEpsilonError):
+            optimal_rule(3, epsilon)
+
     def test_columns_sum_to_one(self):
         for size in (2, 9, 26):
             rule = optimal_rule(size, 1.3)
