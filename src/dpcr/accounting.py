@@ -188,6 +188,14 @@ class HdcrParams:
         width = self.branching**layer
         return self.grid_filter(width * index, width * (index + 1))
 
+    def layer_filters(self, layer: int) -> list[TimeRangeFilter]:
+        """Every ``node_filter(layer, index)`` of a layer, in index order."""
+        if not 0 <= layer < self.height:
+            raise ValueError(f"no layer {layer} in a {self.height}-layer hierarchy")
+        width, end = self.layer_interval(layer), self.start + self.span
+        starts = range(self.start, end, width)
+        return list(map(TimeRangeFilter, starts, [*starts[1:], end]))
+
     def grid_filter(self, low: int, high: int) -> TimeRangeFilter:
         """Real range of grid range ``(low, high]``, capped at ``start + span``."""
         return TimeRangeFilter(

@@ -299,8 +299,9 @@ def release_accounting(cfg: Mapping) -> tuple[
     are counted on: the equivalent hierarchy of a ``from_hdcr`` window
     release, else ``params``. ``mechanism`` is the query of a Laplace
     release or the response space of a randomized-response one, whose
-    noise or rule is checked here. The report is embedded verbatim in
-    run headers, so the CLI can never drift from the library's accountant.
+    noise or rule is checked here, with a hierarchy's aggregate variance.
+    The report is embedded verbatim in run headers, so the CLI can never
+    drift from the library's accountant.
     """
     kind = _get(cfg, "release.kind", str)
     if kind not in RELEASE_KINDS:
@@ -329,7 +330,16 @@ def release_accounting(cfg: Mapping) -> tuple[
             _invertible_rule_entries(AnswerMutationSpace(mechanism).size, epsilon)
         else:
             mechanism = query_from_config(cfg)
-            NoiseSpec(epsilon, sensitivity(mechanism), seed=0)  # the check reads no seed
+            scale = NoiseSpec(epsilon, sensitivity(mechanism), seed=0).scale  # reads no seed
+            if isinstance(accounted, HdcrParams):
+                # an aggregate reports node_count * 2 * scale**2, and a cover
+                # has at most 2 * (branching - 1) * height nodes
+                widest = 2 * (accounted.branching - 1) * accounted.height
+                if not math.isfinite(widest * 2 * scale * scale):
+                    raise ValueError(
+                        f"a {widest}-node cover at per-node noise scale {scale:.6g} "
+                        "has no finite variance"
+                    )
     except ConfigError:
         raise
     except ValueError as exc:

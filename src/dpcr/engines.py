@@ -2,33 +2,37 @@
 
 Every released value is a ``ReleaseRecord``: a disjoint or sliding-window
 query, a hierarchy node (a disjoint query over a wider interval) and an
-aggregate (a sum of nodes) alike. One evaluator, ``_run_filters``,
-evaluates the exact linear-query change for every window and perturbs it
-with Laplace noise read by position from one stream per noise vector:
-query ``i`` of a disjoint or sliding-window release takes draw ``i`` of
-``named_stream(seed, "dcr")`` (or ``"swcr"``), and hierarchy node
-``(layer, index)`` takes draw ``index`` of
-``named_stream(seed, "hdcr", layer)``. A value's noise is therefore a
-function of the seed, the stream name and its position only: it does
-not depend on evaluation order, and extending a schedule or a span
-leaves earlier values' noise unchanged. A release evaluates ``f`` once
-per mutation (``_change_terms``), and each window sums the terms of its
-contiguous row slice of the log. Exact values ride along in the
-in-memory results for verification; the serializers drop them unless
-explicitly asked.
+aggregate (a sum of nodes) alike. One evaluator, ``_window_values``,
+values a list of windows: it sums every window's exact linear-query
+change in one array pass and perturbs it with Laplace noise read by
+position from one stream per noise vector: query ``i`` of a disjoint or
+sliding-window release takes draw ``i`` of ``named_stream(seed, "dcr")``
+(or ``"swcr"``), and hierarchy node ``(layer, index)`` takes draw
+``index`` of ``named_stream(seed, "hdcr", layer)``. A value's noise is
+therefore a function of the seed, the stream name and its position only:
+it does not depend on evaluation order, and extending a schedule or a
+span leaves earlier values' noise unchanged. A release evaluates ``f``
+once per mutation (``_change_terms``), and each window adds the terms of
+its contiguous row slice of the log left to right from ``0.0``. Exact
+values ride along in the in-memory results for verification; the
+serializers drop them unless explicitly asked.
 
-Every hierarchy, Laplace or survey, values each node once into a
-``node_table`` and answers a grid range with ``cover_values``: the nodes
-``cover_range`` finds in one left-to-right walk. Sums add the nodes in
-that order, so a sum's bits are fixed by the range alone.
+Every hierarchy, Laplace or survey, values each layer once into a
+``node_table``, one list per layer in index order, and answers a grid
+range with ``cover_values``: the nodes ``cover_range`` finds in one
+left-to-right walk. Sums add the nodes in that order, so a sum's bits
+are fixed by the range alone. A Laplace hierarchy keeps each node as a
+``(noisy, exact)`` pair of floats; ``HdcrTree`` builds its nodes'
+``ReleaseRecord``s only when they are first read.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -93,7 +97,7 @@ def run_dcr(
     The first query reads everything up to the first endpoint. Queries
     are non-adaptive and use mutually independent noise streams.
     """
-    return _run_filters(log, _change_terms(log, spec), schedule.filters(), noise, "dcr")
+    return _run_filters(log, spec, schedule.filters(), noise, "dcr")
 
 
 def run_swcr(
@@ -103,7 +107,16 @@ def run_swcr(
     noise: NoiseSpec,
 ) -> ReleaseResult:
     """Sliding-window release: query ``i`` reads ``(t_i - window, t_i]``."""
-    return _run_filters(log, _change_terms(log, spec), params.filters(), noise, "swcr")
+    return _run_filters(log, spec, params.filters(), noise, "swcr")
+
+
+def _run_filters(
+    log: Changelog, spec: LinearQuerySpec, filters: Sequence[TimeRangeFilter],
+    noise: NoiseSpec, stream: str,
+) -> ReleaseResult:
+    """One record per filter, valued by ``_window_values``."""
+    noisy, exact = _window_values(log, _change_terms(log, spec), filters, noise, stream)
+    return ReleaseResult(tuple(map(ReleaseRecord, filters, noisy, exact)))
 
 
 def _change_terms(log: Changelog, spec: LinearQuerySpec) -> np.ndarray:
@@ -114,25 +127,70 @@ def _change_terms(log: Changelog, spec: LinearQuerySpec) -> np.ndarray:
     return terms
 
 
-def _run_filters(
-    log: Changelog, terms: np.ndarray, filters: Sequence[TimeRangeFilter],
+def _window_values(
+    log: Changelog, terms: np.ndarray, windows: Sequence[TimeRangeFilter],
     noise: NoiseSpec, *stream: int | str,
-) -> ReleaseResult:
-    """Perturb filter ``i``'s exact change with draw ``i`` of ``(seed, *stream)``.
+) -> tuple[list[float], list[float]]:
+    """The noisy and exact values of every window, in order.
 
-    A window's exact change adds its rows' ``terms`` one at a time from
-    ``0.0``, so it equals ``linear_query_change(log.filter(window), spec)``
-    bit for bit.
+    A window's exact change adds the ``terms`` of its rows
+    (``Changelog.rows``) one at a time from ``0.0``, so it equals
+    ``linear_query_change(log.filter(window), spec)`` bit for bit.
+    Window ``i`` is perturbed with draw ``i`` of ``(seed, *stream)``.
     """
-    # cumsum adds left to right, where np.add.reduce would sum pairwise; "+ 0.0"
-    # turns the -0.0 that a run of -0.0 terms leaves into the 0.0 a sum from 0.0 gives
-    exacts = [
-        float(np.cumsum(terms[2 * rows.start:2 * rows.stop])[-1]) + 0.0
-        if rows.start < rows.stop else 0.0
-        for rows in log.rows(filters)
-    ]
-    noisy = perturb(np.array(exacts), noise, named_stream(noise.seed, *stream)).tolist()
-    return ReleaseResult(tuple(map(ReleaseRecord, filters, noisy, exacts)))
+    exact = _window_sums(terms, log.rows(windows))
+    noisy = perturb(exact, noise, named_stream(noise.seed, *stream))
+    return noisy.tolist(), exact.tolist()
+
+
+# Terms gathered into one padded block at a time, however many and however
+# long the windows are: sliding windows overlap, so their lengths can add up
+# to far more than the log. A block's float arrays take 64 KiB each.
+_GATHER_TERMS = 1 << 13
+
+
+def _window_sums(terms: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
+    """Each row slice's terms, two per row, added left to right from ``0.0``.
+
+    Windows are sorted by length and taken in groups, as many at a time
+    as fit ``_GATHER_TERMS`` terms once padded to the group's longest. A
+    group is gathered into a ``length x windows`` block padded with
+    ``0.0`` and summed by one ``np.add.accumulate`` down its columns,
+    which adds each column in order, where a reduction may add pairwise. A
+    window longer than ``_GATHER_TERMS`` goes alone, in blocks of that
+    many terms, each block starting from the sum of the ones before.
+    Empty windows sum to ``0.0``.
+    """
+    starts = 2 * np.array([r.start for r in rows], dtype=np.int64)
+    lengths = 2 * np.array([r.stop for r in rows], dtype=np.int64) - starts
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order].tolist()
+    sums = np.zeros(len(rows))
+    i = bisect_left(ordered, 1)
+    while i < len(ordered):
+        # padded group sizes grow with j, so the last one that fits is found by bisection
+        fits = bisect_right(range(i + 1, len(ordered) + 1), _GATHER_TERMS,
+                            key=lambda j: (j - i) * ordered[j - 1])
+        j = i + max(1, fits)
+        group = order[i:j]
+        sums[group] = _padded_sums(terms, starts[group], lengths[group], ordered[j - 1])
+        i = j
+    return sums
+
+
+def _padded_sums(
+    terms: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int
+) -> np.ndarray:
+    """Sums of ``terms[start:start + length]``, gathered ``_GATHER_TERMS`` at a time."""
+    total = np.zeros(len(starts))
+    step = max(1, _GATHER_TERMS // len(starts))
+    for first in range(0, width, step):
+        cols = np.arange(first, min(first + step, width))[:, None]
+        block = np.where(cols < lengths, terms.take(starts + cols, mode="clip"), 0.0)
+        # the running sum starts at 0.0, so a run of -0.0 terms sums to 0.0
+        block[0] += total
+        total = np.add.accumulate(block, axis=0)[-1]
+    return total
 
 
 def cover_range(low: int, high: int, branching: int, height: int) -> tuple[tuple[int, int], ...]:
@@ -168,11 +226,26 @@ def cover_range(low: int, high: int, branching: int, height: int) -> tuple[tuple
 
 @dataclass(frozen=True)
 class HdcrTree:
-    """The ``node_table`` of a hierarchical release and its per-node Laplace noise."""
+    """The ``node_table`` of a hierarchical release and its per-node Laplace noise.
+
+    ``layers[layer][index]`` is node ``(layer, index)``'s ``(noisy, exact)``
+    pair. ``nodes`` and ``node`` give them as ``ReleaseRecord``s over their
+    node windows, built for the whole tree on first access.
+    """
 
     params: HdcrParams
     noise: NoiseSpec
-    nodes: Mapping[tuple[int, int], ReleaseRecord]
+    layers: Sequence[Sequence[tuple[float, float]]]
+
+    @cached_property
+    def nodes(self) -> Mapping[tuple[int, int], ReleaseRecord]:
+        return {
+            (layer, index): ReleaseRecord(window, noisy, exact)
+            for layer, values in enumerate(self.layers)
+            for index, (window, (noisy, exact)) in enumerate(
+                zip(self.params.layer_filters(layer), values)
+            )
+        }
 
     def node(self, layer: int, index: int) -> ReleaseRecord:
         return self.nodes[(layer, index)]
@@ -180,28 +253,25 @@ class HdcrTree:
 
 def node_table(
     params: HdcrParams, value_layer: Callable[[int, list[TimeRangeFilter]], Iterable[V]]
-) -> dict[tuple[int, int], V]:
-    """Every node's value keyed ``(layer, index)``, valued one layer at a time.
+) -> list[list[V]]:
+    """Every node's value, one list per layer, bottom first, in index order.
 
-    ``value_layer(layer, windows)`` values a layer's node filters in
-    index order; the last may be truncated at the hierarchy end.
+    ``value_layer(layer, windows)`` values a layer's node windows
+    (``HdcrParams.layer_filters``) in index order; the last may be
+    truncated at the hierarchy end.
     """
-    return {
-        (layer, index): value
-        for layer in range(params.height)
-        for index, value in enumerate(value_layer(
-            layer, [params.node_filter(layer, i) for i in range(params.layer_size(layer))]
-        ))
-    }
+    return [list(value_layer(layer, params.layer_filters(layer))) for layer in range(params.height)]
 
 
 def cover_values(
-    nodes: Mapping[tuple[int, int], V], params: HdcrParams, low: int, high: int
+    layers: Sequence[Sequence[V]], params: HdcrParams, low: int, high: int
 ) -> list[V]:
     """The values of the nodes covering grid range ``(low, high]``, left to right."""
-    if high > params.grid_size():
-        raise ValueError(f"range ({low}, {high}] ends beyond the {params.grid_size()}-unit grid")
-    return [nodes[node] for node in cover_range(low, high, params.branching, params.height)]
+    grid = len(layers[0])  # the bottom layer has one node per grid unit
+    if high > grid:
+        raise ValueError(f"range ({low}, {high}] ends beyond the {grid}-unit grid")
+    return [layers[layer][index]
+            for layer, index in cover_range(low, high, params.branching, params.height)]
 
 
 def build_hdcr(
@@ -210,17 +280,18 @@ def build_hdcr(
     spec: LinearQuerySpec,
     noise_per_node: NoiseSpec,
 ) -> HdcrTree:
-    """Evaluate every node of the hierarchy over the changelog.
+    """Value every node of the hierarchy over the changelog, one layer at a time.
 
-    Each layer is a disjoint release over its node filters: node
+    Each layer is one ``_window_values`` call over its node windows: node
     ``(layer, index)`` takes draw ``index`` of
-    ``named_stream(seed, "hdcr", layer)``.
+    ``named_stream(seed, "hdcr", layer)``. No ``ReleaseRecord`` is built
+    here; ``HdcrTree.nodes`` builds them when read.
     """
     terms = _change_terms(log, spec)
-    nodes = node_table(params, lambda layer, windows: _run_filters(
+    layers = node_table(params, lambda layer, windows: zip(*_window_values(
         log, terms, windows, noise_per_node, "hdcr", layer
-    ).records)
-    return HdcrTree(params, noise_per_node, nodes)
+    )))
+    return HdcrTree(params, noise_per_node, layers)
 
 
 def aggregate(tree: HdcrTree, low: int, high: int) -> ReleaseRecord:
@@ -231,12 +302,12 @@ def aggregate(tree: HdcrTree, low: int, high: int) -> ReleaseRecord:
     hierarchy end when the span is not a multiple of the top node width.
     Variance is ``node_count * 2 * scale**2`` for the per-node Laplace scale.
     """
-    cover = cover_values(tree.nodes, tree.params, low, high)
+    cover = cover_values(tree.layers, tree.params, low, high)
     noisy = 0.0
     exact = 0.0
-    for record in cover:
-        noisy += record.noisy
-        exact += record.exact
+    for node_noisy, node_exact in cover:
+        noisy += node_noisy
+        exact += node_exact
     variance = len(cover) * 2 * tree.noise.scale**2
     return ReleaseRecord(tree.params.grid_filter(low, high), noisy, exact, len(cover), variance)
 
@@ -383,21 +454,27 @@ def result_to_csv(
 def result_to_jsonl(
     result: ReleaseResult, fh: IO[str], include_exact: bool = False
 ) -> None:
-    """One JSON object per query; aggregates carry node_count and variance."""
+    """One JSON object per query; aggregates carry node_count and variance.
+
+    Each row is written as ``json.dumps`` would write its object, keys in
+    the order below, without building the object.
+    """
     for i, r in enumerate(result.records):
-        rec: dict[str, object] = {
-            "query_index": i,
-            "t_start": None if r.window.start == float("-inf") else int(r.window.start),
-            "t_end": r.window.end,
-            "noisy": r.noisy,
-        }
+        start = "null" if r.window.start == float("-inf") else int(r.window.start)
+        row = (f'{{"query_index": {i}, "t_start": {start}, "t_end": {r.window.end}, '
+               f'"noisy": {_json_float(r.noisy)}')
         if r.node_count is not None:
-            rec["node_count"] = r.node_count
-            rec["variance"] = r.variance
+            row += f', "node_count": {r.node_count}, "variance": {_json_float(r.variance)}'
         if include_exact:
-            rec["exact"] = r.exact
-        fh.write(json.dumps(rec))
-        fh.write("\n")
+            row += f', "exact": {_json_float(r.exact)}'
+        fh.write(row + "}\n")
+
+
+def _json_float(x: float) -> str:
+    """``json.dumps(x)``: the float's repr, a non-finite value by its JavaScript name."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 def _start_repr(start: float) -> str:

@@ -94,14 +94,19 @@ def _rule_entries(size: int, epsilon: float) -> tuple[float, float]:
     """Diagonal and off-diagonal entries of the optimal rule."""
     if size < 2:
         raise ValueError(f"rule size must be >= 2, got {size}")
-    try:
-        odds = math.exp(epsilon)
-    except OverflowError:
-        odds = math.inf
+    odds = _odds(epsilon)
     if not (epsilon > 0 and odds < math.inf):
         raise InvalidEpsilonError(f"epsilon must be > 0 with e^epsilon finite, got {epsilon}")
     denom = size - 1 + odds
     return odds / denom, 1.0 / denom
+
+
+def _odds(epsilon: float) -> float:
+    """``e^epsilon``, or ``inf`` where that overflows a float."""
+    try:
+        return math.exp(epsilon)
+    except OverflowError:
+        return math.inf
 
 
 def _invertible_rule_entries(size: int, epsilon: float) -> tuple[float, float]:
@@ -122,11 +127,14 @@ def verify_dp(rule: np.ndarray, epsilon: float) -> bool:
     True iff every entry satisfies ``p[i, a] <= e^eps * p[i, b]`` for all
     column pairs, up to a relative slack of 1e-9 for float round-off; with
     zero delta the subset condition reduces to this elementwise check.
+    Raises InvalidEpsilonError where ``e^eps`` is not a finite float.
     """
     rule = np.asarray(rule, dtype=float)
     if rule.ndim != 2 or rule.shape[0] != rule.shape[1]:
         raise ValueError(f"rule must be square, got shape {rule.shape}")
-    bound = math.exp(epsilon)
+    bound = _odds(epsilon)
+    if not bound < math.inf:
+        raise InvalidEpsilonError(f"e^epsilon must be a finite float, got epsilon {epsilon}")
     row_max = rule.max(axis=1)
     row_min = rule.min(axis=1)
     return bool(np.all(row_max <= bound * row_min * (1 + 1e-9)))
@@ -447,13 +455,13 @@ def rr_hdcr(
     """
     check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
-    nodes = node_table(
+    layers = node_table(
         params, lambda layer, windows: survey(windows, named_stream(seed, "rr-hdcr", layer))
     )
 
     records, entries = [], len(log.ids)
     for j in range(1, params.grid_size() + 1):
-        cover = cover_values(nodes, params, 0, j)
+        cover = cover_values(layers, params, 0, j)
         values = sum((est.values for est in cover), np.zeros(space.size))
         covariance = sum((est.covariance for est in cover), np.zeros((space.size, space.size)))
         estimate = HistogramEstimate(values, covariance, entries)

@@ -10,8 +10,8 @@ The random dominance instances are drawn in chunks (``CHUNK``
 schedules or ``HIERARCHY_CHUNK`` hierarchies), one vectorized draw per
 parameter. Each instance still builds its release and fold count
 through the code under test, and its windows are read from the release
-itself (``filters()``, ``HdcrParams.node_filter``), so a widened window
-shows. ``oracles.affected_count_oracle`` then counts the whole chunk
+itself (``filters()``, ``HdcrParams.node_filter``, which equals the
+``layer_filters`` a hierarchy release reads), so a widened window shows. ``oracles.affected_count_oracle`` then counts the whole chunk
 over padded integer arrays.
 """
 

@@ -307,3 +307,15 @@ class TestSchedules:
         assert params.layer_size(2) == 2
         assert params.node_filter(1, 2).end == 20  # truncated at start + span
         assert [params.node_filter(1, i).start for i in range(3)] == [10, 14, 18]
+
+    @given(st.integers(1, 5), st.integers(2, 4), st.integers(-20, 20), st.integers(1, 90),
+           st.integers(1, 4))
+    def test_layer_filters_are_the_node_filters(self, height, branching, start, span, interval):
+        params = HdcrParams(height, branching, start, span, interval)
+        for layer in range(height):
+            assert params.layer_filters(layer) == [
+                params.node_filter(layer, index) for index in range(params.layer_size(layer))
+            ]
+        for layer in (-1, height):
+            with pytest.raises(ValueError):
+                params.layer_filters(layer)

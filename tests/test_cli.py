@@ -590,6 +590,29 @@ class TestInputFailures:
         assert run_cli(*argv, "--set", "release.epsilon=0") == 2
         assert capsys.readouterr().err.startswith("config error: release: ")
 
+    @pytest.mark.parametrize("epsilon", [1e-152, 5e-153])
+    @pytest.mark.parametrize("release", ["hdcr", "swcr-from-hdcr", "swcr"])
+    def test_aggregate_variance_must_be_finite(self, tmp_path, capsys, release, epsilon):
+        """An aggregate reports ``node_count * 2 * scale**2``. At these epsilons
+        that is not a finite float for the widest cover of a hierarchy, which
+        ``account`` and ``run`` then refuse; a window release reports no
+        variance and still runs."""
+        overrides = {
+            "hdcr": {"release.kind": "hdcr", **HIERARCHY},
+            "swcr-from-hdcr": {"release.kind": "swcr", "release.from_hdcr": True,
+                               "release.branching": 2, **WINDOWS},
+            "swcr": {"release.kind": "swcr", **WINDOWS},
+        }[release]
+        cfg = write_config(tmp_path / "cfg.json", **overrides, **{"release.epsilon": epsilon})
+        log = tmp_path / "log.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", log) == 0
+        refused = release != "swcr"
+        for argv in (["account"], ["run", "--changelog", log]):
+            capsys.readouterr()
+            assert run_cli(argv[0], "--config", cfg, *argv[1:]) == (2 if refused else 0)
+            if refused:
+                assert capsys.readouterr().err.startswith("config error: release: ")
+
     @pytest.mark.parametrize("where", ["log-line", "config-file", "set-value"])
     def test_deeply_nested_json_exits_2(self, tmp_path, cfg, capsys, where):
         # deep enough for the JSON parser to raise RecursionError
@@ -675,7 +698,7 @@ FUZZ_LEAVES = [
 # duplicates, labels the input does not carry, and a non-JSON word
 FUZZ_VALUES = [
     '"x"', "true", "null", "[]", "{}", "NaN", "1e400", "-1e400", "0", "-1", "-2.5",
-    '["a","a"]', "[0,0]", '["x","y"]', "[1e400]", "x", "1000", "1e-320",
+    '["a","a"]', "[0,0]", '["x","y"]', "[1e400]", "x", "1000", "1e-320", "1e-152", "5e-153",
 ]
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -15,11 +17,14 @@ from dpcr.changelog import (
     Hybrid,
     TimeBounded,
     TimeRangeFilter,
+    delete,
     insert,
     modify,
 )
 from dpcr.engines import (
     RangeTooWideError,
+    ReleaseRecord,
+    ReleaseResult,
     UnsupportedConstraintError,
     aggregate,
     build_hdcr,
@@ -29,8 +34,11 @@ from dpcr.engines import (
     result_to_csv,
     result_to_jsonl,
     run_dcr,
+    run_hdcr,
     run_swcr,
     swcr_equivalent_hdcr_params,
+    _GATHER_TERMS,
+    _window_values,
 )
 from dpcr.mechanisms import (
     LinearQuerySpec,
@@ -178,6 +186,95 @@ class TestReferenceScan:
             assert got == reference_exacts(log, windows, spec)
 
 
+def insert_log(times) -> Changelog:
+    """One insertion of a new entry per sorted time: many rows, built from columns."""
+    n = len(times)
+    return Changelog.from_columns(
+        np.asarray(times, dtype=np.int64), np.arange(n), [f"e{i:07d}" for i in range(n)],
+        np.zeros(n), np.ones(n), np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+    )
+
+
+def cumsum_exacts(log: Changelog, terms: np.ndarray, windows) -> list[str]:
+    """Each window's terms summed by its own ``np.cumsum``, plus ``0.0``, as reprs."""
+    return [
+        repr(float(np.cumsum(terms[2 * rows.start:2 * rows.stop])[-1]) + 0.0)
+        if rows.start < rows.stop else "0.0"
+        for rows in log.rows(windows)
+    ]
+
+
+# finite terms small enough that no sum of 80 of them overflows, with signed
+# zeros and subnormals drawn often
+TERMS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.1, 1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def windows(draw, horizon: int):
+    """Arbitrary, often empty and overlapping ranges, or a sliding-window release's."""
+    if draw(st.booleans()):
+        params = SwcrParams(draw(st.integers(1, 12)), draw(st.integers(1, 6)),
+                            draw(st.integers(-5, horizon + 5)), draw(st.integers(1, 12)))
+        return list(params.filters())
+    bounds = st.tuples(st.integers(-5, horizon + 5), st.integers(1, 12))
+    return [TimeRangeFilter(start, start + width)
+            for start, width in draw(st.lists(bounds, min_size=1, max_size=12))]
+
+
+class TestWindowValues:
+    """``_window_values`` sums all windows at once, bit for bit as one scan per window."""
+
+    @given(st.lists(st.integers(0, 30), max_size=40), st.data())
+    def test_exact_equals_per_window_cumsum(self, times, data):
+        log = insert_log(sorted(times))
+        terms = np.array(data.draw(st.lists(TERMS, min_size=2 * len(log), max_size=2 * len(log))))
+        if data.draw(st.booleans()):
+            terms = -np.abs(terms) * 0.0  # every term -0.0
+        filters = data.draw(windows(30))
+        noisy, exact = _window_values(log, terms, filters, NOISE, "test")
+        assert [repr(x) for x in exact] == cumsum_exacts(log, terms, filters)
+        draws = named_stream(NOISE.seed, "test").laplace(0.0, NOISE.scale, len(filters))
+        assert noisy == [x + d for x, d in zip(exact, draws.tolist())]
+        assert all(type(x) is float for x in noisy + exact)
+
+    def test_one_full_window_among_many_empty_ones(self):
+        # 8e5 terms, many times what one gather holds, in the first window;
+        # 10^4 windows after the last row hold none
+        n = 400_000
+        log = insert_log(np.arange(1, n + 1))
+        terms = np.random.default_rng(7).standard_normal(2 * n)
+        filters = [TimeRangeFilter(0, n)] + [TimeRangeFilter(n + k, n + k + 1) for k in range(10**4)]
+        tracemalloc.start()
+        try:
+            _, exact = _window_values(log, terms, filters, NOISE, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [repr(x) for x in exact] == cumsum_exacts(log, terms, filters)
+        # a windows x longest-window block would take 64 GB, one gather of the
+        # whole first window 6.4 MB per float array
+        assert peak < 4 * 2**20
+        assert 2 * n > 10 * _GATHER_TERMS
+
+    def test_long_overlapping_windows(self):
+        # 1001 windows of 10^4 rows each, 2 * 10^7 terms in all
+        n = 20_000
+        log = insert_log(np.arange(1, n + 1))
+        terms = np.random.default_rng(8).standard_normal(2 * n)
+        filters = SwcrParams(window=10_000, period=10, first_release=10_000, count=1001).filters()
+        tracemalloc.start()
+        try:
+            _, exact = _window_values(log, terms, filters, NOISE, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [repr(x) for x in exact] == cumsum_exacts(log, terms, filters)
+        assert peak < 4 * 2**20  # a windows x longest-window block would take 160 MB
+
+
 class TestNoiseLayout:
     """Noise is read by position from one stream per release or hierarchy layer."""
 
@@ -283,6 +380,16 @@ class TestBuildHdcr:
     def test_truncated_tail_node(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
         assert tree.node(2, 1).window.end == 12
+
+    def test_node_records_are_built_on_first_read(self):
+        tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
+        aggregate(tree, 0, 5)
+        assert "nodes" not in vars(tree)  # a release reads the layer lists only
+        node = tree.node(1, 2)
+        assert (node.noisy, node.exact) == tree.layers[1][2]
+        assert node.window == self.PARAMS.node_filter(1, 2)
+        assert tree.nodes is tree.nodes
+        assert len(tree.nodes) == sum(len(layer) for layer in tree.layers)
 
 
 class TestAggregate:
@@ -413,3 +520,99 @@ class TestSerialization:
         assert "variance" in rows[0]
         assert "exact" not in rows[0]
         assert rows[0]["t_start"] == 0
+
+    @pytest.mark.parametrize("include_exact", [False, True])
+    def test_jsonl_rows_equal_json_dumps(self, include_exact):
+        window = TimeRangeFilter(-(2**70), 2**70 + 1)
+        records = [
+            ReleaseRecord(TimeRangeFilter(float("-inf"), 3), -0.0, 0.1 + 0.2),
+            ReleaseRecord(window, 5e-324, -2.2250738585072014e-308, 2**64 + 1, 1 / 3),
+            ReleaseRecord(TimeRangeFilter(4, 9), 1e16, 123456789.12345679, 0, 0.0),
+            ReleaseRecord(TimeRangeFilter(4, 9), math.inf, -math.inf, 3, math.nan),
+        ]
+        result = ReleaseResult(tuple(records))
+        assert jsonl(result, include_exact) == dumps_jsonl(result, include_exact)
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(float("-inf")), st.integers(-(2**70), 2**70)),
+        st.integers(1, 2**70), st.floats(), st.floats(),
+        st.one_of(st.none(), st.tuples(st.integers(0, 2**70), st.floats())),
+    ), max_size=8), st.booleans())
+    def test_jsonl_rows_equal_json_dumps_for_any_floats(self, rows, include_exact):
+        records = tuple(
+            ReleaseRecord(TimeRangeFilter(start, (0 if start == float("-inf") else start) + width),
+                          noisy, exact, *(counted or ()))
+            for start, width, noisy, exact, counted in rows
+        )
+        result = ReleaseResult(records)
+        assert jsonl(result, include_exact) == dumps_jsonl(result, include_exact)
+
+
+def jsonl(result: ReleaseResult, include_exact: bool) -> str:
+    buf = io.StringIO()
+    result_to_jsonl(result, buf, include_exact)
+    return buf.getvalue()
+
+
+def dumps_jsonl(result: ReleaseResult, include_exact: bool) -> str:
+    """The reference writer: one ``json.dumps`` call per row, on a fresh dict."""
+    lines = []
+    for i, r in enumerate(result.records):
+        rec: dict[str, object] = {
+            "query_index": i,
+            "t_start": None if r.window.start == float("-inf") else int(r.window.start),
+            "t_end": r.window.end,
+            "noisy": r.noisy,
+        }
+        if r.node_count is not None:
+            rec["node_count"] = r.node_count
+            rec["variance"] = r.variance
+        if include_exact:
+            rec["exact"] = r.exact
+        lines.append(json.dumps(rec) + "\n")
+    return "".join(lines)
+
+
+def pinned_log() -> Changelog:
+    """40 entries whose times and values follow fixed integer formulas."""
+    mutations = []
+    for i in range(40):
+        t, value = 1 + (i * 37) % 50, ((i * 7919) % 1000) / 8
+        mutations.append(insert(f"e{i:02d}", t, value))
+        for k in range(1, 1 + i % 4):
+            t += 1 + (i * k * 13) % 23
+            new = ((i * 31 + k * 17) % 1000) / 3  # most thirds need all 17 digits
+            mutations.append(modify(f"e{i:02d}", t, value, new))
+            value = new
+        if i % 5 == 0:
+            mutations.append(delete(f"e{i:02d}", t + 3, value))
+    return Changelog.from_unsorted(mutations)
+
+
+PIN_SPEC = LinearQuerySpec("identity", 0.0, 400.0)
+PIN_NOISE = NoiseSpec(0.5, sensitivity(PIN_SPEC), seed=2024)
+PIN_RELEASES = {
+    "hdcr": lambda log: run_hdcr(log, HdcrParams(7, 2, 0, 150, 2), PIN_SPEC, PIN_NOISE),
+    "hdcr-branching-3": lambda log: run_hdcr(
+        log, HdcrParams(4, 3, -3, 150, 3), PIN_SPEC, PIN_NOISE
+    ),
+    "swcr-from-hdcr": lambda log: derive_swcr_from_hdcr(
+        log, SwcrParams(window=24, period=6, first_release=24, count=20), 2, PIN_NOISE, PIN_SPEC
+    ),
+}
+# SHA-256 of each release's JSON Lines rows, recorded when every exact value was
+# one np.cumsum per node and every row one json.dumps call
+PINNED_SHA256 = {
+    ("hdcr", False): "17b12a5b962c8afb8240014724399f07adf8256a26deed74ce444d92dcb6b5e7",
+    ("hdcr", True): "f6f51571afb3d2b6c0024f9ff1fe0ed2fb961bc9057ff2692473dedf49b099f7",
+    ("hdcr-branching-3", False): "0114771391404e174a3cddd3f15e03c2d61aa1ded697f1a560cb71af37d7dd53",
+    ("hdcr-branching-3", True): "d14ff60b3bb9eb55af225ef9be71de42a71d9dc5567298cd3ad0a72da96eab34",
+    ("swcr-from-hdcr", False): "f836dbe8df6e47f30c52acdc30d37ecc8da070e212041cad4dea2d90d0c245bd",
+    ("swcr-from-hdcr", True): "1214761a0af42e56f2fa2d162502ba0c27753fd90679de4828a2f8be42f5ee79",
+}
+
+
+@pytest.mark.parametrize("release,include_exact", sorted(PINNED_SHA256))
+def test_seeded_jsonl_release_bytes_are_pinned(release, include_exact):
+    text = jsonl(PIN_RELEASES[release](pinned_log()), include_exact)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[release, include_exact]

@@ -131,6 +131,11 @@ class TestVerifyDp:
     def test_uniform_matrix_is_perfectly_private(self):
         assert verify_dp(np.full((4, 4), 0.25), 0.0)
 
+    @pytest.mark.parametrize("epsilon", [709.79, 1000.0, math.inf])
+    def test_rejects_epsilon_whose_odds_overflow(self, epsilon):
+        with pytest.raises(InvalidEpsilonError):
+            verify_dp(optimal_rule(3, 1.0), epsilon)
+
 
 class TestAnswerMutationSpace:
     def test_size_and_no_change_cell(self):
