@@ -182,14 +182,9 @@ class HdcrParams:
         """Number of nodes in a layer."""
         return -(-self.span // self.layer_interval(layer))
 
-    def node_filter(self, layer: int, index: int) -> TimeRangeFilter:
-        if not 0 <= layer < self.height or not 0 <= index < self.layer_size(layer):
-            raise ValueError(f"no node at layer {layer}, index {index}")
-        width = self.branching**layer
-        return self.grid_filter(width * index, width * (index + 1))
-
     def layer_filters(self, layer: int) -> list[TimeRangeFilter]:
-        """Every ``node_filter(layer, index)`` of a layer, in index order."""
+        """A layer's node windows in index order: node ``i`` reads ``(start + i*w,
+        start + (i+1)*w]`` for layer interval ``w``, capped at ``start + span``."""
         if not 0 <= layer < self.height:
             raise ValueError(f"no layer {layer} in a {self.height}-layer hierarchy")
         width, end = self.layer_interval(layer), self.start + self.span
@@ -276,17 +271,22 @@ def hdcr_folds(params: HdcrParams, constraint: MutationConstraint) -> int:
     Mutations within ``bound`` ticks touch at most ``ceil(bound / dt_i) + 1``
     consecutive nodes of layer ``i`` (node interval ``dt_i``), and never
     more nodes than the layer has; the time-bounded count sums that per
-    layer. See ``hdcr_time_bounded_nominal_folds`` for the commonly quoted
-    figure.
+    layer. From the first one-node layer up, each layer counts 1, so the
+    cost grows with the layers below it, not with the height. See
+    ``hdcr_time_bounded_nominal_folds`` for the commonly quoted figure.
     """
-    return _folds(
-        constraint,
-        params.height,
-        lambda b: sum(
-            min(params.layer_size(i), -(-b // params.layer_interval(i)) + 1)
-            for i in range(params.height)
-        ),
-    )
+
+    def time_bounded(bound: int) -> int:
+        total, dt = 0, params.interval
+        for i in range(params.height):
+            size = -(-params.span // dt)
+            if size == 1:
+                return total + params.height - i
+            total += min(size, -(-bound // dt) + 1)
+            dt *= params.branching
+        return total
+
+    return _folds(constraint, params.height, time_bounded)
 
 
 def hdcr_time_bounded_nominal_folds(params: HdcrParams, bound: int) -> float:
@@ -294,12 +294,16 @@ def hdcr_time_bounded_nominal_folds(params: HdcrParams, bound: int) -> float:
 
     Reported alongside the exact count: the two disagree for small
     bound-to-interval ratios (the closed form can dip below the true
-    per-layer overlap), so it is never used for enforcement.
+    per-layer overlap), so it is never used for enforcement. Once
+    ``base / c^i`` is below ``2**-60`` a term rounds to ``1.0``, so the
+    remaining terms are summed as ``1.0``s without their powers.
     """
     base = -(-bound // params.interval)
-    return sum(
-        base / params.branching**i + 1 for i in range(params.height)
-    )
+    terms, power = [], 1
+    while len(terms) < params.height and base >= power >> 60:
+        terms.append(base / power + 1)
+        power *= params.branching
+    return sum(terms + [1.0] * (params.height - len(terms)))
 
 
 def local_folds(global_folds: int) -> int:

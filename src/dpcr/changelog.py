@@ -283,9 +283,6 @@ class Changelog:
     def __repr__(self) -> str:
         return f"Changelog({len(self)} mutations)"
 
-    def entry_ids(self) -> tuple[str, ...]:
-        return self.ids
-
     def for_entry(self, entry_id: str) -> tuple[Mutation, ...]:
         try:
             code = self.ids.index(entry_id)
@@ -315,22 +312,32 @@ def to_columns(rows: Iterable[tuple[int, str, float | None, float | None]]) -> t
     entry codes in order of first appearance. No row is kept as an
     object, and nothing is validated here.
     """
-    times, codes, prevs, news = array("q"), array("q"), array("d"), array("d")
-    has_prev, has_new = bytearray(), bytearray()
-    code_of: dict[str, int] = {}
-    for t, entry_id, prev, new in rows:
-        times.append(t)
-        codes.append(code_of.setdefault(entry_id, len(code_of)))
-        prevs.append(0.0 if prev is None else prev)
-        news.append(0.0 if new is None else new)
-        has_prev.append(prev is not None)
-        has_new.append(new is not None)
-    return (
-        np.frombuffer(times, dtype=np.int64), np.frombuffer(codes, dtype=np.int64),
-        tuple(code_of), np.frombuffer(prevs, dtype=np.float64),
-        np.frombuffer(news, dtype=np.float64), np.frombuffer(has_prev, dtype=bool),
-        np.frombuffer(has_new, dtype=bool),
+
+    def fill(code_of, times, codes, prevs, news, has_prev, has_new) -> None:
+        for t, entry_id, prev, new in rows:
+            times.append(t)
+            codes.append(code_of[entry_id])
+            prevs.append(0.0 if prev is None else prev)
+            news.append(0.0 if new is None else new)
+            has_prev.append(prev is not None)
+            has_new.append(new is not None)
+
+    return _filled_columns(fill)
+
+
+def _filled_columns(fill: Callable[..., None]) -> tuple:
+    """The columns ``from_columns`` takes, as ``fill(code_of, times, codes, prev,
+    new, has_prev, has_new)`` appends them to ``array`` buffers; ``code_of[id]``
+    gives an id the next code on first use, so codes run in first-appearance order.
+    """
+    code_of: dict[str, int] = defaultdict(count().__next__)
+    buffers = [array(typecode) for typecode in "qqddBB"]
+    fill(code_of, *buffers)
+    times, codes, prev, new, has_prev, has_new = (
+        np.frombuffer(buffer, dtype=dtype)
+        for buffer, dtype in zip(buffers, (np.int64, np.int64, np.float64, np.float64, bool, bool))
     )
+    return times, codes, tuple(code_of), prev, new, has_prev, has_new
 
 
 def chains(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,42 +446,37 @@ def read_columns(
     of its lines is checked alone by the same ``_checked``, and the first
     one that fails is named.
     """
-    times, codes, prevs, news = array("q"), array("q"), array("d"), array("d")
-    has_prev, has_new = array("B"), array("B")
-    code_of: dict[str, int] = defaultdict(count().__next__)
-    with open(path, encoding="utf-8") as fh:
-        lineno = 1
-        while True:
-            # bytes that fail to decode are raised only after the lines read
-            # before them are checked, as a line-by-line read would
-            block: list[str] = []
-            error = None
-            try:
-                block.extend(islice(fh, BLOCK_LINES))
-            except UnicodeDecodeError as exc:
-                error = exc
-            try:
-                t, entries, prev, present_prev, new, present_new = _checked(
-                    _parsed(block), values
-                )
-            except _BAD_RECORD:
-                _explain(path, what, values, block, lineno)
-                raise  # not reached: a block fails only where one of its lines does
-            if error is not None:
-                raise error
-            codes.extend(map(code_of.__getitem__, entries))
-            for column, part in ((times, t), (prevs, prev), (news, new),
-                                 (has_prev, present_prev), (has_new, present_new)):
-                column.frombytes(part.tobytes())
-            if len(block) < BLOCK_LINES:
-                break
-            lineno += BLOCK_LINES
-    return (
-        np.frombuffer(times, dtype=np.int64), np.frombuffer(codes, dtype=np.int64),
-        tuple(code_of), np.frombuffer(prevs, dtype=np.float64),
-        np.frombuffer(news, dtype=np.float64), np.frombuffer(has_prev, dtype=bool),
-        np.frombuffer(has_new, dtype=bool),
-    )
+
+    def fill(code_of, times, codes, prevs, news, has_prev, has_new) -> None:
+        with open(path, encoding="utf-8") as fh:
+            lineno = 1
+            while True:
+                # bytes that fail to decode are raised only after the lines read
+                # before them are checked, as a line-by-line read would
+                block: list[str] = []
+                error = None
+                try:
+                    block.extend(islice(fh, BLOCK_LINES))
+                except UnicodeDecodeError as exc:
+                    error = exc
+                try:
+                    t, entries, prev, present_prev, new, present_new = _checked(
+                        _parsed(block), values
+                    )
+                except _BAD_RECORD:
+                    _explain(path, what, values, block, lineno)
+                    raise  # not reached: a block fails only where one of its lines does
+                if error is not None:
+                    raise error
+                codes.extend(map(code_of.__getitem__, entries))
+                for column, part in ((times, t), (prevs, prev), (news, new),
+                                     (has_prev, present_prev), (has_new, present_new)):
+                    column.frombytes(part.tobytes())
+                if len(block) < BLOCK_LINES:
+                    break
+                lineno += BLOCK_LINES
+
+    return _filled_columns(fill)
 
 
 def _parsed(block: list[str]) -> list:

@@ -251,16 +251,13 @@ def query_from_config(cfg: Mapping) -> LinearQuerySpec:
     qcfg = _get(cfg, "release.query", dict, default={})
     fn = qcfg.get("fn", "identity")
     lower, upper = _pair(qcfg.get("bounds", [0.0, 1.0]), "release.query.bounds")
-    predicate = None
-    if fn == "indicator":
-        threshold = _get(cfg, "release.query.threshold", float)
-        predicate = lambda v: v > threshold  # noqa: E731
+    threshold = _get(cfg, "release.query.threshold", float) if fn == "indicator" else None
     table = qcfg.get("table")
     try:
         if table is not None:
             # JSON keys are strings, read as numbers
             table = {float(k): _typed(v, f"release.query.table.{k}", float) for k, v in table.items()}
-        return LinearQuerySpec(fn, lower, upper, predicate, table)
+        return LinearQuerySpec(fn, lower, upper, threshold, table)
     except ConfigError:
         raise
     except (AttributeError, TypeError, ValueError) as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -152,10 +151,10 @@ _GATHER_TERMS = 1 << 13
 def _window_sums(terms: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
     """Each row slice's terms, two per row, added left to right from ``0.0``.
 
-    Windows are sorted by length and taken in groups, as many at a time
-    as fit ``_GATHER_TERMS`` terms once padded to the group's longest. A
-    group is gathered into a ``length x windows`` block padded with
-    ``0.0`` and summed by one ``np.add.accumulate`` down its columns,
+    Windows are taken longest first, in groups of as many as fit
+    ``_GATHER_TERMS`` terms once padded to the group's longest (at least
+    one). A group is gathered into a ``length x windows`` block padded
+    with ``0.0`` and summed by one ``np.add.accumulate`` down its columns,
     which adds each column in order, where a reduction may add pairwise. A
     window longer than ``_GATHER_TERMS`` goes alone, in blocks of that
     many terms, each block starting from the sum of the ones before.
@@ -163,18 +162,14 @@ def _window_sums(terms: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
     """
     starts = 2 * np.array([r.start for r in rows], dtype=np.int64)
     lengths = 2 * np.array([r.stop for r in rows], dtype=np.int64) - starts
-    order = np.argsort(lengths, kind="stable")
+    order = np.argsort(-lengths, kind="stable")
     ordered = lengths[order].tolist()
     sums = np.zeros(len(rows))
-    i = bisect_left(ordered, 1)
-    while i < len(ordered):
-        # padded group sizes grow with j, so the last one that fits is found by bisection
-        fits = bisect_right(range(i + 1, len(ordered) + 1), _GATHER_TERMS,
-                            key=lambda j: (j - i) * ordered[j - 1])
-        j = i + max(1, fits)
-        group = order[i:j]
-        sums[group] = _padded_sums(terms, starts[group], lengths[group], ordered[j - 1])
-        i = j
+    i = 0
+    while i < len(ordered) and ordered[i]:
+        group = order[i:i + max(1, _GATHER_TERMS // ordered[i])]
+        sums[group] = _padded_sums(terms, starts[group], lengths[group], ordered[i])
+        i += len(group)
     return sums
 
 
@@ -229,8 +224,9 @@ class HdcrTree:
     """The ``node_table`` of a hierarchical release and its per-node Laplace noise.
 
     ``layers[layer][index]`` is node ``(layer, index)``'s ``(noisy, exact)``
-    pair. ``nodes`` and ``node`` give them as ``ReleaseRecord``s over their
-    node windows, built for the whole tree on first access.
+    pair. ``nodes`` gives them as ``ReleaseRecord``s over their node
+    windows, keyed by ``(layer, index)`` and built for the whole tree on
+    first access.
     """
 
     params: HdcrParams
@@ -246,9 +242,6 @@ class HdcrTree:
                 zip(self.params.layer_filters(layer), values)
             )
         }
-
-    def node(self, layer: int, index: int) -> ReleaseRecord:
-        return self.nodes[(layer, index)]
 
 
 def node_table(

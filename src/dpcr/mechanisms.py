@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -29,15 +29,16 @@ class InvalidNoiseError(ValueError):
 class LinearQuerySpec:
     """Per-value function plus the closed range its outputs are clamped to.
 
-    ``fn`` is one of ``identity``, ``indicator`` (needs ``predicate``),
-    ``second_moment``, or ``table`` (needs ``table``; missing keys map
-    to 0 before clamping). ``None`` values always contribute 0.
+    ``fn`` is one of ``identity``, ``indicator`` (needs ``threshold``:
+    1 for a value above it, else 0), ``second_moment``, or ``table``
+    (needs ``table``; missing keys map to 0 before clamping). ``None``
+    values always contribute 0.
     """
 
     fn: str = "identity"
     lower: float = 0.0
     upper: float = 1.0
-    predicate: Callable[[float], bool] | None = None
+    threshold: float | None = None
     table: Mapping[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -47,8 +48,8 @@ class LinearQuerySpec:
             raise ValueError(f"bounds [{self.lower}, {self.upper}] must be finite")
         if self.lower > self.upper:
             raise ValueError(f"bounds [{self.lower}, {self.upper}] are reversed")
-        if self.fn == "indicator" and self.predicate is None:
-            raise ValueError("indicator query needs a predicate")
+        if self.fn == "indicator" and self.threshold is None:
+            raise ValueError("indicator query needs a threshold")
         if self.fn == "table" and self.table is None:
             raise ValueError("table query needs a lookup table")
         if self.table is not None and not all(map(math.isfinite, self.table.values())):
@@ -62,7 +63,7 @@ class LinearQuerySpec:
         if self.fn == "identity":
             raw = value
         elif self.fn == "indicator":
-            raw = 1.0 if self.predicate(value) else 0.0  # type: ignore[misc]
+            raw = 1.0 if value > self.threshold else 0.0  # type: ignore[operator]
         elif self.fn == "second_moment":
             raw = value * value
         else:
@@ -72,16 +73,15 @@ class LinearQuerySpec:
     def evaluate_column(self, values: np.ndarray, present: np.ndarray) -> np.ndarray:
         """``evaluate`` of each value, ``0.0`` where ``present`` is false.
 
-        Each element equals ``evaluate`` bit for bit: the clamp makes
-        the comparisons ``min(max(raw, lower), upper)`` makes, and the
-        predicate and table see Python floats.
+        Each element equals ``evaluate`` bit for bit: the indicator
+        makes the same ``>`` comparison with the threshold, the clamp
+        makes the comparisons ``min(max(raw, lower), upper)`` makes, and
+        the table sees Python floats.
         """
         out = np.zeros(len(values))
         raw = values[present]  # a copy, clamped in place below
         if self.fn == "indicator":
-            raw = np.array(
-                [1.0 if self.predicate(v) else 0.0 for v in raw.tolist()]  # type: ignore[misc]
-            )
+            raw = (raw > self.threshold).astype(float)
         elif self.fn == "second_moment":
             raw = raw * raw
         elif self.fn == "table":

@@ -77,7 +77,7 @@ def _value_fn(spec: LinearQuerySpec, value: float) -> float:
     if spec.fn == "identity":
         raw = value
     elif spec.fn == "indicator":
-        raw = 1.0 if spec.predicate(value) else 0.0  # type: ignore[misc]
+        raw = 1.0 if value > spec.threshold else 0.0  # type: ignore[operator]
     elif spec.fn == "second_moment":
         raw = value**2
     elif spec.fn == "table":

@@ -184,11 +184,6 @@ class AnswerMutationSpace:
         width = len(self.alphabet)
         return self.alphabet[index // width], self.alphabet[index % width]
 
-    def one_hot(self, prev: str | None, new: str | None) -> np.ndarray:
-        vec = np.zeros(self.size)
-        vec[self.index(prev, new)] = 1.0
-        return vec
-
     def delta_matrix(self) -> np.ndarray:
         """Histogram contribution of each cell: -1 at the old label, +1 at the new.
 

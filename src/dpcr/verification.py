@@ -9,9 +9,9 @@ larger ``trials`` tightens them automatically.
 The random dominance instances are drawn in chunks (``CHUNK``
 schedules or ``HIERARCHY_CHUNK`` hierarchies), one vectorized draw per
 parameter. Each instance still builds its release and fold count
-through the code under test, and its windows are read from the release
-itself (``filters()``, ``HdcrParams.node_filter``, which equals the
-``layer_filters`` a hierarchy release reads), so a widened window shows. ``oracles.affected_count_oracle`` then counts the whole chunk
+through the code under test, and its windows are the ones the release
+reads (``filters()``, ``HdcrParams.layer_filters``), so a widened window
+shows. ``oracles.affected_count_oracle`` then counts the whole chunk
 over padded integer arrays.
 """
 
@@ -315,11 +315,8 @@ def _schedule_exceedances(rng: np.random.Generator, rows: int) -> tuple[int, int
     return dcr, swcr
 
 
-def _node_filters(params: HdcrParams) -> list[TimeRangeFilter]:
-    return [
-        params.node_filter(layer, index)
-        for layer in range(params.height) for index in range(params.layer_size(layer))
-    ]
+def _node_windows(params: HdcrParams) -> list[TimeRangeFilter]:
+    return [window for layer in range(params.height) for window in params.layer_filters(layer)]
 
 
 def _hierarchy_exceedances(rng: np.random.Generator, rows: int) -> int:
@@ -336,7 +333,7 @@ def _hierarchy_exceedances(rng: np.random.Generator, rows: int) -> int:
         for h, b, t, s, i in zip(*(a.tolist() for a in (height, branching, start, span, interval)))
     )
     return _exceedances(
-        ((_node_filters(p), hdcr_folds(p, c)) for p, c in zip(hierarchies, entries.constraints())),
+        ((_node_windows(p), hdcr_folds(p, c)) for p, c in zip(hierarchies, entries.constraints())),
         entries,
     )
 
@@ -348,8 +345,9 @@ def check_dominance(instances: int, seed: int) -> list[OracleReport]:
     draw time bounds up to past the schedule span; packed adversarial
     entries must achieve equality for uniform disjoint schedules. About
     a tenth as many random hierarchies follow. Instances are drawn and
-    counted in chunks, each over the release's own windows (``filters()``,
-    ``HdcrParams.node_filter``).
+    counted in chunks, each over the windows its release reads
+    (``filters()``, ``HdcrParams.layer_filters``), so a window that opens
+    early or overlaps its neighbour shows.
     """
     rng = np.random.default_rng(seed)
     reports = []

@@ -19,12 +19,19 @@ from dpcr.accounting import (
     span_folds,
     swcr_folds,
 )
-from dpcr.changelog import AtMostK, Hybrid, TimeBounded, insert, modify
+from dpcr.changelog import AtMostK, Hybrid, TimeBounded, TimeRangeFilter, insert, modify
 from dpcr.oracles import most_span_oracle
 
 from conftest import affected_count
 
 LOSS = PrivacyLoss(0.1, 1e-6)
+
+
+def node_filter(params: HdcrParams, layer: int, index: int) -> TimeRangeFilter:
+    """Reference for ``HdcrParams.layer_filters``: node ``index`` of ``layer``
+    is grid range ``(w * index, w * (index + 1)]`` for width ``w = c**layer``."""
+    width = params.branching**layer
+    return params.grid_filter(width * index, width * (index + 1))
 
 
 def covers(a: PrivacyLoss, b: PrivacyLoss) -> bool:
@@ -121,9 +128,7 @@ class TestSpanFolds:
     def test_hdcr_bound_wider_than_span(self):
         params = HdcrParams(height=3, branching=2, start=0, span=8, interval=1)
         nodes = [
-            params.node_filter(layer, index)
-            for layer in range(params.height)
-            for index in range(params.layer_size(layer))
+            window for layer in range(params.height) for window in params.layer_filters(layer)
         ]
         hits = affected_count(nodes, _entry(list(range(1, 9))))
         assert hits == 14
@@ -147,9 +152,7 @@ class TestSpanFolds:
             )
             bound = int(rng.integers(0, params.span + 20))
             nodes = [
-                params.node_filter(layer, index)
-                for layer in range(params.height)
-                for index in range(params.layer_size(layer))
+                window for layer in range(params.height) for window in params.layer_filters(layer)
             ]
             best = max(
                 affected_count(nodes, _entry(list(range(first, first + bound + 1))))
@@ -168,9 +171,7 @@ class TestSpanFolds:
                 interval=int(rng.integers(1, 4)),
             )
             nodes = [
-                params.node_filter(layer, index)
-                for layer in range(params.height)
-                for index in range(params.layer_size(layer))
+                window for layer in range(params.height) for window in params.layer_filters(layer)
             ]
             first = int(rng.integers(params.start - 4, params.start + params.span + 3))
             if rng.random() < 0.5:
@@ -305,16 +306,17 @@ class TestSchedules:
         assert params.layer_size(0) == 5
         assert params.layer_size(1) == 3
         assert params.layer_size(2) == 2
-        assert params.node_filter(1, 2).end == 20  # truncated at start + span
-        assert [params.node_filter(1, i).start for i in range(3)] == [10, 14, 18]
+        assert params.layer_filters(1)[2].end == 20  # truncated at start + span
+        assert [w.start for w in params.layer_filters(1)] == [10, 14, 18]
 
-    @given(st.integers(1, 5), st.integers(2, 4), st.integers(-20, 20), st.integers(1, 90),
+    # starts reach past int64 either way, where no window may wrap
+    @given(st.integers(1, 5), st.integers(2, 4), st.integers(-(2**63), 2**63), st.integers(1, 90),
            st.integers(1, 4))
     def test_layer_filters_are_the_node_filters(self, height, branching, start, span, interval):
         params = HdcrParams(height, branching, start, span, interval)
         for layer in range(height):
             assert params.layer_filters(layer) == [
-                params.node_filter(layer, index) for index in range(params.layer_size(layer))
+                node_filter(params, layer, index) for index in range(params.layer_size(layer))
             ]
         for layer in (-1, height):
             with pytest.raises(ValueError):

@@ -176,7 +176,7 @@ class TestColumnValidation:
 
     def test_ids_keep_first_appearance_order(self):
         log = Changelog([insert("b", 1, 1.0), insert("a", 2, 1.0), modify("b", 3, 1.0, 2.0)])
-        assert log.entry_ids() == ("b", "a")
+        assert log.ids == ("b", "a")
         assert log.codes.tolist() == [0, 1, 0]
 
     def test_columns_are_read_only(self):
@@ -326,7 +326,7 @@ class TestAdjacent:
 
     def test_entry_set_hamming_distance_is_one(self):
         merged = adjacent_changelog(self.base(), [insert("b", 3, 9.0)])
-        assert set(merged.entry_ids()) - set(self.base().entry_ids()) == {"b"}
+        assert set(merged.ids) - set(self.base().ids) == {"b"}
 
 
 def verdicts(log: Changelog, constraint) -> list[bool]:
@@ -383,7 +383,7 @@ class TestConstraints:
         for constraint in (AtMostK(k), TimeBounded(bound),
                            Hybrid((AtMostK(k), TimeBounded(bound))), nested):
             assert verdicts(log, constraint) == [
-                entry_satisfies(log.for_entry(e), constraint) for e in log.entry_ids()
+                entry_satisfies(log.for_entry(e), constraint) for e in log.ids
             ]
 
     def test_span_beyond_int64_difference(self):

@@ -113,7 +113,7 @@ class TestGenerate:
         out = tmp_path / "log.jsonl"
         run_cli("generate", "--config", cfg, "--out", out)
         log = load_changelog(out)
-        for eid in log.entry_ids():
+        for eid in log.ids:
             chain = log.for_entry(eid)
             assert chain[-1].time - chain[0].time <= 5
 

@@ -140,7 +140,7 @@ def value_specs(log: Changelog) -> list[LinearQuerySpec]:
     table = {v: (i % 5) * 1.5 - 3.0 for i, v in enumerate(values)}
     return [
         LinearQuerySpec("identity", 5.0, 60.0),
-        LinearQuerySpec("indicator", 0.0, 1.0, predicate=lambda v: v > 40.0),
+        LinearQuerySpec("indicator", 0.0, 1.0, threshold=40.0),
         LinearQuerySpec("second_moment", 10.0, 5000.0),
         LinearQuerySpec("table", -2.0, 2.0, table=table),
     ]
@@ -182,7 +182,7 @@ class TestReferenceScan:
             tree = build_hdcr(log, params, spec, NOISE)
             keys = sorted(tree.nodes)
             got = [repr(tree.nodes[k].exact) for k in keys]
-            windows = [params.node_filter(layer, index) for layer, index in keys]
+            windows = [params.layer_filters(layer)[index] for layer, index in keys]
             assert got == reference_exacts(log, windows, spec)
 
 
@@ -305,7 +305,7 @@ class TestNoiseLayout:
         for layer in range(params.height):
             draws = named_stream(NOISE.seed, "hdcr", layer).laplace(0.0, NOISE.scale, 64)
             for index in range(params.layer_size(layer)):
-                node = tree.node(layer, index)
+                node = tree.nodes[layer, index]
                 assert node.noisy == node.exact + draws[index]
                 assert type(node.noisy) is float
 
@@ -351,19 +351,19 @@ class TestBuildHdcr:
         dcr = run_dcr(log, grid, SPEC, NOISE)
         # DCR query i+1 covers the same range as bottom node i
         for i in range(self.PARAMS.layer_size(0)):
-            assert tree.node(0, i).exact == pytest.approx(dcr.records[i + 1].exact)
+            assert tree.nodes[0, i].exact == pytest.approx(dcr.records[i + 1].exact)
 
     def test_parent_exact_is_sum_of_children(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
         for layer in (1, 2):
             for index in range(self.PARAMS.layer_size(layer)):
                 children = [
-                    tree.node(layer - 1, j).exact
+                    tree.nodes[layer - 1, j].exact
                     for j in range(
                         index * 2, min(index * 2 + 2, self.PARAMS.layer_size(layer - 1))
                     )
                 ]
-                assert tree.node(layer, index).exact == pytest.approx(
+                assert tree.nodes[layer, index].exact == pytest.approx(
                     sum(children), abs=1e-12
                 )
 
@@ -379,15 +379,15 @@ class TestBuildHdcr:
 
     def test_truncated_tail_node(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
-        assert tree.node(2, 1).window.end == 12
+        assert tree.nodes[2, 1].window.end == 12
 
     def test_node_records_are_built_on_first_read(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
         aggregate(tree, 0, 5)
         assert "nodes" not in vars(tree)  # a release reads the layer lists only
-        node = tree.node(1, 2)
+        node = tree.nodes[1, 2]
         assert (node.noisy, node.exact) == tree.layers[1][2]
-        assert node.window == self.PARAMS.node_filter(1, 2)
+        assert node.window == self.PARAMS.layer_filters(1)[2]
         assert tree.nodes is tree.nodes
         assert len(tree.nodes) == sum(len(layer) for layer in tree.layers)
 
@@ -398,7 +398,7 @@ class TestAggregate:
     def test_single_bottom_node(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
         agg = aggregate(tree, 4, 5)
-        node = tree.node(0, 4)
+        node = tree.nodes[0, 4]
         assert agg.noisy == node.noisy
         assert agg.node_count == 1
 

@@ -39,9 +39,19 @@ class TestLinearQueryChange:
         assert linear_query_change([modify("x", 1, -5.0, 25.0)], spec) == 10.0
 
     def test_indicator_predicate_sees_raw_value(self):
-        spec = LinearQuerySpec("indicator", 0.0, 1.0, predicate=lambda v: v > 50.0)
+        spec = LinearQuerySpec("indicator", 0.0, 1.0, threshold=50.0)
         assert linear_query_change([insert("x", 1, 60.0)], spec) == 1.0
         assert linear_query_change([modify("x", 2, 60.0, 10.0)], spec) == -1.0
+
+    @given(st.lists(st.floats()), st.lists(st.booleans()), st.floats(),
+           st.floats(-2.0, 2.0), st.floats(0.0, 2.0))
+    def test_indicator_column_equals_evaluate(self, values, present, threshold, lower, width):
+        # any threshold, NaN and infinities included, and clamps that move 0 and 1
+        spec = LinearQuerySpec("indicator", lower, lower + width, threshold=threshold)
+        present = (present + [True] * len(values))[:len(values)]
+        got = spec.evaluate_column(np.array(values, dtype=float), np.array(present, dtype=bool))
+        want = [spec.evaluate(v) if p else 0.0 for v, p in zip(values, present)]
+        assert list(map(repr, got.tolist())) == list(map(repr, want))
 
     def test_second_moment(self):
         spec = LinearQuerySpec("second_moment", 0.0, 100.0)
@@ -78,7 +88,7 @@ class TestLinearQueryChange:
 
 class TestSensitivity:
     def test_counting_query(self):
-        assert sensitivity(LinearQuerySpec("indicator", 0.0, 1.0, predicate=lambda v: True)) == 1.0
+        assert sensitivity(LinearQuerySpec("indicator", 0.0, 1.0, threshold=float("-inf"))) == 1.0
 
     def test_degenerate_constant_query(self):
         assert sensitivity(LinearQuerySpec("identity", 4.0, 4.0)) == 0.0

@@ -17,7 +17,7 @@ from conftest import affected_count, changelogs
 from hypothesis import given
 import hypothesis.strategies as st
 
-COUNTING = LinearQuerySpec("indicator", 0.0, 1.0, predicate=lambda v: True)
+COUNTING = LinearQuerySpec("indicator", 0.0, 1.0, threshold=float("-inf"))
 
 
 class TestSnapshotOracle:

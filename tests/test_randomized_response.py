@@ -57,7 +57,7 @@ def _snapshot_cells(log: Changelog, space: ResponseSpace, window: TimeRangeFilte
     before = {} if window.start == NEG_INF else snapshot_at(log, window.start)
     after = snapshot_at(log, window.end)
     cells = []
-    for e in sorted(log.entry_ids()):
+    for e in sorted(log.ids):
         prev, new = before.get(e), after.get(e)
         pair = (None, None) if prev == new else (_label(prev, space), _label(new, space))
         cells.append(mspace.index(*pair))
@@ -175,12 +175,6 @@ class TestAnswerMutationSpace:
                 assert nonzero == 2
             assert delta[:, j].sum() in (-1, 0, 1)
             assert set(np.unique(delta[:, j])) <= {-1, 0, 1}
-
-    def test_one_hot(self):
-        mspace = AnswerMutationSpace(SPACE)
-        vec = mspace.one_hot("r1", None)
-        assert vec.sum() == 1.0
-        assert vec[mspace.index("r1", None)] == 1.0
 
 
 class TestEstimator:
@@ -390,7 +384,7 @@ def test_survey_cells_equal_snapshot_cells(tmp_path, monkeypatch, seed):
     log = _random_answer_log(tmp_path, seed, space)
     assert any(m.is_deletion for m in log)
     assert any(m.prev_value == m.new_value for m in log)
-    assert any(a.is_deletion and b.is_insertion for e in log.entry_ids()
+    assert any(a.is_deletion and b.is_insertion for e in log.ids
                for a, b in zip(log.for_entry(e), log.for_entry(e)[1:]))
     drawn = []
 
@@ -406,9 +400,7 @@ def test_survey_cells_equal_snapshot_cells(tmp_path, monkeypatch, seed):
     params = HdcrParams(height=3, branching=2, start=-2, span=16, interval=3)
     rr_hdcr(log, space, params, 1.0, seed=seed)
     windows = list(schedule.filters()) + [
-        params.node_filter(layer, index)
-        for layer in range(params.height)
-        for index in range(params.layer_size(layer))
+        window for layer in range(params.height) for window in params.layer_filters(layer)
     ]
     assert drawn == [_snapshot_cells(log, space, w) for w in windows]
 
@@ -552,7 +544,7 @@ class TestPrecomputedEstimator:
         assert [r.node_count for r in records] == [1, 1]
         for record, layer in zip(records, [0, 1]):
             u = named_stream(5, "rr-hdcr", layer).random(len(log.ids))
-            want = _round_reference(log, space, params.node_filter(layer, 0), u, 1.0)
+            want = _round_reference(log, space, params.layer_filters(layer)[0], u, 1.0)
             _assert_same_estimate(record.estimate, want)
 
 

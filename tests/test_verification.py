@@ -81,7 +81,16 @@ DOMINANCE_MUTANTS = {
         SwcrParams, "filters", lambda f: lambda self: tuple(map(_early, f(self))), "swcr-dominance",
     ),
     "hdcr-nodes-one-tick-early": (
-        HdcrParams, "node_filter", lambda f: lambda *a: _early(f(*a)), "hdcr-dominance",
+        HdcrParams, "layer_filters", lambda f: lambda self, layer: list(map(_early, f(self, layer))),
+        "hdcr-dominance",
+    ),
+    # overlapping nodes in some hierarchies only
+    "hdcr-nodes-one-tick-early-at-branching-3": (
+        HdcrParams, "layer_filters",
+        lambda f: lambda self, layer: (
+            list(map(_early, f(self, layer))) if self.branching == 3 else f(self, layer)
+        ),
+        "hdcr-dominance",
     ),
 }
 
