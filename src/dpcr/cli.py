@@ -10,18 +10,22 @@ refuses to release anything until the input log satisfies the
 constraint declared for accounting, because the privacy bound printed
 in the header is meaningless otherwise.
 
-Exit codes: 0 success, 2 configuration error, 3 constraint violation,
-4 verification failure.
+Exit codes: 0 success; 2 a refused config value, ``compare`` argument or
+input file, with a ``config error:`` message naming what was refused, or
+an allocation failure (the release needs more memory than the process
+may use); 3 a constraint violation; 4 a failed verification. Every
+refusal of a library value passes through one helper, ``_refused``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -97,6 +101,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConstraintViolationError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("config error: the release needs more memory than this process may use",
+              file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,6 +217,21 @@ def _typed(value, path: str, kind: type):
     return value
 
 
+@contextlib.contextmanager
+def _refused(prefix: str) -> Iterator[None]:
+    """Re-raise a value the library refuses inside the block as a ConfigError.
+
+    The message is ``f"{prefix}: {exc}"``, or the bare ``str(exc)`` for an
+    empty prefix. A ConfigError passes through as raised.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{prefix}: {exc}" if prefix else str(exc)) from exc
+
+
 def _seed(cfg: Mapping) -> int:
     if "seed" not in cfg:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
@@ -219,7 +242,7 @@ def constraint_from_config(obj, path: str) -> MutationConstraint:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise ConfigError(f"{path} must be an object with a 'kind'")
     kind = obj["kind"]
-    try:
+    with _refused(path):
         if kind == "at_most_k":
             return AtMostK(_typed(obj["k"], f"{path}.k", int))
         if kind == "time_bounded":
@@ -232,10 +255,6 @@ def constraint_from_config(obj, path: str) -> MutationConstraint:
                 constraint_from_config(b, f"{path}.branches[{i}]")
                 for i, b in enumerate(branches)
             ))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind must be at_most_k, time_bounded or hybrid, got {kind!r}")
 
 
@@ -253,15 +272,11 @@ def query_from_config(cfg: Mapping) -> LinearQuerySpec:
     lower, upper = _pair(qcfg.get("bounds", [0.0, 1.0]), "release.query.bounds")
     threshold = _get(cfg, "release.query.threshold", float) if fn == "indicator" else None
     table = qcfg.get("table")
-    try:
+    with _refused("release.query"):
         if table is not None:
             # JSON keys are strings, read as numbers
             table = {float(k): _typed(v, f"release.query.table.{k}", float) for k, v in table.items()}
         return LinearQuerySpec(fn, lower, upper, threshold, table)
-    except ConfigError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"release.query: {exc}") from exc
 
 
 def _pair(value, path: str) -> tuple[float, float]:
@@ -277,10 +292,8 @@ def strategy_from_config(cfg: Mapping) -> CompositionStrategy:
         return Naive()
     if name == "advanced":
         slack = _get(cfg, "release.delta_slack", float, default=1e-6)
-        try:
+        with _refused("release.delta_slack"):
             return Advanced(slack)
-        except ValueError as exc:
-            raise ConfigError(f"release.delta_slack: {exc}") from exc
     raise ConfigError(f"release.composition must be naive or advanced, got {name!r}")
 
 
@@ -309,7 +322,8 @@ def release_accounting(cfg: Mapping) -> tuple[
     strategy = strategy_from_config(cfg)
     # randomized response is a local guarantee; the Laplace releases are global
     local = kind.startswith("rr-")
-    try:  # the library's own checks of the loss, the parameters and the mechanism
+    # the library's own checks of the loss, the parameters and the mechanism
+    with _refused("release"):
         per_query = PrivacyLoss(epsilon, delta)
         if kind in ("dcr", "rr-dcr"):
             params = _schedule_from_config(cfg)
@@ -337,19 +351,13 @@ def release_accounting(cfg: Mapping) -> tuple[
                         f"a {widest}-node cover at per-node noise scale {scale:.6g} "
                         "has no finite variance"
                     )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"release: {exc}") from exc
     fold_count = {ReleaseSchedule: dcr_folds, SwcrParams: swcr_folds, HdcrParams: hdcr_folds}
     global_folds = fold_count[type(accounted)](accounted, constraint)
     local_fold_count = local_folds(global_folds)
     folds = local_fold_count if local else global_folds
-    try:
+    with _refused(f"release: cannot compose {folds} folds"):
         loss = compose_fold(per_query, folds, strategy)
         local_loss = compose_fold(per_query, local_fold_count, strategy)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"release: cannot compose {folds} folds: {exc}") from exc
     report = {
         "kind": kind,
         "constraint": _constraint_json(constraint),
@@ -369,7 +377,7 @@ def release_accounting(cfg: Mapping) -> tuple[
 
 def _schedule_from_config(cfg: Mapping) -> ReleaseSchedule:
     scfg = _get(cfg, "release.schedule", dict)
-    try:
+    with _refused("release.schedule"):
         if "ticks" in scfg:
             return ReleaseSchedule(tuple(
                 _typed(t, f"release.schedule.ticks[{i}]", int) for i, t in enumerate(scfg["ticks"])
@@ -378,10 +386,6 @@ def _schedule_from_config(cfg: Mapping) -> ReleaseSchedule:
             _typed(scfg[name], f"release.schedule.{name}", int)
             for name in ("start", "interval", "count")
         ))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"release.schedule: {exc}") from exc
 
 
 def _swcr_from_config(cfg: Mapping) -> SwcrParams:
@@ -408,10 +412,8 @@ def _hdcr_from_config(cfg: Mapping) -> HdcrParams:
 
 def _space_from_config(cfg: Mapping, path: str) -> ResponseSpace:
     labels = tuple(_typed(l, f"{path}[{i}]", str) for i, l in enumerate(_get(cfg, path, list)))
-    try:
+    with _refused(path):
         return ResponseSpace(labels)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # -- generate ----------------------------------------------------------------
@@ -541,10 +543,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "privacy": accounting,
     }
     rr = kind.startswith("rr-")
-    if rr:
-        log = _load_input(lambda path: load_answer_log(path, mechanism), args.changelog)
-    else:
-        log = _load_input(load_changelog, args.changelog)
+    with _refused(f"--changelog {args.changelog}"):
+        log = load_answer_log(args.changelog, mechanism) if rr else load_changelog(args.changelog)
     bad = np.flatnonzero(~validate_constraint(log, constraint))
     if len(bad):
         raise ConstraintViolationError(
@@ -572,13 +572,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"wrote release to {out} (accounted {accounting['scope']} loss: "
           f"epsilon={accounting['epsilon']:.6g}, delta={accounting['delta']:.3g})")
     return 0
-
-
-def _load_input(loader, path: str):
-    try:
-        return loader(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"--changelog {path}: {exc}") from exc
 
 
 def _write_header(fh: IO[str], fmt: str, header: dict) -> None:
@@ -653,7 +646,7 @@ def cmd_account(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
+    with _refused(""):
         name, _, value = args.constraint.partition(":")
         kinds = {"at_most_k": AtMostK, "time_bounded": TimeBounded}
         if name not in kinds or not value:
@@ -664,8 +657,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         factors = [int(c) for c in args.branching.split(",") if c]
         swcr = SwcrParams(window=args.window, period=args.period, first_release=args.window, count=2)
         rows = [(c, compare_hdcr_swcr(swcr, c, constraint)) for c in factors]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     print("branching  height  lhs           rhs           hdcr_wins  eps_prime_factor")
     for c, cmp in rows:
         print(

@@ -32,7 +32,9 @@ class LinearQuerySpec:
     ``fn`` is one of ``identity``, ``indicator`` (needs ``threshold``:
     1 for a value above it, else 0), ``second_moment``, or ``table``
     (needs ``table``; missing keys map to 0 before clamping). ``None``
-    values always contribute 0.
+    values always contribute 0. The threshold is stored as a float, so
+    ``evaluate`` and ``evaluate_column`` compare against the same number;
+    one beyond the float range is refused.
     """
 
     fn: str = "identity"
@@ -50,6 +52,11 @@ class LinearQuerySpec:
             raise ValueError(f"bounds [{self.lower}, {self.upper}] are reversed")
         if self.fn == "indicator" and self.threshold is None:
             raise ValueError("indicator query needs a threshold")
+        if self.threshold is not None:
+            try:
+                object.__setattr__(self, "threshold", float(self.threshold))
+            except OverflowError:
+                raise ValueError("threshold is beyond the float range") from None
         if self.fn == "table" and self.table is None:
             raise ValueError("table query needs a lookup table")
         if self.table is not None and not all(map(math.isfinite, self.table.values())):

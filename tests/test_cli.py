@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -417,6 +418,16 @@ class TestAccountAndCompare:
         err = capsys.readouterr().err
         assert "at_most_k:<k>" in err and "time_bounded:<bound>" in err
 
+    @pytest.mark.parametrize(
+        "window,constraint",
+        [(4, f"time_bounded:{10**400}"), (10**200, "at_most_k:1")],
+        ids=["bound-beyond-float", "window-beyond-float"],
+    )
+    def test_compare_beyond_float_range_exits_2(self, capsys, window, constraint):
+        assert run_cli("compare", "--window", window, "--period", 1, "--constraint", constraint) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_config_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"seed": 1, "release": {"kind": "dcr"}}))
@@ -670,6 +681,77 @@ class TestInputFailures:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
+
+
+# the address-space limit of the allocation probes: room for the interpreter
+# and numpy, far less than either probe's release asks for
+PROBE_ADDRESS_SPACE = 500_000 * 1024
+
+
+def _lower_address_space() -> None:
+    resource.setrlimit(
+        resource.RLIMIT_AS, (PROBE_ADDRESS_SPACE, resource.getrlimit(resource.RLIMIT_AS)[1])
+    )
+
+
+class TestAllocationFailure:
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("account", {"release.schedule.count": 100_000_000}),
+            ("run", {"release.kind": "hdcr", "release.branching": 2, "release.height": 41,
+                     "release.start": 0, "release.span": 10**12, "release.interval": 1}),
+        ],
+        ids=["account-tick-tuple", "run-hierarchy-windows"],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, command, overrides):
+        """A release too large for the process's address space exits 2.
+
+        Each probe runs in a subprocess that lowers only its own
+        ``RLIMIT_AS``, so the allocation fails there and nowhere else.
+        """
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            log = tmp_path / "log.jsonl"
+            assert run_cli("generate", "--config", cfg, "--out", log) == 0
+            argv += ["--changelog", str(log), "--out", str(tmp_path / "out.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(dpcr.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpcr.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=_lower_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
+
+# compare arguments, half of them valid and half zero, one, negative,
+# non-numeric, beyond the float range or empty
+COMPARE_VALUES = st.sampled_from(["4", "64"]) | st.sampled_from(
+    ["0", "1", "-3", "x", str(10**200), str(10**400), ""]
+)
+COMPARE_KINDS = st.sampled_from(["at_most_k", "time_bounded"]) | st.sampled_from(["hybrid", ""])
+
+
+class TestCompareFuzz:
+    @given(
+        COMPARE_VALUES,
+        COMPARE_VALUES,
+        st.lists(COMPARE_VALUES, min_size=1, max_size=3).map(",".join),
+        st.tuples(COMPARE_KINDS, st.sampled_from([":", ""]), COMPARE_VALUES).map("".join),
+    )
+    def test_arguments_exit_0_or_2(self, window, period, branching, constraint):
+        argv = ["compare", "--window", window, "--period", period,
+                "--branching", branching, "--constraint", constraint]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = run_cli(*argv)
+            except SystemExit as exc:  # argparse refuses a --window or --period that is no int
+                code = exc.code
+        assert code in (0, 2)
 
 
 FUZZ_RELEASES = {

@@ -53,6 +53,18 @@ class TestLinearQueryChange:
         want = [spec.evaluate(v) if p else 0.0 for v, p in zip(values, present)]
         assert list(map(repr, got.tolist())) == list(map(repr, want))
 
+    def test_integer_threshold_is_compared_as_its_float(self):
+        # 2**53 + 3 rounds to the float 2**53 + 4, which both paths compare against
+        spec = LinearQuerySpec("indicator", 0.0, 1.0, threshold=2**53 + 3)
+        assert spec.threshold == 2.0**53 + 4 and isinstance(spec.threshold, float)
+        value = 2.0**53 + 4
+        column = spec.evaluate_column(np.array([value]), np.array([True]))
+        assert spec.evaluate(value) == column[0] == 0.0
+
+    def test_threshold_beyond_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            LinearQuerySpec("indicator", 0.0, 1.0, threshold=10**400)
+
     def test_second_moment(self):
         spec = LinearQuerySpec("second_moment", 0.0, 100.0)
         assert linear_query_change([modify("x", 1, 3.0, 4.0)], spec) == pytest.approx(7.0)
