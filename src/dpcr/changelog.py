@@ -7,10 +7,11 @@ mutation-constraint checks all operate on this log; snapshots are rebuilt
 independently in ``dpcr.oracles``.
 
 A ``Changelog`` holds its mutations as columns: sorted ``int64`` times,
-integer entry codes into ``ids`` (the entry ids in order of first
-appearance), and ``float64`` previous and new values with presence
-masks. A time window is one contiguous slice of rows (``Changelog.rows``),
-so a release reads each window without scanning the log. ``Mutation``
+integer entry codes into ``ids`` (the entry ids in sorted order, so a
+code is its id's rank), and ``float64`` previous and new values with
+presence masks; ``sorted_columns`` orders rows given in any order. A
+time window is one contiguous slice of rows (``Changelog.rows``), so a
+release reads each window without scanning the log. ``Mutation``
 objects are built only on demand: by ``mutations``, iteration,
 ``filter`` and ``for_entry``.
 
@@ -36,6 +37,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -51,10 +53,6 @@ class ConsistencyError(ValueError):
 
 class DuplicateEntryError(ValueError):
     """The entry being merged into a changelog is already present."""
-
-
-def _sort_key(m: "Mutation") -> tuple[int, str]:
-    return (m.time, m.entry_id)
 
 
 @dataclass(frozen=True)
@@ -144,6 +142,9 @@ class Hybrid:
 
 MutationConstraint = AtMostK | TimeBounded | Hybrid
 
+# a mutation as a ``to_columns`` row
+_row = attrgetter("time", "entry_id", "prev_value", "new_value")
+
 
 class Changelog:
     """Immutable, validated sequence of mutations, stored as columns.
@@ -155,15 +156,15 @@ class Changelog:
 
     Row ``i`` is the mutation of ``ids[codes[i]]`` at ``times[i]`` from
     ``prev[i]`` (absent unless ``has_prev[i]``) to ``new[i]`` (absent
-    unless ``has_new[i]``); nothing reads an absent value's slot.
-    ``ranks[c]`` is ``ids[c]``'s position in sorted order
-    (``id_ranks(ids)``), kept from validation. The arrays are read-only.
+    unless ``has_new[i]``); nothing reads an absent value's slot. ``ids``
+    are sorted, so ``(time, code)`` order is ``(time, entry_id)`` order.
+    The arrays are read-only.
     """
 
-    __slots__ = ("times", "codes", "ids", "ranks", "prev", "new", "has_prev", "has_new")
+    __slots__ = ("times", "codes", "ids", "prev", "new", "has_prev", "has_new")
 
     def __init__(self, mutations: Iterable[Mutation]) -> None:
-        self._store(*to_columns((m.time, m.entry_id, m.prev_value, m.new_value) for m in mutations))
+        self._store(*to_columns(map(_row, mutations)))
 
     @classmethod
     def from_columns(
@@ -172,29 +173,15 @@ class Changelog:
     ) -> "Changelog":
         """The changelog of the given columns, validated as ``Changelog(mutations)`` is.
 
-        ``codes`` index ``ids``; they are renumbered in order of first
-        appearance, and ids that no row uses are dropped.
+        ``codes`` index ``ids``; they are renumbered to the ranks of the
+        ids in sorted order, and unused ids are dropped (``ranked``).
         """
         log = cls.__new__(cls)
         log._store(times, codes, ids, prev, new, has_prev, has_new)
         return log
 
     def _store(self, times, codes, ids, prev, new, has_prev, has_new) -> None:
-        codes = np.asarray(codes, dtype=np.int64)
-        # codes already in first-appearance order, every id used, are kept:
-        # each code is at most one past the running max before it, from 0
-        # up to the last id
-        running = np.maximum.accumulate(codes)
-        if (len(codes) and codes[0] == 0 and running[-1] == len(ids) - 1
-                and (codes[1:] <= running[:-1] + 1).all()):
-            self.ids, self.codes = tuple(ids), codes
-        else:
-            used, first = np.unique(codes, return_index=True)
-            order = used[np.argsort(first)]
-            renumber = np.empty(len(ids), dtype=np.int64)
-            renumber[order] = np.arange(len(order))
-            self.ids = tuple(ids[c] for c in order.tolist())
-            self.codes = renumber[codes]
+        self.codes, self.ids = ranked(codes, ids)
         self.times = np.ascontiguousarray(times, dtype=np.int64)
         self.has_prev = np.asarray(has_prev, dtype=bool)
         self.has_new = np.asarray(has_new, dtype=bool)
@@ -215,10 +202,7 @@ class Changelog:
             raise ConsistencyError(
                 f"mutation of {ids[codes[i]]!r} at t={times[i]} records no change"
             )
-        self.ranks = id_ranks(ids)
-        self.ranks.flags.writeable = False
-        rank = self.ranks[codes]
-        ordered = (times[1:] > times[:-1]) | ((times[1:] == times[:-1]) & (rank[1:] > rank[:-1]))
+        ordered = (times[1:] > times[:-1]) | ((times[1:] == times[:-1]) & (codes[1:] > codes[:-1]))
         if not ordered.all():
             i = int(np.argmin(ordered)) + 1
             raise ConsistencyError(
@@ -302,7 +286,8 @@ class Changelog:
 
     @classmethod
     def from_unsorted(cls, mutations: Iterable[Mutation]) -> "Changelog":
-        return cls(sorted(mutations, key=_sort_key))
+        """The changelog of mutations given in any order (``sorted_columns``)."""
+        return cls.from_columns(*sorted_columns(to_columns(map(_row, mutations))))
 
 
 def to_columns(rows: Iterable[tuple[int, str, float | None, float | None]]) -> tuple:
@@ -352,11 +337,25 @@ def chains(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chain, starts
 
 
-def id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each id's position in sorted order, indexed like ``ids``."""
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return ranks
+def ranked(codes: np.ndarray, ids: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``codes`` renumbered to the ranks of their ids in sorted order, and those
+    ids; ids that no code uses are dropped."""
+    codes = np.asarray(codes, dtype=np.int64)
+    used = np.zeros(len(ids), dtype=bool)
+    used[codes] = True
+    order = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[codes], tuple(ids[c] for c in order)
+
+
+def sorted_columns(columns: tuple) -> tuple:
+    """``from_columns`` columns of rows in any order, put in ``(time, entry_id)`` order:
+    one stable sort by time, then ranked code, so duplicates stay side by side."""
+    times, codes, ids, *values = columns
+    codes, ids = ranked(codes, ids)
+    order = np.lexsort((codes, times))
+    return times[order], codes[order], ids, *(column[order] for column in values)
 
 
 def adjacent_changelog(base: Changelog, entry_muts: Iterable[Mutation]) -> Changelog:
@@ -365,7 +364,7 @@ def adjacent_changelog(base: Changelog, entry_muts: Iterable[Mutation]) -> Chang
     The two logs differ by exactly that entry; stripping it recovers
     ``base``. Raises DuplicateEntryError if the entry already exists.
     """
-    muts = sorted(entry_muts, key=_sort_key)
+    muts = tuple(entry_muts)
     if not muts:
         raise ValueError("an adjacent changelog must add at least one mutation")
     ids = {m.entry_id for m in muts}
@@ -374,7 +373,7 @@ def adjacent_changelog(base: Changelog, entry_muts: Iterable[Mutation]) -> Chang
     (entry_id,) = ids
     if base.for_entry(entry_id):
         raise DuplicateEntryError(f"entry {entry_id!r} already present in the base log")
-    return Changelog(sorted(base.mutations + tuple(muts), key=_sort_key))
+    return Changelog.from_unsorted(base.mutations + muts)
 
 
 def without_entry(log: Changelog, entry_id: str) -> Changelog:

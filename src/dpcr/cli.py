@@ -52,6 +52,7 @@ from .changelog import (
     TimeBounded,
     dump_changelog,
     load_changelog,
+    sorted_columns,
     to_columns,
     validate_constraint,
 )
@@ -468,9 +469,7 @@ def _mutation_times(
     if budget > 0 and last > t0:
         extra = int(rng.binomial(budget, rate))
         if extra:
-            times += sorted(
-                int(t) for t in np.unique(rng.integers(t0 + 1, last + 1, size=extra))
-            )
+            times += np.unique(rng.integers(t0 + 1, last + 1, size=extra)).tolist()
     return times
 
 
@@ -517,8 +516,7 @@ def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> Change
         if len(times) > 1 and rng.random() < 0.25 * rate:
             t, _, prev, _ = rows.pop()
             rows.append((t, eid, prev, None))
-    rows.sort(key=lambda row: row[:2])
-    log = Changelog.from_columns(*to_columns(rows))
+    log = Changelog.from_columns(*sorted_columns(to_columns(rows)))
     if not validate_constraint(log, constraint).all():
         raise AssertionError("generator produced a constraint-violating entry")
     return log

@@ -309,10 +309,11 @@ def check_prefix_cover(params: HdcrParams) -> None:
     """Raise RangeTooWideError if no cover can span the hierarchy's whole grid.
 
     A hierarchy that flat has no prefix release: its last prefixes
-    cannot be answered.
+    cannot be answered. From ``grid.bit_length()`` layers on,
+    ``branching**height > grid``, and that power is not built.
     """
     grid = params.grid_size()
-    if grid > params.branching**params.height:
+    if params.height < grid.bit_length() and grid > params.branching**params.height:
         raise RangeTooWideError(f"a {params.height}-layer hierarchy cannot cover {grid} grid units")
 
 

@@ -32,8 +32,8 @@ from .changelog import (
     TimeRangeFilter,
     _optional,
     chains,
-    id_ranks,
     read_columns,
+    sorted_columns,
     to_columns,
 )
 from .engines import check_prefix_cover, cover_values, node_table
@@ -332,9 +332,7 @@ def answer_changelog(answers: Iterable[tuple[int, str, float | None]]) -> Change
 
 def _answer_log(columns: tuple) -> Changelog:
     """The answer changelog of ``to_columns`` rows in any order, sorted by ``(t, entry)``."""
-    times, codes, ids, _, new, _, has_new = columns
-    order = np.lexsort((id_ranks(ids)[codes], times))
-    times, codes, new, has_new = times[order], codes[order], new[order], has_new[order]
+    times, codes, ids, _, new, _, has_new = sorted_columns(columns)
     # an answer's previous value is the one before it in its entry's chain
     chain, starts = chains(codes)
     follows = ~starts[1:]
@@ -473,23 +471,23 @@ def _window_survey(
     cell is the net change of its mutations there: the first one's
     previous answer and the last one's new answer, both ends of its run
     in one stable argsort (``chains``). An entry without one takes the
-    no-change cell. Entries take their place from the log's id ranks and
-    read the next ``n`` uniforms of the given stream. A round over ``r``
-    rows, ``n`` entries and ``z`` labels costs ``O(r log r + n + z^2)``.
+    no-change cell. Entries respond in code order, which is sorted-id
+    order, and read the next ``n`` uniforms of the given stream. A round
+    over ``r`` rows, ``n`` entries and ``z`` labels costs
+    ``O(r log r + n + z^2)``.
     """
     mspace = AnswerMutationSpace(space)
     p, q = _invertible_rule_entries(mspace.size, epsilon)
-    position = log.ranks
 
     def survey(windows: list[TimeRangeFilter], rng: np.random.Generator) -> list[HistogramEstimate]:
         estimates = []
         for rows in log.rows(windows):
-            cells = np.full(len(position), mspace.size - 1)
+            cells = np.full(len(log.ids), mspace.size - 1)
             if rows.start < rows.stop:
                 codes = log.codes[rows]
                 chain, starts = chains(codes)
                 first, last = chain[starts], chain[np.append(starts[1:], True)]
-                cells[position[codes[first]]] = mspace.code_cells(
+                cells[codes[first]] = mspace.code_cells(
                     log.prev[rows][first], log.has_prev[rows][first],
                     log.new[rows][last], log.has_new[rows][last],
                 )

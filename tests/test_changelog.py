@@ -19,7 +19,6 @@ from dpcr.changelog import (
     adjacent_changelog,
     delete,
     dump_changelog,
-    id_ranks,
     insert,
     load_changelog,
     modify,
@@ -119,8 +118,8 @@ def _check_chain(entry_id: str, chain: list[Mutation]) -> None:
 
 def reference_check(muts: list[Mutation]) -> str | None:
     """The row-by-row validation: strict ``(time, entry_id)`` order, then
-    ``_check_chain`` per entry in order of first appearance; the error
-    message, or None for a consistent log."""
+    ``_check_chain`` per entry in sorted-id order; the error message, or
+    None for a consistent log."""
     keys = [(m.time, m.entry_id) for m in muts]
     for m, before, after in zip(muts[1:], keys, keys[1:]):
         if after <= before:
@@ -129,8 +128,8 @@ def reference_check(muts: list[Mutation]) -> str | None:
     for m in muts:
         chains.setdefault(m.entry_id, []).append(m)
     try:
-        for entry_id, chain in chains.items():
-            _check_chain(entry_id, chain)
+        for entry_id in sorted(chains):
+            _check_chain(entry_id, chains[entry_id])
     except ConsistencyError as exc:
         return str(exc)
     return None
@@ -174,17 +173,29 @@ class TestColumnValidation:
                 Changelog(muts)
             assert str(info.value) == expected
 
-    def test_ids_keep_first_appearance_order(self):
-        log = Changelog([insert("b", 1, 1.0), insert("a", 2, 1.0), modify("b", 3, 1.0, 2.0)])
-        assert log.ids == ("b", "a")
-        assert log.codes.tolist() == [0, 1, 0]
+    def test_ids_are_sorted_and_codes_are_their_ranks(self):
+        log = Changelog([insert("c", 1, 1.0), insert("a", 2, 1.0), insert("b", 3, 1.0),
+                         modify("c", 3, 1.0, 2.0)])
+        assert log.ids == ("a", "b", "c")
+        assert log.codes.tolist() == [2, 0, 1, 2]
 
     def test_columns_are_read_only(self):
-        log = Changelog([insert("a", 1, 1.0)])
+        log = Changelog([insert("b", 1, 1.0), insert("a", 2, 1.0)])
         with pytest.raises(ValueError):
             log.times[0] = 5
         with pytest.raises(ValueError):
-            log.ranks[0] = 5
+            log.codes[0] = 5
+
+    def test_first_broken_chain_in_id_order_is_named(self):
+        # "b" appears first, but "a" is the alphabetically first broken entry
+        muts = [insert("b", 1, 1.0), insert("a", 2, 1.0), modify("b", 3, 9.0, 2.0),
+                modify("a", 4, 8.0, 2.0)]
+        with pytest.raises(ConsistencyError) as info:
+            Changelog(muts)
+        assert str(info.value) == (
+            "entry 'a' at t=4: prev_value 8.0 does not match earlier value 1.0"
+        )
+        assert str(info.value) == reference_check(muts)
 
 
 def columns_of(log: Changelog) -> tuple:
@@ -192,17 +203,17 @@ def columns_of(log: Changelog) -> tuple:
 
 
 class TestFromColumnsCodes:
-    """``from_columns`` renumbers codes into first-appearance order and drops unused ids."""
+    """``from_columns`` renumbers codes to the ranks of the sorted ids and drops unused ids."""
 
-    ROWS = [insert("b", 1, 1.0), insert("a", 2, 1.0), modify("b", 3, 1.0, 2.0)]
+    ROWS = [insert("y", 1, 1.0), insert("x", 2, 1.0), modify("y", 3, 1.0, 2.0)]
 
     @pytest.mark.parametrize(
         "codes, ids",
         [
-            ([1, 0, 1], ("a", "b")),  # out of order, every id used
-            ([0, 1, 0], ("b", "a", "z")),  # in order, a trailing id unused
-            ([0, 2, 0], ("b", "z", "a")),  # an unused id between used ones
-            ([1, 2, 1], ("z", "b", "a")),  # no row has code 0
+            ([0, 1, 0], ("y", "x")),  # ids unsorted, in first-appearance order, every one used
+            ([1, 0, 1], ("x", "y", "z")),  # a trailing id unused
+            ([0, 2, 0], ("y", "xx", "x")),  # an unused id that sorts between used ones
+            ([1, 2, 1], ("0", "y", "x")),  # no row has code 0, whose id sorts first
         ],
         ids=["out-of-order", "unused-last", "unused-middle", "unused-first"],
     )
@@ -210,18 +221,18 @@ class TestFromColumnsCodes:
         log = Changelog(self.ROWS)
         times, _, _, prev, new, has_prev, has_new = columns_of(log)
         got = Changelog.from_columns(times, np.array(codes), ids, prev, new, has_prev, has_new)
-        assert got.ids == ("b", "a")
-        assert got.codes.tolist() == [0, 1, 0]
+        assert got.ids == ("x", "y")
+        assert got.codes.tolist() == [1, 0, 1]
         assert got == log
 
-    def test_keeps_codes_already_in_first_appearance_order(self):
+    def test_keeps_codes_that_are_already_ranks(self):
         log = Changelog(self.ROWS)
         times, _, _, prev, new, has_prev, has_new = columns_of(log)
         got = Changelog.from_columns(
-            times, np.array([0, 1, 0]), ["b", "a"], prev, new, has_prev, has_new
+            times, np.array([1, 0, 1]), ["x", "y"], prev, new, has_prev, has_new
         )
-        assert got.ids == ("b", "a") and isinstance(got.ids, tuple)
-        assert got.codes.tolist() == [0, 1, 0]
+        assert got.ids == ("x", "y") and isinstance(got.ids, tuple)
+        assert got.codes.tolist() == [1, 0, 1]
         assert got == log
 
     @given(changelogs(), st.data())
@@ -242,23 +253,31 @@ class TestFromColumnsCodes:
 
 
 class TestStoredRanks:
-    """The id ranks computed during validation are kept on the log."""
+    """A log's entry codes are the ranks of its ids in sorted order, whichever
+    constructor built it, and every id is used."""
 
     @given(changelogs())
     def test_equal_id_ranks_for_every_constructor(self, log):
+        muts = log.mutations
         rebuilt = Changelog.from_columns(*columns_of(log))
         answers = answer_changelog(
-            (m.time, m.entry_id, m.new_value) for m in log if m.new_value is not None
+            (m.time, m.entry_id, m.new_value) for m in reversed(muts) if m.new_value is not None
         )
-        for built in (log, Changelog(log.mutations), rebuilt, answers):
-            assert built.ranks.dtype == np.int64
-            assert np.array_equal(built.ranks, id_ranks(built.ids))
-            assert not built.ranks.flags.writeable
+        for built in (log, Changelog(muts), rebuilt, Changelog.from_unsorted(muts[::-1]),
+                      answers):
+            assert list(built.ids) == sorted(set(built.ids))
+            assert built.codes.dtype == np.int64
+            assert sorted(set(built.codes.tolist())) == list(range(len(built.ids)))
+            assert [built.ids[c] for c in built.codes] == [m.entry_id for m in built]
+            assert not built.codes.flags.writeable
 
     def test_ranks_follow_sorted_ids_not_codes(self):
-        log = Changelog([insert("c", 1, 1.0), insert("a", 2, 1.0), insert("b", 3, 1.0)])
-        assert log.ids == ("c", "a", "b")
-        assert log.ranks.tolist() == [2, 0, 1]
+        # first appearance would number c, a, b as 0, 1, 2
+        log = Changelog.from_unsorted(
+            [insert("b", 3, 1.0), insert("c", 1, 1.0), insert("a", 2, 1.0)]
+        )
+        assert log.ids == ("a", "b", "c")
+        assert log.codes.tolist() == [2, 0, 1]
 
 
 class TestFilter:

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -349,6 +350,110 @@ class TestHeaderPrivacyRule:
             first = first[2:]
         expected = {"seed", "input", "privacy"} | ({"type"} if fmt == "jsonl" else set())
         assert set(json.loads(first)) == expected
+
+
+# two labels, one of which a CSV writer must quote
+QUOTED_LABELS = {"release.labels": ["yes", "no, maybe"],
+                 "generator.labels": ["yes", "no, maybe"], "release.epsilon": 1.0}
+ROW_RELEASES = {
+    "dcr": {"output.include_exact": True},
+    "swcr": {"release.kind": "swcr", **WINDOWS, "output.include_exact": True},
+    "rr-dcr": {"release.kind": "rr-dcr", **QUOTED_LABELS},
+    "rr-hdcr": {"release.kind": "rr-hdcr", **HIERARCHY, **QUOTED_LABELS},
+}
+# SHA-256 of each release's rows, everything after the header line
+ROW_DIGESTS = {
+    ("dcr", "csv"):
+        "62626f2aa133454de6def838212753cc981d9866868f6aec176dd228ea5f05af",
+    ("dcr", "jsonl"):
+        "e6ad0d3a02413db16ef69631261a5fd76791eef28b9220129bfc205ae9bdc4fc",
+    ("swcr", "csv"):
+        "6f9b8d92f2987a87208f4df16b6b0669372137df7d4b9603b9b72d302f352ed0",
+    ("swcr", "jsonl"):
+        "2a0701f96a85a3bc78d80c62382da330a720b8ed8ec93de5d3f4c0af436686c6",
+    ("rr-dcr", "csv"):
+        "2d259ffbfae15d9b3ca8ed13390efa353b0923849f17050758e7cae30f44d9bf",
+    ("rr-dcr", "jsonl"):
+        "79de4b7549fcdfaea265dd1ad05ffe938b2998bb1bbba846c19efa599518a3e1",
+    ("rr-hdcr", "csv"):
+        "c11c19c1b56ef3519d39d2758f1617004b877313357559968cb04d74622012d7",
+    ("rr-hdcr", "jsonl"):
+        "12fd304d60d2c18f571aa8088a6e949e0dac337deb041a16832ae4c5e3de9ffe",
+}
+
+
+class TestRowPins:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("kind", sorted(ROW_RELEASES))
+    def test_rows_are_pinned(self, tmp_path, kind, fmt):
+        # a change to the engines, the noise streams, the entry order or the
+        # writers changes these; the header names the input path, so it is skipped
+        out = tmp_path / f"out.{fmt}"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            **ROW_RELEASES[kind], **{"output.format": fmt, "output.path": str(out)},
+        )
+        data = tmp_path / "input.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", data) == 0
+        assert run_cli("run", "--config", cfg, "--changelog", data) == 0
+        rows = out.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(rows).hexdigest() == ROW_DIGESTS[kind, fmt]
+
+
+NOISE_SEEDS = range(20)
+NOISE_RELEASES = {
+    "dcr": {"release.schedule": {"start": 8, "interval": 8, "count": 400}},
+    "swcr": {"release.kind": "swcr", **WINDOWS, "release.count": 400},
+    "hdcr": {"release.kind": "hdcr", **HIERARCHY},
+    "swcr-from-hdcr": {"release.kind": "swcr", "release.from_hdcr": True,
+                       "release.branching": 2, **WINDOWS},
+}
+
+
+class TestNoiseScale:
+    """The released noise has the Laplace scale ``b = (upper - lower) / epsilon``,
+    computed from the config's query bounds and the header's per-query epsilon
+    alone, not read back through the code that draws it."""
+
+    @staticmethod
+    def released(tmp_path, kind) -> tuple[float, list[dict]]:
+        """``b`` and the rows of one release run at every seed of ``NOISE_SEEDS``."""
+        out = tmp_path / "out.jsonl"
+        cfg = write_config(
+            tmp_path / "cfg.json", **NOISE_RELEASES[kind],
+            **{"release.epsilon": 0.5, "output.format": "jsonl", "output.path": str(out),
+               "output.include_exact": True},
+        )
+        data = tmp_path / "input.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", data) == 0
+        lower, upper = json.loads(cfg.read_text())["release"]["query"]["bounds"]
+        rows, scales = [], set()
+        for seed in NOISE_SEEDS:
+            assert run_cli("run", "--config", cfg, "--changelog", data, "--seed", seed) == 0
+            header, *lines = map(json.loads, out.read_text().splitlines())
+            scales.add((upper - lower) / header["privacy"]["per_query"]["epsilon"])
+            rows += lines
+        (b,) = scales
+        return b, rows
+
+    @pytest.mark.parametrize("kind", ["dcr", "swcr"])
+    def test_residuals_have_the_laplace_moments(self, tmp_path, kind):
+        b, rows = self.released(tmp_path, kind)
+        residuals = np.array([row["noisy"] - row["exact"] for row in rows])
+        n = len(residuals)
+        assert n >= 8000
+        # the sample mean's standard error is sqrt(2 / n) b; the Laplace
+        # kurtosis of 6 puts the variance's at sqrt(5 / n) of 2 b^2, so 10%
+        # is four standard errors at n = 8000
+        assert abs(residuals.mean()) <= 4 * math.sqrt(2 / n) * b
+        assert residuals.var() == pytest.approx(2 * b**2, rel=0.1)
+
+    @pytest.mark.parametrize("kind", ["hdcr", "swcr-from-hdcr"])
+    def test_reported_variance_is_the_cover_of_laplace_nodes(self, tmp_path, kind):
+        b, rows = self.released(tmp_path, kind)
+        assert rows
+        for row in rows:
+            assert row["variance"] == pytest.approx(row["node_count"] * 2 * b**2, rel=1e-12)
 
 
 class TestAccountAndCompare:
@@ -726,6 +831,38 @@ class TestAllocationFailure:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
+
+
+# the address-space limit of the tall-hierarchy account: room for the
+# interpreter and numpy, not for branching**height at 10**12 layers
+ACCOUNT_ADDRESS_SPACE = 1 << 30
+
+
+class TestTallHierarchyAccount:
+    def test_fold_count_without_a_power_of_the_branching(self, tmp_path):
+        """An at-most-4 hierarchy of 10**12 layers is accounted arithmetically.
+
+        ``branching**height`` alone would be a 125 GB integer, so the
+        subprocess, which lowers only its own ``RLIMIT_AS`` to 1 GiB,
+        fails unless no code builds it.
+        """
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            **{"release.kind": "hdcr", **HIERARCHY, "release.height": 10**12,
+               "release.constraint": {"kind": "at_most_k", "k": 4}},
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(dpcr.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpcr.cli", "account", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS,
+                (ACCOUNT_ADDRESS_SPACE, resource.getrlimit(resource.RLIMIT_AS)[1]),
+            ),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "composed folds:    4000000000000\n" in proc.stdout
 
 
 # compare arguments, half of them valid and half zero, one, negative,
