@@ -16,9 +16,11 @@ any (hybrid)      max of branch counts    max of branch counts
 ================  ======================  ===================================
 
 ``n_i`` and ``dt_i`` are the node count and interval of hierarchy layer
-``i``. Neither time-bounded count is ever below the number of ranges one
-entry can touch; a zero bound counts 1 disjoint range, since an entry
-cannot mutate twice at one tick.
+``i``. ``HdcrParams.widths`` lists the ``dt_i`` of the layers that
+still split; every layer above them is one node and counts 1. Neither
+time-bounded count is ever below the number of ranges one entry can
+touch; a zero bound counts 1 disjoint range, since an entry cannot
+mutate twice at one tick.
 Composition never decreases with the fold count, so composing a
 hybrid's largest branch count is the sup of its branch bounds. Local
 (per-entry) guarantees double the fold count.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .changelog import (
@@ -175,20 +178,26 @@ class HdcrParams:
                 f"span and interval must be >= 1, got ({self.span}, {self.interval})"
             )
 
-    def layer_interval(self, layer: int) -> int:
-        return self.branching**layer * self.interval
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        """Node widths in ticks of the layers that still split, bottom first. At any
+        height, layer ``len(widths)`` and all above it are one node over the span."""
+        widths = [self.interval]
+        while widths[-1] < self.span:
+            widths.append(widths[-1] * self.branching)
+        return tuple(widths[:-1])
 
     def layer_size(self, layer: int) -> int:
         """Number of nodes in a layer."""
-        return -(-self.span // self.layer_interval(layer))
+        return -(-self.span // self.widths[layer]) if layer < len(self.widths) else 1
 
     def layer_filters(self, layer: int) -> list[TimeRangeFilter]:
         """A layer's node windows in index order: node ``i`` reads ``(start + i*w,
-        start + (i+1)*w]`` for layer interval ``w``, capped at ``start + span``."""
+        start + (i+1)*w]`` for node width ``w``, capped at ``start + span``."""
         if not 0 <= layer < self.height:
             raise ValueError(f"no layer {layer} in a {self.height}-layer hierarchy")
-        width, end = self.layer_interval(layer), self.start + self.span
-        starts = range(self.start, end, width)
+        widths, end = self.widths, self.start + self.span
+        starts = range(self.start, end, widths[layer] if layer < len(widths) else self.span)
         return list(map(TimeRangeFilter, starts, [*starts[1:], end]))
 
     def grid_filter(self, low: int, high: int) -> TimeRangeFilter:
@@ -275,18 +284,9 @@ def hdcr_folds(params: HdcrParams, constraint: MutationConstraint) -> int:
     cost grows with the layers below it, not with the height. See
     ``hdcr_time_bounded_nominal_folds`` for the commonly quoted figure.
     """
-
-    def time_bounded(bound: int) -> int:
-        total, dt = 0, params.interval
-        for i in range(params.height):
-            size = -(-params.span // dt)
-            if size == 1:
-                return total + params.height - i
-            total += min(size, -(-bound // dt) + 1)
-            dt *= params.branching
-        return total
-
-    return _folds(constraint, params.height, time_bounded)
+    split = params.widths[:params.height]
+    return _folds(constraint, params.height, lambda bound: params.height - len(split) + sum(
+        min(-(-params.span // dt), -(-bound // dt) + 1) for dt in split))
 
 
 def hdcr_time_bounded_nominal_folds(params: HdcrParams, bound: int) -> float:
@@ -296,14 +296,33 @@ def hdcr_time_bounded_nominal_folds(params: HdcrParams, bound: int) -> float:
     bound-to-interval ratios (the closed form can dip below the true
     per-layer overlap), so it is never used for enforcement. Once
     ``base / c^i`` is below ``2**-60`` a term rounds to ``1.0``, so the
-    remaining terms are summed as ``1.0``s without their powers.
+    remaining terms are added as ``1.0``s without their powers. Terms are
+    added left to right, as Python 3.10 and 3.11 ``sum`` adds a list of them.
     """
     base = -(-bound // params.interval)
-    terms, power = [], 1
-    while len(terms) < params.height and base >= power >> 60:
-        terms.append(base / power + 1)
-        power *= params.branching
-    return sum(terms + [1.0] * (params.height - len(terms)))
+    total, layers, power = 0.0, 0, 1
+    while layers < params.height and base >= power >> 60:
+        total += base / power + 1
+        layers, power = layers + 1, power * params.branching
+    return _plus_ones(total, params.height - layers)
+
+
+def _plus_ones(total: float, count: int) -> float:
+    """``total`` after ``count`` additions of ``1.0``, each rounded, in one round per binade.
+
+    Below ``2**53`` adding ``1.0`` is exact until the sum reaches the
+    next power of two, so a binade's exact additions are made at once and
+    only the one that reaches the power is rounded. Once ``total + 1.0 ==
+    total``, no further addition moves it; from ``2**53`` up that takes at
+    most one more.
+    """
+    while count and total + 1.0 != total:
+        exact = 0
+        if total < 2**53:
+            exact = min(count - 1, math.ceil(2.0 ** math.frexp(total)[1] - total) - 1)
+        total = total + exact + 1.0
+        count -= exact + 1
+    return total
 
 
 def local_folds(global_folds: int) -> int:

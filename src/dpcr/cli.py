@@ -222,15 +222,15 @@ def _typed(value, path: str, kind: type):
 def _refused(prefix: str) -> Iterator[None]:
     """Re-raise a value the library refuses inside the block as a ConfigError.
 
-    The message is ``f"{prefix}: {exc}"``, or the bare ``str(exc)`` for an
-    empty prefix. A ConfigError passes through as raised.
+    The message is ``f"{prefix}: {exc}"``, where the prefix names what
+    the value came from. A ConfigError passes through as raised.
     """
     try:
         yield
     except ConfigError:
         raise
     except (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{prefix}: {exc}" if prefix else str(exc)) from exc
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _seed(cfg: Mapping) -> int:
@@ -644,17 +644,23 @@ def cmd_account(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    with _refused(""):
-        name, _, value = args.constraint.partition(":")
-        kinds = {"at_most_k": AtMostK, "time_bounded": TimeBounded}
-        if name not in kinds or not value:
-            raise ConfigError(
-                f"--constraint must be at_most_k:<k> or time_bounded:<bound>, got {args.constraint!r}"
-            )
+    name, _, value = args.constraint.partition(":")
+    kinds = {"at_most_k": AtMostK, "time_bounded": TimeBounded}
+    if name not in kinds or not value:
+        raise ConfigError(
+            f"--constraint must be at_most_k:<k> or time_bounded:<bound>, got {args.constraint!r}"
+        )
+    with _refused(f"--constraint {args.constraint}"):
         constraint = kinds[name](int(value))
+    with _refused(f"--branching {args.branching}"):
         factors = [int(c) for c in args.branching.split(",") if c]
+    window = f"--window {args.window} --period {args.period}"
+    with _refused(window):
         swcr = SwcrParams(window=args.window, period=args.period, first_release=args.window, count=2)
-        rows = [(c, compare_hdcr_swcr(swcr, c, constraint)) for c in factors]
+    rows = []
+    for c in factors:
+        with _refused(f"{window} --constraint {args.constraint} --branching {c}"):
+            rows.append((c, compare_hdcr_swcr(swcr, c, constraint)))
     print("branching  height  lhs           rhs           hdcr_wins  eps_prime_factor")
     for c, cmp in rows:
         print(

@@ -21,16 +21,19 @@ Every hierarchy, Laplace or survey, values each layer once into a
 ``node_table``, one list per layer in index order, and answers a grid
 range with ``cover_values``: the nodes ``cover_range`` finds in one
 left-to-right walk. Sums add the nodes in that order, so a sum's bits
-are fixed by the range alone. A Laplace hierarchy keeps each node as a
-``(noisy, exact)`` pair of floats; ``HdcrTree`` builds its nodes'
-``ReleaseRecord``s only when they are first read.
+are fixed by the range alone. No prefix cover climbs above the first
+one-node layer, so a prefix release values only the layers up to it
+(``check_prefix_cover``); its header still accounts every layer. A
+Laplace hierarchy keeps each node as a ``(noisy, exact)`` pair of
+floats; ``HdcrTree`` builds its nodes' ``ReleaseRecord``s only when
+they are first read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
@@ -305,16 +308,17 @@ def aggregate(tree: HdcrTree, low: int, high: int) -> ReleaseRecord:
     return ReleaseRecord(tree.params.grid_filter(low, high), noisy, exact, len(cover), variance)
 
 
-def check_prefix_cover(params: HdcrParams) -> None:
-    """Raise RangeTooWideError if no cover can span the hierarchy's whole grid.
+def check_prefix_cover(params: HdcrParams) -> HdcrParams:
+    """The hierarchy cut to the layers its prefix covers read; RangeTooWideError if too flat.
 
-    A hierarchy that flat has no prefix release: its last prefixes
-    cannot be answered. From ``grid.bit_length()`` layers on,
-    ``branching**height > grid``, and that power is not built.
+    No cover climbs above the first one-node layer, ``len(widths)``: the layer
+    above is wider than the grid. Only a hierarchy without it can be too flat
+    for its last prefixes, and builds ``branching**height``, then small.
     """
-    grid = params.grid_size()
-    if params.height < grid.bit_length() and grid > params.branching**params.height:
+    read, grid = len(params.widths) + 1, params.grid_size()
+    if params.height < read and grid > params.branching**params.height:
         raise RangeTooWideError(f"a {params.height}-layer hierarchy cannot cover {grid} grid units")
+    return replace(params, height=min(params.height, read))
 
 
 def run_hdcr(
@@ -322,9 +326,9 @@ def run_hdcr(
 ) -> ReleaseResult:
     """Hierarchical release: one prefix aggregate per bottom-layer endpoint.
 
-    Raises RangeTooWideError before any work if no cover can span the grid.
+    Values only the layers a cover reads; RangeTooWideError before any work if too flat.
     """
-    check_prefix_cover(params)
+    params = check_prefix_cover(params)
     tree = build_hdcr(log, params, spec, noise_per_node)
     return ReleaseResult(tuple(aggregate(tree, 0, j) for j in range(1, params.grid_size() + 1)))
 

@@ -446,7 +446,7 @@ def rr_hdcr(
     ``(layer, index)`` over ``n`` entries takes uniforms
     ``[index n, (index + 1) n)`` of ``named_stream(seed, "rr-hdcr", layer)``.
     """
-    check_prefix_cover(params)
+    params = check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
     layers = node_table(
         params, lambda layer, windows: survey(windows, named_stream(seed, "rr-hdcr", layer))

@@ -274,6 +274,35 @@ class TestHdcrBound:
         assert nominal == pytest.approx(3.5)
         assert hdcr_folds(params, TimeBounded(1)) == 4
 
+    @given(st.integers(1, 10**5), st.integers(2, 16), st.integers(1, 10**6),
+           st.integers(0, 10**4) | st.integers(0, 2**62))
+    def test_nominal_tail_equals_the_list_sum(self, height, branching, interval, bound):
+        params = HdcrParams(height, branching, start=0, span=1, interval=interval)
+        got = hdcr_time_bounded_nominal_folds(params, bound)
+        assert got.hex() == listed_nominal_folds(params, bound).hex()
+
+    @pytest.mark.parametrize("bound", [2**60 - 1, 2**60, 2**60 + 3, 2**52 + 1, 2**52 + 2])
+    def test_nominal_tail_beyond_two_to_the_53(self, bound):
+        # the layer terms pass 2**53 before the tail of 1.0 terms starts
+        params = HdcrParams(height=10**5, branching=2, start=0, span=1, interval=1)
+        got = hdcr_time_bounded_nominal_folds(params, bound)
+        assert got > 2**53
+        assert got.hex() == listed_nominal_folds(params, bound).hex()
+
+
+def listed_nominal_folds(params: HdcrParams, bound: int) -> float:
+    """Reference for ``hdcr_time_bounded_nominal_folds``: a list of every
+    layer's term, the ones past ``2**-60`` as ``1.0``, added left to right."""
+    base = -(-bound // params.interval)
+    terms, power = [], 1
+    while len(terms) < params.height and base >= power >> 60:
+        terms.append(base / power + 1)
+        power *= params.branching
+    total = 0.0
+    for term in terms + [1.0] * (params.height - len(terms)):
+        total += term
+    return total
+
 
 class TestLocalBound:
     def test_doubles_dcr_at_most_k(self):
@@ -309,14 +338,18 @@ class TestSchedules:
         assert params.layer_filters(1)[2].end == 20  # truncated at start + span
         assert [w.start for w in params.layer_filters(1)] == [10, 14, 18]
 
-    # starts reach past int64 either way, where no window may wrap
-    @given(st.integers(1, 5), st.integers(2, 4), st.integers(-(2**63), 2**63), st.integers(1, 90),
-           st.integers(1, 4))
+    # starts reach past int64 either way, where no window may wrap; the first
+    # one-node layer is at most layer 7, so taller hierarchies have layers above it
+    @given(st.integers(1, 12), st.integers(2, 4), st.integers(-(2**63), 2**63),
+           st.integers(1, 90), st.integers(1, 4))
     def test_layer_filters_are_the_node_filters(self, height, branching, start, span, interval):
         params = HdcrParams(height, branching, start, span, interval)
         for layer in range(height):
+            size = -(-span // (branching**layer * interval))
+            assert params.layer_size(layer) == size
+            assert (size == 1) == (layer >= len(params.widths))
             assert params.layer_filters(layer) == [
-                node_filter(params, layer, index) for index in range(params.layer_size(layer))
+                node_filter(params, layer, index) for index in range(size)
             ]
         for layer in (-1, height):
             with pytest.raises(ValueError):

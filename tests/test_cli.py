@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 
 import dpcr
+from dpcr.accounting import HdcrParams
 from dpcr.changelog import AtMostK, dump_changelog, load_changelog, validate_constraint
 from dpcr.randomized_response import ResponseSpace, dump_answer_log, load_answer_log
 from dpcr.cli import main
@@ -524,14 +525,16 @@ class TestAccountAndCompare:
         assert "at_most_k:<k>" in err and "time_bounded:<bound>" in err
 
     @pytest.mark.parametrize(
-        "window,constraint",
-        [(4, f"time_bounded:{10**400}"), (10**200, "at_most_k:1")],
+        "window,constraint,named",
+        [(4, f"time_bounded:{10**400}", f"--constraint time_bounded:{10**400}"),
+         (10**200, "at_most_k:1", f"--window {10**200} --period 1")],
         ids=["bound-beyond-float", "window-beyond-float"],
     )
-    def test_compare_beyond_float_range_exits_2(self, capsys, window, constraint):
+    def test_compare_beyond_float_range_exits_2(self, capsys, window, constraint, named):
         assert run_cli("compare", "--window", window, "--period", 1, "--constraint", constraint) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        assert named in err
 
     def test_config_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -863,6 +866,66 @@ class TestTallHierarchyAccount:
         )
         assert proc.returncode == 0, proc.stderr
         assert "composed folds:    4000000000000\n" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [{"kind": "at_most_k", "k": 3}, {"kind": "time_bounded", "bound": 5}],
+        ids=["at-most-k", "time-bounded"],
+    )
+    def test_run_values_only_the_layers_a_cover_reads(self, tmp_path, constraint):
+        """``dpcr run`` on 10**12 layers finishes in a 1 GiB address space.
+
+        Its rows are those of the 4-layer hierarchy, whose top layer is its
+        first one-node layer.
+        """
+        cfg = write_config(tmp_path / "cfg.json", **{
+            "release.kind": "hdcr", **HIERARCHY, "release.constraint": constraint,
+            "generator.constraint": constraint,
+        })
+        log = tmp_path / "log.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", log) == 0
+        assert run_cli("run", "--config", cfg, "--changelog", log, "--out", tmp_path / "cut.csv") == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(dpcr.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpcr.cli", "run", "--config", str(cfg), "--changelog", str(log),
+             "--out", str(tmp_path / "tall.csv"), "--set", f"release.height={10**12}"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS,
+                (ACCOUNT_ADDRESS_SPACE, resource.getrlimit(resource.RLIMIT_AS)[1]),
+            ),
+        )
+        assert proc.returncode == 0, proc.stderr
+        cut, tall = ((tmp_path / name).read_text().splitlines() for name in ("cut.csv", "tall.csv"))
+        assert len(tall) == 2 + 8 and tall[1:] == cut[1:]  # header, column names, 8 prefixes
+        assert tall[0] != cut[0]  # the header still accounts every layer
+
+
+class TestPrefixCut:
+    """Layers above the first one-node layer change no prefix row."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 7919])
+    @pytest.mark.parametrize("branching", [2, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("kind", ["hdcr", "rr-hdcr"])
+    def test_rows_do_not_depend_on_layers_above(self, tmp_path, kind, fmt, branching, seed):
+        overrides = {"release.kind": kind, **HIERARCHY, "release.branching": branching,
+                     "output.format": fmt, "seed": seed}
+        if kind == "rr-hdcr":
+            overrides.update(LABELS)
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        log = tmp_path / "log.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", log) == 0
+        read = len(HdcrParams(1, branching, 0, HIERARCHY["release.span"],
+                              HIERARCHY["release.interval"]).widths) + 1
+        rows = []
+        for height in (read, read + 50):
+            out = tmp_path / f"{height}.{fmt}"
+            assert run_cli("run", "--config", cfg, "--changelog", log, "--out", out,
+                           "--set", f"release.height={height}") == 0
+            rows.append(out.read_text().splitlines()[1:])
+        assert len(rows[0]) >= 8 and rows[0] == rows[1]
 
 
 # compare arguments, half of them valid and half zero, one, negative,

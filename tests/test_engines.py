@@ -28,6 +28,7 @@ from dpcr.engines import (
     UnsupportedConstraintError,
     aggregate,
     build_hdcr,
+    check_prefix_cover,
     compare_hdcr_swcr,
     cover_range,
     derive_swcr_from_hdcr,
@@ -419,6 +420,30 @@ class TestAggregate:
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
         with pytest.raises(ValueError):
             aggregate(tree, 0, 17)
+
+
+class TestPrefixCover:
+    @pytest.mark.parametrize(
+        "branching,span,interval,read", [(2, 16, 1, 5), (3, 20, 2, 4), (2, 1, 3, 1)]
+    )
+    def test_cut_after_the_first_one_node_layer(self, branching, span, interval, read):
+        for height, cut in [(10**12, read), (read + 1, read), (read, read)]:
+            got = check_prefix_cover(HdcrParams(height, branching, 0, span, interval))
+            assert got == HdcrParams(cut, branching, 0, span, interval)
+
+    def test_too_flat_is_refused(self):
+        assert check_prefix_cover(HdcrParams(4, 2, 0, 16, 1)).height == 4
+        with pytest.raises(RangeTooWideError):
+            check_prefix_cover(HdcrParams(3, 2, 0, 16, 1))
+
+    @pytest.mark.parametrize("branching,span,interval", [(2, 16, 1), (3, 20, 2), (2, 13, 3)])
+    def test_release_equals_the_whole_tree(self, branching, span, interval):
+        params = HdcrParams(1, branching, 0, span, interval)
+        params = HdcrParams(len(params.widths) + 50, branching, 0, span, interval)
+        tree = build_hdcr(small_log(), params, SPEC, NOISE)  # every layer, none cut
+        assert run_hdcr(small_log(), params, SPEC, NOISE).records == tuple(
+            aggregate(tree, 0, j) for j in range(1, params.grid_size() + 1)
+        )
 
 
 class TestDeriveSwcr:
