@@ -32,7 +32,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .changelog import (
     AtMostK,
@@ -191,21 +191,25 @@ class HdcrParams:
         """Number of nodes in a layer."""
         return -(-self.span // self.widths[layer]) if layer < len(self.widths) else 1
 
-    def layer_filters(self, layer: int) -> list[TimeRangeFilter]:
-        """A layer's node windows in index order: node ``i`` reads ``(start + i*w,
+    def layer_starts(self, layer: int) -> range:
+        """A layer's node starts in index order: node ``i`` reads ``(start + i*w,
         start + (i+1)*w]`` for node width ``w``, capped at ``start + span``."""
         if not 0 <= layer < self.height:
             raise ValueError(f"no layer {layer} in a {self.height}-layer hierarchy")
-        widths, end = self.widths, self.start + self.span
-        starts = range(self.start, end, widths[layer] if layer < len(widths) else self.span)
-        return list(map(TimeRangeFilter, starts, [*starts[1:], end]))
+        widths = self.widths
+        return range(self.start, self.start + self.span,
+                     widths[layer] if layer < len(widths) else self.span)
 
-    def grid_filter(self, low: int, high: int) -> TimeRangeFilter:
-        """Real range of grid range ``(low, high]``, capped at ``start + span``."""
-        return TimeRangeFilter(
-            self.start + low * self.interval,
-            min(self.start + high * self.interval, self.start + self.span),
-        )
+    def layer_filters(self, layer: int) -> list[TimeRangeFilter]:
+        """A layer's node windows in index order (``layer_starts``)."""
+        starts = self.layer_starts(layer)
+        return list(map(TimeRangeFilter, starts, [*starts[1:], self.start + self.span]))
+
+    def grid_bounds(self, lows: Iterable[int], highs: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Real starts and ends of grid ranges ``(lows[i], highs[i]]``, capped at ``start + span``."""
+        start, interval, end = self.start, self.interval, self.start + self.span
+        return ([start + low * interval for low in lows],
+                [min(start + high * interval, end) for high in highs])
 
     def grid_size(self) -> int:
         """Bottom-layer node count; the unit grid for range covers."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice
@@ -274,15 +273,24 @@ class Changelog:
             return ()
         return self._mutations(np.flatnonzero(self.codes == code))
 
-    def rows(self, windows: Iterable[TimeRangeFilter]) -> list[slice]:
-        """Each window's slice of rows, the mutations with ``start < time <= end``."""
-        # indexing a memoryview gives Python ints, so the bounds compare exactly
-        ticks = memoryview(self.times)
-        return [slice(bisect_right(ticks, w.start), bisect_right(ticks, w.end)) for w in windows]
+    def rows(self, windows: Sequence[TimeRangeFilter]) -> tuple[np.ndarray, np.ndarray]:
+        """Each window's first row and stop row: its mutations have ``start < time <= end``."""
+        return self.ranks([w.start for w in windows]), self.ranks([w.end for w in windows])
+
+    def ranks(self, bounds: Sequence[float]) -> np.ndarray:
+        """How many rows have ``time <= bound``, for each bound (an int of any size, or
+        ``-inf``), by one ``np.searchsorted``. Times fit in int64, so the bounds are clamped
+        into it for the search, and one below it has no row at or before it."""
+        bounds = np.array(bounds, dtype=object)
+        clamped = np.clip(bounds, INT64_MIN, INT64_MAX).astype(np.int64)
+        ranks = np.searchsorted(self.times, clamped, side="right")
+        ranks[bounds < INT64_MIN] = 0
+        return ranks
 
     def filter(self, window: TimeRangeFilter) -> tuple[Mutation, ...]:
         """Mutations with ``start < time <= end``, original order preserved."""
-        return self._mutations(self.rows((window,))[0])
+        (first,), (stop,) = self.rows((window,))
+        return self._mutations(slice(first, stop))
 
     @classmethod
     def from_unsorted(cls, mutations: Iterable[Mutation]) -> "Changelog":

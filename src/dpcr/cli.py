@@ -344,9 +344,10 @@ def release_accounting(cfg: Mapping) -> tuple[
             mechanism = query_from_config(cfg)
             scale = NoiseSpec(epsilon, sensitivity(mechanism), seed=0).scale  # reads no seed
             if isinstance(accounted, HdcrParams):
-                # an aggregate reports node_count * 2 * scale**2, and a cover
-                # has at most 2 * (branching - 1) * height nodes
-                widest = 2 * (accounted.branching - 1) * accounted.height
+                # an aggregate reports node_count * 2 * scale**2, and a cover has at most
+                # 2 * (branching - 1) nodes per layer up to the first one-node layer
+                layers = min(accounted.height, len(accounted.widths) + 1)
+                widest = 2 * (accounted.branching - 1) * layers
                 if not math.isfinite(widest * 2 * scale * scale):
                     raise ValueError(
                         f"a {widest}-node cover at per-node noise scale {scale:.6g} "

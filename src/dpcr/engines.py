@@ -1,8 +1,8 @@
 """Release engines: disjoint, sliding-window, and hierarchical releases.
 
-Every released value is a ``ReleaseRecord``: a disjoint or sliding-window
-query, a hierarchy node (a disjoint query over a wider interval) and an
-aggregate (a sum of nodes) alike. One evaluator, ``_window_values``,
+A release is a ``ReleaseResult``: columns of window bounds, noisy and
+exact values, and node counts for hierarchy aggregates; its
+``ReleaseRecord``s are built only when read. One evaluator, ``_window_values``,
 values a list of windows: it sums every window's exact linear-query
 change in one array pass and perturbs it with Laplace noise read by
 position from one stream per noise vector: query ``i`` of a disjoint or
@@ -18,15 +18,14 @@ values ride along in the in-memory results for verification; the
 serializers drop them unless explicitly asked.
 
 Every hierarchy, Laplace or survey, values each layer once into a
-``node_table``, one list per layer in index order, and answers a grid
-range with ``cover_values``: the nodes ``cover_range`` finds in one
-left-to-right walk. Sums add the nodes in that order, so a sum's bits
-are fixed by the range alone. No prefix cover climbs above the first
-one-node layer, so a prefix release values only the layers up to it
-(``check_prefix_cover``); its header still accounts every layer. A
-Laplace hierarchy keeps each node as a ``(noisy, exact)`` pair of
-floats; ``HdcrTree`` builds its nodes' ``ReleaseRecord``s only when
-they are first read.
+``node_table``: one row per node, layer after layer, each layer's rows
+sliced from the log by one ``np.searchsorted``. ``cover_sums`` answers all
+of a release's grid ranges at once: one ``cover_range`` call finds every
+cover, then a lockstep walk adds node ``s`` of every cover at step ``s``.
+Each range adds its nodes in cover order from ``0.0``, so a sum's bits are
+fixed by the range alone. No prefix cover climbs above the first one-node
+layer, so a prefix release values only the layers up to it
+(``check_prefix_cover``); its header still accounts every layer.
 """
 
 from __future__ import annotations
@@ -36,12 +35,14 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
+from itertools import count, repeat
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule, SwcrParams
 from .changelog import (
+    NEG_INF,
     AtMostK,
     Changelog,
     Hybrid,
@@ -49,9 +50,6 @@ from .changelog import (
     TimeRangeFilter,
 )
 from .mechanisms import LinearQuerySpec, NoiseSpec, named_stream, perturb
-
-
-V = TypeVar("V")
 
 
 class RangeTooWideError(ValueError):
@@ -79,13 +77,26 @@ class ReleaseRecord:
 
 @dataclass(frozen=True)
 class ReleaseResult:
-    records: tuple[ReleaseRecord, ...]
+    """Released values as columns, value ``i`` over ``(starts[i], ends[i]]`` (Python ints
+    or a ``-inf`` start). Aggregates carry ``node_count``, and nominal variance
+    ``node_count * node_variance``. ``records`` are built when first read.
+    """
 
-    def noisy_values(self) -> list[float]:
-        return [r.noisy for r in self.records]
+    starts: Sequence[float]
+    ends: Sequence[int]
+    noisy: Sequence[float]
+    exact: Sequence[float]
+    node_count: Sequence[int] | None = None
+    node_variance: float | None = None
 
-    def exact_values(self) -> list[float]:
-        return [r.exact for r in self.records]
+    @cached_property
+    def records(self) -> tuple[ReleaseRecord, ...]:
+        windows = map(TimeRangeFilter, self.starts, self.ends)
+        if self.node_count is None:
+            return tuple(map(ReleaseRecord, windows, self.noisy, self.exact))
+        variances = [n * self.node_variance for n in self.node_count]
+        return tuple(map(ReleaseRecord, windows, self.noisy, self.exact, self.node_count,
+                         variances))
 
 
 def run_dcr(
@@ -116,9 +127,10 @@ def _run_filters(
     log: Changelog, spec: LinearQuerySpec, filters: Sequence[TimeRangeFilter],
     noise: NoiseSpec, stream: str,
 ) -> ReleaseResult:
-    """One record per filter, valued by ``_window_values``."""
-    noisy, exact = _window_values(log, _change_terms(log, spec), filters, noise, stream)
-    return ReleaseResult(tuple(map(ReleaseRecord, filters, noisy, exact)))
+    """One value per filter, valued by ``_window_values``."""
+    noisy, exact = _window_values(_change_terms(log, spec), *log.rows(filters), noise, stream)
+    return ReleaseResult([f.start for f in filters], [f.end for f in filters],
+                         noisy.tolist(), exact.tolist())
 
 
 def _change_terms(log: Changelog, spec: LinearQuerySpec) -> np.ndarray:
@@ -130,19 +142,17 @@ def _change_terms(log: Changelog, spec: LinearQuerySpec) -> np.ndarray:
 
 
 def _window_values(
-    log: Changelog, terms: np.ndarray, windows: Sequence[TimeRangeFilter],
-    noise: NoiseSpec, *stream: int | str,
-) -> tuple[list[float], list[float]]:
-    """The noisy and exact values of every window, in order.
+    terms: np.ndarray, first: np.ndarray, stop: np.ndarray, noise: NoiseSpec, *stream: int | str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy and exact values of the windows of rows ``first[i]:stop[i]``, in order.
 
     A window's exact change adds the ``terms`` of its rows
     (``Changelog.rows``) one at a time from ``0.0``, so it equals
     ``linear_query_change(log.filter(window), spec)`` bit for bit.
     Window ``i`` is perturbed with draw ``i`` of ``(seed, *stream)``.
     """
-    exact = _window_sums(terms, log.rows(windows))
-    noisy = perturb(exact, noise, named_stream(noise.seed, *stream))
-    return noisy.tolist(), exact.tolist()
+    exact = _window_sums(terms, first, stop)
+    return perturb(exact, noise, named_stream(noise.seed, *stream)), exact
 
 
 # Terms gathered into one padded block at a time, however many and however
@@ -151,8 +161,8 @@ def _window_values(
 _GATHER_TERMS = 1 << 13
 
 
-def _window_sums(terms: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
-    """Each row slice's terms, two per row, added left to right from ``0.0``.
+def _window_sums(terms: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Each window's terms, two per row, added left to right from ``0.0``.
 
     Windows are taken longest first, in groups of as many as fit
     ``_GATHER_TERMS`` terms once padded to the group's longest (at least
@@ -163,11 +173,11 @@ def _window_sums(terms: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
     many terms, each block starting from the sum of the ones before.
     Empty windows sum to ``0.0``.
     """
-    starts = 2 * np.array([r.start for r in rows], dtype=np.int64)
-    lengths = 2 * np.array([r.stop for r in rows], dtype=np.int64) - starts
+    starts = 2 * first
+    lengths = 2 * stop - starts
     order = np.argsort(-lengths, kind="stable")
     ordered = lengths[order].tolist()
-    sums = np.zeros(len(rows))
+    sums = np.zeros(len(starts))
     i = 0
     while i < len(ordered) and ordered[i]:
         group = order[i:i + max(1, _GATHER_TERMS // ordered[i])]
@@ -191,83 +201,125 @@ def _padded_sums(
     return total
 
 
-def cover_range(low: int, high: int, branching: int, height: int) -> tuple[tuple[int, int], ...]:
-    """Disjoint ``(layer, index)`` nodes exactly covering grid range ``(low, high]``.
+def cover_range(low, high, branching: int, height: int) -> np.ndarray:
+    """The disjoint nodes exactly covering each grid range ``(low, high]``, one
+    ``(range, layer, index)`` row per node: range after range, each left to right.
 
-    A node ``(layer, j)`` spans ``(j * branching**layer,
-    (j+1) * branching**layer]`` grid units. One walk from ``low`` takes
-    at each position the widest node aligned there that still ends by
-    ``high``, so nodes come out left to right: widths rise to the widest
-    fitting layer, then fall, with at most ``branching - 1`` nodes per
-    layer on each side.
+    ``low`` and ``high`` are integers or integer arrays, one range per element.
+    Node ``(layer, j)`` spans ``(j * branching**layer, (j+1) * branching**layer]``
+    grid units. One lockstep walk advances every range from ``low``: at each
+    step, each range short of ``high`` takes the widest node aligned at its
+    position that still ends by ``high``, so widths rise to the widest fitting
+    layer, then fall, with at most ``branching - 1`` nodes per layer on each
+    side. The node widths stop at the widest any range can use, so no
+    ``branching**height`` is built.
     """
-    if low < 0 or high <= low:
-        raise ValueError(f"need 0 <= low < high, got ({low}, {high}]")
-    if high - low > branching**height:
+    lows, highs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64))
+                                        for x in (low, high)))
+    bad = (lows < 0) | (highs <= lows)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"need 0 <= low < high, got ({lows[i]}, {highs[i]}]")
+    widest, widths = int((highs - lows).max(initial=1)), [1]
+    while len(widths) < height and widths[-1] * branching <= widest:
+        widths.append(widths[-1] * branching)
+    if len(widths) == height and widest > widths[-1] * branching:
+        i = int(np.argmax(highs - lows))
         raise RangeTooWideError(
-            f"range ({low}, {high}] is wider than {branching}**{height} grid units"
+            f"range ({lows[i]}, {highs[i]}] is wider than {branching}**{height} grid units"
         )
-    cover = []
-    pos, layer, width = low, 0, 1
-    while pos < high:
-        wider = width * branching
-        while layer < height - 1 and pos % wider == 0 and pos + wider <= high:
-            layer, width, wider = layer + 1, wider, wider * branching
-        # pos is a multiple of width: it starts on layer 0 and moves by whole nodes
-        while pos + width > high:
-            layer -= 1
-            width //= branching
-        cover.append((layer, pos // width))
-        pos += width
-    return tuple(cover)
+    widths, sizes = np.array(widths), np.zeros(len(lows), dtype=np.int64)
+    pos, live, steps = lows.copy(), np.arange(len(lows)), []
+    while live.size:
+        at, rest = pos[live], highs[live] - pos[live]
+        # the layers a node aligned at ``at`` may take, and those that fit ``rest``,
+        # are each every layer up to some top
+        layer = np.minimum(np.count_nonzero(at[:, None] % widths == 0, axis=1),
+                           np.searchsorted(widths, rest, side="right")) - 1
+        steps.append(np.column_stack([live, layer, at // widths[layer]]))
+        sizes[live] += 1
+        pos[live] = at + widths[layer]
+        live = live[widths[layer] < rest]
+    rows, first = np.empty((sizes.sum(), 3), dtype=np.int64), np.cumsum(sizes) - sizes
+    for step, nodes in enumerate(steps):  # node ``step`` of each range still walking
+        rows[first[nodes[:, 0]] + step] = nodes
+    return rows
 
 
 @dataclass(frozen=True)
 class HdcrTree:
     """The ``node_table`` of a hierarchical release and its per-node Laplace noise.
 
-    ``layers[layer][index]`` is node ``(layer, index)``'s ``(noisy, exact)``
-    pair. ``nodes`` gives them as ``ReleaseRecord``s over their node
+    Row ``offsets[layer] + index`` of ``values`` is node ``(layer, index)``'s
+    ``(noisy, exact)`` pair. ``nodes`` gives them as ``ReleaseRecord``s over their node
     windows, keyed by ``(layer, index)`` and built for the whole tree on
     first access.
     """
 
     params: HdcrParams
     noise: NoiseSpec
-    layers: Sequence[Sequence[tuple[float, float]]]
+    values: np.ndarray
+    offsets: np.ndarray
 
     @cached_property
     def nodes(self) -> Mapping[tuple[int, int], ReleaseRecord]:
+        pairs = iter(self.values.tolist())
         return {
-            (layer, index): ReleaseRecord(window, noisy, exact)
-            for layer, values in enumerate(self.layers)
-            for index, (window, (noisy, exact)) in enumerate(
-                zip(self.params.layer_filters(layer), values)
-            )
+            (layer, index): ReleaseRecord(window, *next(pairs))
+            for layer in range(self.params.height)
+            for index, window in enumerate(self.params.layer_filters(layer))
         }
 
 
 def node_table(
-    params: HdcrParams, value_layer: Callable[[int, list[TimeRangeFilter]], Iterable[V]]
-) -> list[list[V]]:
-    """Every node's value, one list per layer, bottom first, in index order.
-
-    ``value_layer(layer, windows)`` values a layer's node windows
-    (``HdcrParams.layer_filters``) in index order; the last may be
-    truncated at the hierarchy end.
+    params: HdcrParams, log: Changelog,
+    value_layer: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's value row, layer after layer in index order, and each layer's first row
+    (then the row count). ``value_layer(layer, first, stop)`` values a layer's nodes from
+    their rows of ``log``: one ``Changelog.ranks`` of its node starts (``layer_starts``) and
+    the hierarchy end gives every node's first row and the next one's.
     """
-    return [list(value_layer(layer, params.layer_filters(layer))) for layer in range(params.height)]
+    end, table = params.start + params.span, None
+    offsets = np.cumsum([0] + [params.layer_size(layer) for layer in range(params.height)])
+    for layer in range(params.height):
+        edges = log.ranks([*params.layer_starts(layer), end])
+        values = value_layer(layer, edges[:-1], edges[1:])
+        if table is None:  # the bottom layer gives the row shape
+            table = np.empty((offsets[-1], *values.shape[1:]), values.dtype)
+        table[offsets[layer]:offsets[layer + 1]] = values
+        del values  # no layer is held twice while the next is valued
+    return table, offsets
 
 
-def cover_values(
-    layers: Sequence[Sequence[V]], params: HdcrParams, low: int, high: int
-) -> list[V]:
-    """The values of the nodes covering grid range ``(low, high]``, left to right."""
-    grid = len(layers[0])  # the bottom layer has one node per grid unit
-    if high > grid:
-        raise ValueError(f"range ({low}, {high}] ends beyond the {grid}-unit grid")
-    return [layers[layer][index]
-            for layer, index in cover_range(low, high, params.branching, params.height)]
+# Columns of the node rows summed at a time, so a wide survey row gathers a
+# block of at most 32 KiB per range at each step
+_SUM_COLUMNS = 1 << 12
+
+
+def cover_sums(
+    values: np.ndarray, offsets: np.ndarray, params: HdcrParams, low, high
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of the ``node_table`` rows covering each grid range ``(low, high]``, and
+    their node counts. Step ``s`` of a lockstep walk over one ``cover_range`` call adds node
+    ``s`` of every cover that has one, so each range adds its nodes (floats or vectors) in
+    cover order from ``0.0``, and a sum's bits are fixed by the range alone.
+    """
+    grid = offsets[1]  # the bottom layer has one node per grid unit
+    if np.max(high) > grid:
+        raise ValueError(f"a range ends at {np.max(high)}, beyond the {grid}-unit grid")
+    ranges, layer, index = cover_range(low, high, params.branching, params.height).T
+    sizes = np.bincount(ranges, minlength=np.broadcast(low, high).size)
+    rows, first = offsets[layer] + index, np.cumsum(sizes) - sizes
+    sums = np.zeros((len(sizes), *values.shape[1:]))
+    flat, out = values.reshape(len(values), -1), sums.reshape(len(sizes), -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add, silently
+        for block in range(0, out.shape[1], _SUM_COLUMNS):
+            cols = slice(block, block + _SUM_COLUMNS)
+            for step in range(sizes.max(initial=0)):
+                live = np.flatnonzero(sizes > step)
+                out[live, cols] += flat[rows[first[live] + step], cols]
+    return sums, sizes
 
 
 def build_hdcr(
@@ -284,28 +336,21 @@ def build_hdcr(
     here; ``HdcrTree.nodes`` builds them when read.
     """
     terms = _change_terms(log, spec)
-    layers = node_table(params, lambda layer, windows: zip(*_window_values(
-        log, terms, windows, noise_per_node, "hdcr", layer
-    )))
-    return HdcrTree(params, noise_per_node, layers)
+    values, offsets = node_table(params, log, lambda layer, first, stop: np.column_stack(
+        _window_values(terms, first, stop, noise_per_node, "hdcr", layer)
+    ))
+    return HdcrTree(params, noise_per_node, values, offsets)
 
 
-def aggregate(tree: HdcrTree, low: int, high: int) -> ReleaseRecord:
-    """Answer the grid range ``(low, high]`` by summing a node cover.
-
-    Grid units are bottom-layer intervals from the hierarchy start; the
-    record's window is ``params.grid_filter(low, high)``, capped at the
-    hierarchy end when the span is not a multiple of the top node width.
-    Variance is ``node_count * 2 * scale**2`` for the per-node Laplace scale.
+def aggregate(tree: HdcrTree, low, high) -> ReleaseResult:
+    """Answer each grid range ``(low, high]`` (integers or integer arrays) by summing a node
+    cover (``cover_sums``). Grid units are bottom-layer intervals from the hierarchy start;
+    a range's window is ``params.grid_bounds``, capped at the hierarchy end. Variance is
+    ``node_count * 2 * scale**2`` for the per-node Laplace scale.
     """
-    cover = cover_values(tree.layers, tree.params, low, high)
-    noisy = 0.0
-    exact = 0.0
-    for node_noisy, node_exact in cover:
-        noisy += node_noisy
-        exact += node_exact
-    variance = len(cover) * 2 * tree.noise.scale**2
-    return ReleaseRecord(tree.params.grid_filter(low, high), noisy, exact, len(cover), variance)
+    sums, sizes = cover_sums(tree.values, tree.offsets, tree.params, low, high)
+    bounds = tree.params.grid_bounds(*(np.ravel(x).tolist() for x in np.broadcast_arrays(low, high)))
+    return ReleaseResult(*bounds, *sums.T.tolist(), sizes.tolist(), 2 * tree.noise.scale**2)
 
 
 def check_prefix_cover(params: HdcrParams) -> HdcrParams:
@@ -330,7 +375,7 @@ def run_hdcr(
     """
     params = check_prefix_cover(params)
     tree = build_hdcr(log, params, spec, noise_per_node)
-    return ReleaseResult(tuple(aggregate(tree, 0, j) for j in range(1, params.grid_size() + 1)))
+    return aggregate(tree, 0, np.arange(1, params.grid_size() + 1))
 
 
 def swcr_equivalent_hdcr_params(swcr: SwcrParams, branching: int) -> HdcrParams:
@@ -365,18 +410,16 @@ def derive_swcr_from_hdcr(
     """Answer a sliding-window release from hierarchy aggregates.
 
     Each window ``(t_i - window, t_i]`` maps to a grid range of the
-    equivalent hierarchy and is answered by ``aggregate``; the expected
-    answer equals the exact window change.
+    equivalent hierarchy, and one ``aggregate`` call answers them all; the
+    expected answer equals the exact window change.
     """
     params = swcr_equivalent_hdcr_params(swcr, branching)
     tree = build_hdcr(log, params, spec, noise_per_node)
-    dt = params.interval
+    dt = params.interval  # divides both the period and the window
     # window i is (first_release + i*period - window, first_release + i*period]
     # and the hierarchy starts at first_release - window
-    return ReleaseResult(tuple(
-        aggregate(tree, i * swcr.period // dt, (i * swcr.period + swcr.window) // dt)
-        for i in range(swcr.count)
-    ))
+    low = np.arange(swcr.count) * (swcr.period // dt)
+    return aggregate(tree, low, low + swcr.window // dt)
 
 
 @dataclass(frozen=True)
@@ -439,14 +482,12 @@ def result_to_csv(
     """Columns ``query_index, t_start, t_end, noisy`` (+ ``exact`` if asked)."""
     writer = csv.writer(fh, lineterminator="\n")
     header = ["query_index", "t_start", "t_end", "noisy"]
+    columns = [count(), map(_start_repr, result.starts), result.ends, map(repr, result.noisy)]
     if include_exact:
         header.append("exact")
+        columns.append(map(repr, result.exact))
     writer.writerow(header)
-    for i, r in enumerate(result.records):
-        row = [i, _start_repr(r.window.start), r.window.end, repr(r.noisy)]
-        if include_exact:
-            row.append(repr(r.exact))
-        writer.writerow(row)
+    writer.writerows(zip(*columns))
 
 
 def result_to_jsonl(
@@ -455,17 +496,21 @@ def result_to_jsonl(
     """One JSON object per query; aggregates carry node_count and variance.
 
     Each row is written as ``json.dumps`` would write its object, keys in
-    the order below, without building the object.
+    the order below, without building the object. A variance is formatted
+    once per distinct node count.
     """
-    for i, r in enumerate(result.records):
-        start = "null" if r.window.start == float("-inf") else int(r.window.start)
-        row = (f'{{"query_index": {i}, "t_start": {start}, "t_end": {r.window.end}, '
-               f'"noisy": {_json_float(r.noisy)}')
-        if r.node_count is not None:
-            row += f', "node_count": {r.node_count}, "variance": {_json_float(r.variance)}'
-        if include_exact:
-            row += f', "exact": {_json_float(r.exact)}'
-        fh.write(row + "}\n")
+    counted = exact = repeat("")
+    if result.node_count is not None:
+        variance = {n: _json_float(n * result.node_variance) for n in set(result.node_count)}
+        counted = (f', "node_count": {n}, "variance": {variance[n]}' for n in result.node_count)
+    if include_exact:
+        exact = (f', "exact": {_json_float(x)}' for x in result.exact)
+    fh.writelines(
+        f'{{"query_index": {i}, "t_start": {"null" if start == NEG_INF else int(start)}, '
+        f'"t_end": {end}, "noisy": {_json_float(noisy)}{more}{known}}}\n'
+        for i, start, end, noisy, more, known
+        in zip(count(), result.starts, result.ends, result.noisy, counted, exact)
+    )
 
 
 def _json_float(x: float) -> str:
@@ -476,4 +521,4 @@ def _json_float(x: float) -> str:
 
 
 def _start_repr(start: float) -> str:
-    return "-inf" if start == float("-inf") else str(int(start))
+    return "-inf" if start == NEG_INF else str(int(start))

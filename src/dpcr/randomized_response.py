@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import filterfalse
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,14 +29,13 @@ from .changelog import (
     Changelog,
     ConsistencyError,
     Mutation,
-    TimeRangeFilter,
     _optional,
     chains,
     read_columns,
     sorted_columns,
     to_columns,
 )
-from .engines import check_prefix_cover, cover_values, node_table
+from .engines import check_prefix_cover, cover_sums, node_table
 from .mechanisms import named_stream
 
 CONDITION_LIMIT = 1e12
@@ -426,7 +425,7 @@ def rr_dcr(
     """
     survey = _window_survey(log, space, epsilon)
     windows = schedule.filters()
-    estimates = survey(windows, named_stream(seed, "rr-dcr"))
+    estimates = survey(*log.rows(windows), named_stream(seed, "rr-dcr"))
     return [RrRecord(window.end, estimate) for window, estimate in zip(windows, estimates)]
 
 
@@ -448,26 +447,30 @@ def rr_hdcr(
     """
     params = check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
-    layers = node_table(
-        params, lambda layer, windows: survey(windows, named_stream(seed, "rr-hdcr", layer))
-    )
+    k, entries, highs = space.size, len(log.ids), np.arange(1, params.grid_size() + 1)
 
-    records, entries = [], len(log.ids)
-    for j in range(1, params.grid_size() + 1):
-        cover = cover_values(layers, params, 0, j)
-        values = sum((est.values for est in cover), np.zeros(space.size))
-        covariance = sum((est.covariance for est in cover), np.zeros((space.size, space.size)))
-        estimate = HistogramEstimate(values, covariance, entries)
-        records.append(RrRecord(params.grid_filter(0, j).end, estimate, node_count=len(cover)))
-    return records
+    def node_rows(layer: int, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """A node's row: its estimate's values, then its covariance row by row."""
+        rows = np.empty((len(first), k + k * k))
+        for row, est in zip(rows, survey(first, stop, named_stream(seed, "rr-hdcr", layer))):
+            row[:k], row[k:] = est.values, est.covariance.ravel()
+        return rows
+
+    values, offsets = node_table(params, log, node_rows)
+    sums, sizes = cover_sums(values, offsets, params, 0, highs)
+    _, ends = params.grid_bounds((), highs.tolist())
+    return [
+        RrRecord(end, HistogramEstimate(row[:k], row[k:].reshape(k, k), entries), node_count=n)
+        for end, row, n in zip(ends, sums, sizes.tolist())
+    ]
 
 
 def _window_survey(
     log: Changelog, space: ResponseSpace, epsilon: float
-) -> Callable[[list[TimeRangeFilter], np.random.Generator], list[HistogramEstimate]]:
+) -> Callable[[np.ndarray, np.ndarray, np.random.Generator], Iterator[HistogramEstimate]]:
     """One survey round per window, in order: net cells, responses in entry-id order, estimate.
 
-    A round reads its window's row slice (``Changelog.rows``). An entry's
+    Round ``i`` reads the rows ``begin[i]:end[i]`` (``Changelog.rows``). An entry's
     cell is the net change of its mutations there: the first one's
     previous answer and the last one's new answer, both ends of its run
     in one stable argsort (``chains``). An entry without one takes the
@@ -479,9 +482,10 @@ def _window_survey(
     mspace = AnswerMutationSpace(space)
     p, q = _invertible_rule_entries(mspace.size, epsilon)
 
-    def survey(windows: list[TimeRangeFilter], rng: np.random.Generator) -> list[HistogramEstimate]:
-        estimates = []
-        for rows in log.rows(windows):
+    def survey(
+        begin: np.ndarray, end: np.ndarray, rng: np.random.Generator
+    ) -> Iterator[HistogramEstimate]:
+        for rows in map(slice, begin.tolist(), end.tolist()):
             cells = np.full(len(log.ids), mspace.size - 1)
             if rows.start < rows.stop:
                 codes = log.codes[rows]
@@ -493,7 +497,6 @@ def _window_survey(
                 )
             responses = _draw_responses(rng, cells, mspace.size, p, q)
             counts = np.bincount(responses, minlength=mspace.size).reshape(len(mspace.alphabet), -1)
-            estimates.append(_estimate(counts, p - q))
-        return estimates
+            yield _estimate(counts, p - q)
 
     return survey

@@ -71,7 +71,7 @@ def test_criterion_2_aggregate_variance_law():
     node_count = variance = None
     for seed in range(seeds):
         tree = build_hdcr(log, params, spec, NoiseSpec(1.0, sensitivity(spec), seed))
-        agg = aggregate(tree, 1, 7)
+        agg = aggregate(tree, 1, 7).records[0]
         values[seed] = agg.noisy
         node_count, variance = agg.node_count, agg.variance
     sample_var = values.var(ddof=1)
@@ -177,9 +177,9 @@ def _window_variances_equal_privacy(
     derived = np.empty((seeds, swcr.count))
     for seed in range(seeds):
         d = run_swcr(log, swcr, spec, NoiseSpec(epsilon, 1.0, seed))
-        direct[seed] = d.noisy_values()
+        direct[seed] = d.noisy
         h = derive_swcr_from_hdcr(log, swcr, branching, NoiseSpec(factor * epsilon, 1.0, seed), spec)
-        derived[seed] = h.noisy_values()
+        derived[seed] = h.noisy
     return direct.var(axis=0, ddof=1), derived.var(axis=0, ddof=1)
 
 

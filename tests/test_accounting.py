@@ -31,7 +31,8 @@ def node_filter(params: HdcrParams, layer: int, index: int) -> TimeRangeFilter:
     """Reference for ``HdcrParams.layer_filters``: node ``index`` of ``layer``
     is grid range ``(w * index, w * (index + 1)]`` for width ``w = c**layer``."""
     width = params.branching**layer
-    return params.grid_filter(width * index, width * (index + 1))
+    (start,), (end,) = params.grid_bounds([width * index], [width * (index + 1)])
+    return TimeRangeFilter(start, end)
 
 
 def covers(a: PrivacyLoss, b: PrivacyLoss) -> bool:

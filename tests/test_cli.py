@@ -732,6 +732,25 @@ class TestInputFailures:
             if refused:
                 assert capsys.readouterr().err.startswith("config error: release: ")
 
+    def test_widest_cover_reads_no_layer_above_the_first_one_node_layer(self, tmp_path, capsys):
+        """At epsilon 1e-151 a cover of the 4 layers this hierarchy reads has a
+        finite variance. Layers above them add no node to any cover, so
+        ``account`` and ``run`` accept the hierarchy at any height, and the
+        run releases the rows of the 4-layer one."""
+        cfg = write_config(tmp_path / "cfg.json", **{
+            "release.kind": "hdcr", **HIERARCHY, "release.epsilon": 1e-151,
+        })
+        log = tmp_path / "log.jsonl"
+        assert run_cli("generate", "--config", cfg, "--out", log) == 0
+        tall = ["--set", f"release.height={10**12}"]
+        assert run_cli("account", "--config", cfg, *tall) == 0
+        rows = []
+        for height in ([], tall):
+            out = tmp_path / f"out{len(height)}.csv"
+            assert run_cli("run", "--config", cfg, "--changelog", log, "--out", out, *height) == 0
+            rows.append(out.read_text().splitlines()[1:])
+        assert len(rows[0]) == 1 + 8 and rows[0] == rows[1]  # column names, 8 prefixes
+
     @pytest.mark.parametrize("where", ["log-line", "config-file", "set-value"])
     def test_deeply_nested_json_exits_2(self, tmp_path, cfg, capsys, where):
         # deep enough for the JSON parser to raise RecursionError

@@ -3,7 +3,10 @@ import io
 import json
 import math
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,6 +15,8 @@ from hypothesis import given
 
 from dpcr.accounting import HdcrParams, ReleaseSchedule, SwcrParams
 from dpcr.changelog import (
+    INT64_MAX,
+    INT64_MIN,
     AtMostK,
     Changelog,
     Hybrid,
@@ -31,7 +36,9 @@ from dpcr.engines import (
     check_prefix_cover,
     compare_hdcr_swcr,
     cover_range,
+    cover_sums,
     derive_swcr_from_hdcr,
+    node_table,
     result_to_csv,
     result_to_jsonl,
     run_dcr,
@@ -71,12 +78,12 @@ def small_log() -> Changelog:
 class TestRunDcr:
     def test_empty_changelog_gives_zero_exact(self):
         result = run_dcr(Changelog(()), ReleaseSchedule.uniform(2, 2, 5), SPEC, NOISE)
-        assert result.exact_values() == [0.0] * 5
+        assert result.exact == [0.0] * 5
 
     def test_single_mutation_hits_one_query(self):
         log = Changelog([insert("x", 5, 50.0)])
         result = run_dcr(log, ReleaseSchedule((3, 6, 9)), SPEC, NOISE)
-        assert result.exact_values() == [0.0, 50.0, 0.0]
+        assert result.exact == [0.0, 50.0, 0.0]
 
     def test_cumulative_exact_equals_snapshot_sum(self):
         log = small_log()
@@ -92,7 +99,7 @@ class TestRunDcr:
         # 2**53 + 1 rounds to 2**53 as a float64, which would put it in the first window
         log = Changelog([insert("x", 2**53 + 1, 50.0)])
         result = run_dcr(log, ReleaseSchedule((2**53, 2**53 + 2)), SPEC, NOISE)
-        assert result.exact_values() == [0.0, 50.0]
+        assert result.exact == [0.0, 50.0]
 
     def test_negative_zero_values_sum_to_positive_zero(self):
         # a change summed from 0.0 is never -0.0, even when every term is -0.0
@@ -104,12 +111,12 @@ class TestRunDcr:
     def test_deterministic_per_seed(self):
         result = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
         again = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
-        assert result.noisy_values() == again.noisy_values()
+        assert result.noisy == again.noisy
         other = run_dcr(
             small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC,
             NoiseSpec(1.0, sensitivity(SPEC), seed=14),
         )
-        assert result.noisy_values() != other.noisy_values()
+        assert result.noisy != other.noisy
 
 
 class TestRunSwcr:
@@ -118,7 +125,7 @@ class TestRunSwcr:
         swcr = run_swcr(log, SwcrParams(window=3, period=3, first_release=3, count=5), SPEC, NOISE)
         dcr = run_dcr(log, ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
         # first DCR query reads everything before t=3, the first window only (0, 3]
-        assert swcr.exact_values()[1:] == dcr.exact_values()[1:]
+        assert swcr.exact[1:] == dcr.exact[1:]
         assert [(r.window.start, r.window.end) for r in swcr.records[1:]] == [
             (r.window.start, r.window.end) for r in dcr.records[1:]
         ]
@@ -132,7 +139,7 @@ class TestRunSwcr:
     def test_all_zero_changelog(self):
         params = SwcrParams(window=4, period=2, first_release=4, count=4)
         result = run_swcr(Changelog(()), params, SPEC, NOISE)
-        assert result.exact_values() == [0.0] * 4
+        assert result.exact == [0.0] * 4
 
 
 def value_specs(log: Changelog) -> list[LinearQuerySpec]:
@@ -199,9 +206,8 @@ def insert_log(times) -> Changelog:
 def cumsum_exacts(log: Changelog, terms: np.ndarray, windows) -> list[str]:
     """Each window's terms summed by its own ``np.cumsum``, plus ``0.0``, as reprs."""
     return [
-        repr(float(np.cumsum(terms[2 * rows.start:2 * rows.stop])[-1]) + 0.0)
-        if rows.start < rows.stop else "0.0"
-        for rows in log.rows(windows)
+        repr(float(np.cumsum(terms[2 * first:2 * stop])[-1]) + 0.0) if first < stop else "0.0"
+        for first, stop in zip(*log.rows(windows))
     ]
 
 
@@ -235,11 +241,10 @@ class TestWindowValues:
         if data.draw(st.booleans()):
             terms = -np.abs(terms) * 0.0  # every term -0.0
         filters = data.draw(windows(30))
-        noisy, exact = _window_values(log, terms, filters, NOISE, "test")
+        noisy, exact = (x.tolist() for x in _window_values(terms, *log.rows(filters), NOISE, "test"))
         assert [repr(x) for x in exact] == cumsum_exacts(log, terms, filters)
         draws = named_stream(NOISE.seed, "test").laplace(0.0, NOISE.scale, len(filters))
         assert noisy == [x + d for x, d in zip(exact, draws.tolist())]
-        assert all(type(x) is float for x in noisy + exact)
 
     def test_one_full_window_among_many_empty_ones(self):
         # 8e5 terms, many times what one gather holds, in the first window;
@@ -250,11 +255,11 @@ class TestWindowValues:
         filters = [TimeRangeFilter(0, n)] + [TimeRangeFilter(n + k, n + k + 1) for k in range(10**4)]
         tracemalloc.start()
         try:
-            _, exact = _window_values(log, terms, filters, NOISE, "test")
+            _, exact = _window_values(terms, *log.rows(filters), NOISE, "test")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [repr(x) for x in exact] == cumsum_exacts(log, terms, filters)
+        assert [repr(x) for x in exact.tolist()] == cumsum_exacts(log, terms, filters)
         # a windows x longest-window block would take 64 GB, one gather of the
         # whole first window 6.4 MB per float array
         assert peak < 4 * 2**20
@@ -268,12 +273,63 @@ class TestWindowValues:
         filters = SwcrParams(window=10_000, period=10, first_release=10_000, count=1001).filters()
         tracemalloc.start()
         try:
-            _, exact = _window_values(log, terms, filters, NOISE, "test")
+            _, exact = _window_values(terms, *log.rows(filters), NOISE, "test")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [repr(x) for x in exact] == cumsum_exacts(log, terms, filters)
+        assert [repr(x) for x in exact.tolist()] == cumsum_exacts(log, terms, filters)
         assert peak < 4 * 2**20  # a windows x longest-window block would take 160 MB
+
+
+# times at and next to both ends of int64, and near zero
+EDGE_TIMES = st.sampled_from([INT64_MIN, INT64_MIN + 1, -5, 0, 3, INT64_MAX - 1, INT64_MAX])
+# hierarchy starts at, next to and beyond both ends of int64
+EDGE_STARTS = st.sampled_from([-(2**64), INT64_MIN - 3, INT64_MIN, -7, 0, INT64_MAX - 20,
+                               INT64_MAX, 2**63 + 1, 2**64])
+
+
+def bisected_rows(log: Changelog, windows) -> list[tuple[int, int]]:
+    """Reference for ``Changelog.rows``: two bisections per window over the times as
+    Python ints, so every bound, of any size or ``-inf``, compares exactly."""
+    ticks = log.times.tolist()
+    return [(bisect_right(ticks, w.start), bisect_right(ticks, w.end)) for w in windows]
+
+
+class TestRowSlices:
+    """Row slices from one clamped ``np.searchsorted`` equal the bisected ones."""
+
+    @given(st.lists(st.one_of(EDGE_TIMES, st.integers(-20, 20), st.integers(INT64_MIN, INT64_MAX)),
+                    max_size=30),
+           st.lists(st.tuples(st.one_of(st.just(float("-inf")), EDGE_STARTS, st.integers(-20, 20),
+                                        st.integers(-(2**65), 2**65)),
+                              st.one_of(st.integers(1, 5), st.integers(1, 2**66))), max_size=12))
+    def test_rows_equal_the_bisected_rows(self, times, bounds):
+        log = insert_log(sorted(times))
+        windows = [TimeRangeFilter(start, (0 if start == float("-inf") else start) + width)
+                   for start, width in bounds]
+        got = log.rows(windows)
+        assert list(zip(*(rows.tolist() for rows in got))) == bisected_rows(log, windows)
+
+    @given(st.integers(1, 6), st.integers(2, 4), st.one_of(EDGE_STARTS, st.integers(-(2**64), 2**64)),
+           st.one_of(st.integers(1, 9), st.integers(1, 2**65)), st.integers(1, 40), st.data())
+    def test_node_table_slices_equal_the_rows_of_the_layer_filters(
+        self, height, branching, start, interval, nodes, data
+    ):
+        span = interval * (nodes - 1) + data.draw(st.integers(1, interval))
+        # times at the int64 ends, and on and around the node edges that fit int64
+        near = st.integers(-3, 3 * interval + 3).map(lambda d: start + d)
+        times = data.draw(st.lists(st.one_of(EDGE_TIMES, near.filter(
+            lambda t: INT64_MIN <= t <= INT64_MAX)), max_size=30))
+        log = insert_log(sorted(times))
+        params = HdcrParams(height, branching, start, span, interval)
+        # each node's value is its own row slice
+        table, offsets = node_table(params, log, lambda layer, first, stop: np.column_stack(
+            [first, stop]))
+        for layer in range(height):
+            windows = params.layer_filters(layer)
+            got = [tuple(rows) for rows in table[offsets[layer]:offsets[layer + 1]].tolist()]
+            assert got == list(zip(*(rows.tolist() for rows in log.rows(windows))))
+            assert got == bisected_rows(log, windows)
 
 
 class TestNoiseLayout:
@@ -311,9 +367,49 @@ class TestNoiseLayout:
                 assert type(node.noisy) is float
 
 
+def reference_cover(low: int, high: int, branching: int, height: int) -> list[tuple[int, int]]:
+    """The cover of ``(low, high]`` by one left-to-right walk, one range at a time.
+
+    At each position it takes the widest node aligned there that still ends
+    by ``high``. The range must be at most ``branching**height`` wide.
+    """
+    cover = []
+    pos, layer, width = low, 0, 1
+    while pos < high:
+        wider = width * branching
+        while layer < height - 1 and pos % wider == 0 and pos + wider <= high:
+            layer, width, wider = layer + 1, wider, wider * branching
+        # pos is a multiple of width: it starts on layer 0 and moves by whole nodes
+        while pos + width > high:
+            layer -= 1
+            width //= branching
+        cover.append((layer, pos // width))
+        pos += width
+    return cover
+
+
+def cover_nodes(cover: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Each range's ``(layer, index)`` nodes, left to right."""
+    return [[(layer, index) for _, layer, index in rows]
+            for _, rows in groupby(cover.tolist(), key=itemgetter(0))]
+
+
+@st.composite
+def grid_ranges(draw):
+    """Branching, height, and ranges with ``low > 0`` up to ``branching**height`` wide."""
+    branching = draw(st.integers(2, 5))
+    height = draw(st.one_of(st.integers(1, 8), st.integers(1, 10**12)))
+    widest = min(branching ** min(height, 40), 2**61)  # grid units fit int64
+    ranges = draw(st.lists(st.tuples(
+        st.one_of(st.integers(1, 200), st.integers(1, 2**40)),
+        st.one_of(st.integers(1, 200), st.integers(1, widest), st.just(widest)),
+    ).map(lambda r: (r[0], r[0] + min(r[1], widest))), min_size=1, max_size=12))
+    return branching, height, ranges
+
+
 class TestCoverRange:
     def test_unit_range_is_one_bottom_node(self):
-        assert cover_range(3, 4, 2, 4) == ((0, 3),)
+        assert cover_nodes(cover_range(3, 4, 2, 4)) == [[(0, 3)]]
 
     def test_reference_case(self):
         assert len(cover_range(0, 99, 10, 2)) == 18
@@ -321,25 +417,76 @@ class TestCoverRange:
     def test_too_wide_rejected(self):
         with pytest.raises(RangeTooWideError):
             cover_range(0, 17, 2, 4)
+        with pytest.raises(RangeTooWideError, match=r"\(1, 18\]"):
+            cover_range([0, 1], [16, 18], 2, 4)
+
+    @given(grid_ranges())
+    def test_walk_equals_the_reference_walk(self, case):
+        """Every range's nodes, in order, are the one-range walk's, at any height."""
+        branching, height, ranges = case
+        lows, highs = zip(*ranges)
+        got = cover_nodes(cover_range(lows, highs, branching, height))
+        assert got == [reference_cover(low, high, branching, height) for low, high in ranges]
+        assert got[0] == cover_nodes(cover_range(lows[0], highs[0], branching, height))[0]
+
+    def test_tall_hierarchy_builds_no_power_of_its_height(self):
+        # branching**height alone would be a 125 GB integer
+        assert cover_nodes(cover_range(5, 9, 2, 10**12)) == [[(0, 5), (1, 3), (0, 8)]]
 
     @pytest.mark.parametrize("branching,height,top", [(2, 4, 16), (3, 3, 27), (10, 2, 100)])
     def test_exhaustive_small_universes(self, branching, height, top):
         minima = {high: min_cover_oracle(high, branching, height) for high in range(1, top + 1)}
-        for low in range(top):
-            for high in range(low + 1, top + 1):
-                cover = cover_range(low, high, branching, height)
-                # left to right as returned: aggregates add in this order
-                segments = [(i * branching**lv, (i + 1) * branching**lv) for lv, i in cover]
-                assert segments[0][0] == low
-                assert segments[-1][1] == high
-                assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
-                width = high - low
-                levels = 0  # ceil(log_c(width)), in integers
-                while branching**levels < width:
-                    levels += 1
-                bound = 1 if width == 1 else 2 * (branching - 1) * levels
-                assert len(cover) <= bound
-                assert len(cover) >= minima[high][low]
+        ranges = [(low, high) for low in range(top) for high in range(low + 1, top + 1)]
+        covers = cover_nodes(cover_range(*zip(*ranges), branching, height))
+        for (low, high), cover in zip(ranges, covers):
+            # left to right as returned: aggregates add in this order
+            segments = [(i * branching**lv, (i + 1) * branching**lv) for lv, i in cover]
+            assert segments[0][0] == low
+            assert segments[-1][1] == high
+            assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
+            width = high - low
+            levels = 0  # ceil(log_c(width)), in integers
+            while branching**levels < width:
+                levels += 1
+            bound = 1 if width == 1 else 2 * (branching - 1) * levels
+            assert len(cover) <= bound
+            assert len(cover) >= minima[high][low]
+
+
+# node values for the sums, special ones drawn often
+NODE_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, 1e308]),
+    st.floats(),
+)
+
+
+class TestCoverSums:
+    """A lockstep sum adds each range's cover rows left to right from ``0.0``."""
+
+    @given(st.integers(2, 5), st.integers(1, 60), st.integers(0, 3), st.data())
+    def test_sums_equal_a_left_to_right_sum(self, branching, span, width, data):
+        params = HdcrParams(len(HdcrParams(1, branching, 0, span, 1).widths) + 1,
+                            branching, 0, span, 1)
+        nodes = sum(params.layer_size(layer) for layer in range(params.height))
+        offsets = np.cumsum([0] + [params.layer_size(layer) for layer in range(params.height)])
+        shape = (nodes, width) if width else (nodes,)  # a width gives vector rows, as RR has
+        values = np.array(data.draw(st.lists(NODE_VALUES, min_size=int(np.prod(shape)),
+                                             max_size=int(np.prod(shape))))).reshape(shape)
+        ranges = data.draw(st.lists(
+            st.integers(0, span - 1).flatmap(lambda low: st.tuples(st.just(low), st.integers(low + 1, span))),
+            min_size=1, max_size=10,
+        ))
+        lows, highs = zip(*ranges)
+        sums, sizes = cover_sums(values, offsets, params, lows, highs)
+        for low, high, got, size in zip(lows, highs, sums, sizes.tolist()):
+            want = np.zeros(shape[1:])
+            cover = reference_cover(low, high, branching, params.height)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for layer, index in cover:
+                    want = want + values[offsets[layer] + index]
+            assert size == len(cover)
+            # reprs are bit for bit, -0.0 included, except that every NaN reads nan
+            assert list(map(repr, np.ravel(got).tolist())) == list(map(repr, np.ravel(want).tolist()))
 
 
 class TestBuildHdcr:
@@ -385,12 +532,12 @@ class TestBuildHdcr:
     def test_node_records_are_built_on_first_read(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
         aggregate(tree, 0, 5)
-        assert "nodes" not in vars(tree)  # a release reads the layer lists only
+        assert "nodes" not in vars(tree)  # a release reads the node table only
         node = tree.nodes[1, 2]
-        assert (node.noisy, node.exact) == tree.layers[1][2]
+        assert [node.noisy, node.exact] == tree.values[tree.offsets[1] + 2].tolist()
         assert node.window == self.PARAMS.layer_filters(1)[2]
         assert tree.nodes is tree.nodes
-        assert len(tree.nodes) == sum(len(layer) for layer in tree.layers)
+        assert len(tree.nodes) == len(tree.values) == tree.offsets[-1]
 
 
 class TestAggregate:
@@ -398,7 +545,7 @@ class TestAggregate:
 
     def test_single_bottom_node(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
-        agg = aggregate(tree, 4, 5)
+        agg = aggregate(tree, 4, 5).records[0]
         node = tree.nodes[0, 4]
         assert agg.noisy == node.noisy
         assert agg.node_count == 1
@@ -406,14 +553,15 @@ class TestAggregate:
     def test_exact_part_matches_direct_change(self):
         log = small_log()
         tree = build_hdcr(log, self.PARAMS, SPEC, NOISE)
-        for low, high in [(0, 16), (1, 11), (3, 4), (5, 13)]:
-            agg = aggregate(tree, low, high)
+        lows, highs = [0, 1, 3, 5], [16, 11, 4, 13]
+        for low, high, agg in zip(lows, highs, aggregate(tree, lows, highs).records):
             direct = linear_query_change(log.filter(TimeRangeFilter(low, high)), SPEC)
             assert agg.exact == pytest.approx(direct, abs=1e-9)
+            assert agg.window == TimeRangeFilter(low, high)
 
     def test_variance_formula(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
-        agg = aggregate(tree, 1, 11)
+        agg = aggregate(tree, 1, 11).records[0]
         assert agg.variance == pytest.approx(agg.node_count * 2 * NOISE.scale**2)
 
     def test_range_beyond_grid_rejected(self):
@@ -442,7 +590,7 @@ class TestPrefixCover:
         params = HdcrParams(len(params.widths) + 50, branching, 0, span, interval)
         tree = build_hdcr(small_log(), params, SPEC, NOISE)  # every layer, none cut
         assert run_hdcr(small_log(), params, SPEC, NOISE).records == tuple(
-            aggregate(tree, 0, j) for j in range(1, params.grid_size() + 1)
+            aggregate(tree, 0, j).records[0] for j in range(1, params.grid_size() + 1)
         )
 
 
@@ -479,8 +627,8 @@ class TestDeriveSwcr:
         for seed in range(trials):
             noise = NoiseSpec(1.0, sensitivity(SPEC), seed=seed)
             result = derive_swcr_from_hdcr(log, swcr, 2, noise, SPEC)
-            sums += result.noisy_values()
-            exacts = np.array(result.exact_values())
+            sums += result.noisy
+            exacts = np.array(result.exact)
         means = sums / trials
         per_node_sigma = math.sqrt(2) * NOISE.scale
         stderr = per_node_sigma * math.sqrt(2) / math.sqrt(trials)
@@ -548,28 +696,27 @@ class TestSerialization:
 
     @pytest.mark.parametrize("include_exact", [False, True])
     def test_jsonl_rows_equal_json_dumps(self, include_exact):
-        window = TimeRangeFilter(-(2**70), 2**70 + 1)
-        records = [
-            ReleaseRecord(TimeRangeFilter(float("-inf"), 3), -0.0, 0.1 + 0.2),
-            ReleaseRecord(window, 5e-324, -2.2250738585072014e-308, 2**64 + 1, 1 / 3),
-            ReleaseRecord(TimeRangeFilter(4, 9), 1e16, 123456789.12345679, 0, 0.0),
-            ReleaseRecord(TimeRangeFilter(4, 9), math.inf, -math.inf, 3, math.nan),
-        ]
-        result = ReleaseResult(tuple(records))
-        assert jsonl(result, include_exact) == dumps_jsonl(result, include_exact)
+        for node_count, node_variance in [(None, None), ([1, 2**64 + 1, 0, 3], 1 / 3),
+                                          ([2, 2, 1, 2], 5e-324), ([1, 3, 3, 0], math.nan),
+                                          ([1, 2, 3, 4], math.inf)]:
+            result = ReleaseResult(
+                [float("-inf"), -(2**70), 4, 4], [3, 2**70 + 1, 9, 9],
+                [-0.0, 5e-324, 1e16, math.inf],
+                [0.1 + 0.2, -2.2250738585072014e-308, 123456789.12345679, -math.inf],
+                node_count, node_variance,
+            )
+            assert jsonl(result, include_exact) == dumps_jsonl(result, include_exact)
 
     @given(st.lists(st.tuples(
         st.one_of(st.just(float("-inf")), st.integers(-(2**70), 2**70)),
-        st.integers(1, 2**70), st.floats(), st.floats(),
-        st.one_of(st.none(), st.tuples(st.integers(0, 2**70), st.floats())),
-    ), max_size=8), st.booleans())
-    def test_jsonl_rows_equal_json_dumps_for_any_floats(self, rows, include_exact):
-        records = tuple(
-            ReleaseRecord(TimeRangeFilter(start, (0 if start == float("-inf") else start) + width),
-                          noisy, exact, *(counted or ()))
-            for start, width, noisy, exact, counted in rows
-        )
-        result = ReleaseResult(records)
+        st.integers(1, 2**70), st.floats(), st.floats(), st.integers(0, 2**70),
+    ), max_size=8), st.one_of(st.none(), st.floats()), st.booleans())
+    def test_jsonl_rows_equal_json_dumps_for_any_floats(self, rows, node_variance, include_exact):
+        starts, widths, noisy, exact, counts = map(list, zip(*rows)) if rows else ([],) * 5
+        ends = [(0 if start == float("-inf") else start) + width
+                for start, width in zip(starts, widths)]
+        result = ReleaseResult(starts, ends, noisy, exact,
+                               None if node_variance is None else counts, node_variance)
         assert jsonl(result, include_exact) == dumps_jsonl(result, include_exact)
 
 

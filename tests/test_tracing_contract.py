@@ -60,8 +60,10 @@ def _prefix_cover_nodes(params: HdcrParams) -> int:
 
 
 # release, then the expected (engines.nodes, cover_range_calls, cover_nodes,
-# aggregate_calls); the survey hierarchy builds no Laplace tree and calls no
-# aggregate, so the tracer counts only its covers
+# aggregate_calls). A hierarchy release finds all its prefix covers in one
+# cover_range call, whose length is their total node count, and the Laplace one
+# sums them in one aggregate call; the survey hierarchy builds no Laplace tree
+# and calls no aggregate, so the tracer counts only its covers
 RELEASES = {
     "dcr": (
         lambda: engines.run_dcr(LOG, SCHEDULE, SPEC, NOISE),
@@ -71,12 +73,12 @@ RELEASES = {
         lambda: engines.run_hdcr(LOG, PARAMS, SPEC, NOISE),
         lambda: (
             sum(PARAMS.layer_size(layer) for layer in range(PARAMS.height)),
-            PARAMS.grid_size(), _prefix_cover_nodes(PARAMS), PARAMS.grid_size(),
+            1, _prefix_cover_nodes(PARAMS), 1,
         ),
     ),
     "rr-hdcr": (
         lambda: randomized_response.rr_hdcr(ANSWERS, SPACE, PARAMS, 1.0, 5),
-        lambda: (0, PARAMS.grid_size(), _prefix_cover_nodes(PARAMS), 0),
+        lambda: (0, 1, _prefix_cover_nodes(PARAMS), 0),
     ),
 }
 
