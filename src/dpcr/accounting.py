@@ -9,18 +9,19 @@ release shapes:
 ================  ======================  ===================================
 release           at-most-k mutations     time-bounded mutations
 ================  ======================  ===================================
-disjoint          ``k``                   ``span_folds(endpoints, bound)``
+disjoint          ``k``                   ``span_folds(endpoints, bound)``;
+                                          uniform: ``min(count, ceil(bound/dt) + 1)``
 sliding window    ``k * ceil(W/P)``       ``ceil((bound + W) / P)``
 hierarchical      ``height * k``          ``sum_i min(n_i, ceil(bound/dt_i) + 1)``
 any (hybrid)      max of branch counts    max of branch counts
 ================  ======================  ===================================
 
-``n_i`` and ``dt_i`` are the node count and interval of hierarchy layer
-``i``. ``HdcrParams.widths`` lists the ``dt_i`` of the layers that
-still split; every layer above them is one node and counts 1. Neither
-time-bounded count is ever below the number of ranges one entry can
-touch; a zero bound counts 1 disjoint range, since an entry cannot
-mutate twice at one tick.
+``count`` and ``dt`` are the query count and interval of a uniform
+schedule; ``n_i`` and ``dt_i`` are those of hierarchy layer ``i``.
+``HdcrParams.widths`` lists the ``dt_i`` of the layers that still split;
+every layer above them is one node and counts 1. No time-bounded count
+is ever below the number of ranges one entry can touch; a zero bound
+counts 1 disjoint range, since an entry cannot mutate twice at one tick.
 Composition never decreases with the fold count, so composing a
 hybrid's largest branch count is the sup of its branch bounds. Local
 (per-entry) guarantees double the fold count.
@@ -32,7 +33,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .changelog import (
     AtMostK,
@@ -40,7 +41,6 @@ from .changelog import (
     MutationConstraint,
     NEG_INF,
     TimeBounded,
-    TimeRangeFilter,
 )
 
 
@@ -107,26 +107,36 @@ class ReleaseSchedule:
     """Strictly ascending filter endpoints of a disjoint release.
 
     The release's queries read ``(-inf, t1]``, then ``(t1, t2]`` and so
-    on: one query per endpoint.
+    on: one query per endpoint. A uniform schedule's endpoints are a
+    ``range``: exact ints of any size in constant memory, never iterated.
     """
 
-    ticks: tuple[int, ...]
+    ticks: tuple[int, ...] | range
 
     def __post_init__(self) -> None:
-        if not self.ticks:
+        ticks = self.ticks
+        if not ticks:
             raise ValueError("a schedule needs at least one endpoint")
-        if any(b <= a for a, b in zip(self.ticks, self.ticks[1:])):
-            raise ValueError(f"schedule endpoints must strictly increase: {self.ticks}")
+        # a range's first step is every step
+        pairs = zip(ticks[:1], ticks[1:2]) if isinstance(ticks, range) else zip(ticks, ticks[1:])
+        if any(b <= a for a, b in pairs):
+            raise ValueError(f"schedule endpoints must strictly increase: {ticks}")
 
     @classmethod
     def uniform(cls, start: int, interval: int, count: int) -> "ReleaseSchedule":
         if interval < 1 or count < 1:
             raise ValueError("uniform schedule needs interval >= 1 and count >= 1")
-        return cls(tuple(start + interval * i for i in range(count)))
+        return cls(range(start, start + interval * count, interval))
 
-    def filters(self) -> tuple[TimeRangeFilter, ...]:
-        starts = (NEG_INF,) + self.ticks[:-1]
-        return tuple(TimeRangeFilter(s, e) for s, e in zip(starts, self.ticks))
+    @property
+    def count(self) -> int:
+        """The query count, at any size (``len`` of a range stops at ``sys.maxsize``)."""
+        t = self.ticks
+        return (t[-1] - t[0]) // t.step + 1 if isinstance(t, range) else len(t)
+
+    def windows(self) -> tuple[tuple[float, ...], Sequence[int]]:
+        """Query ``i`` reads ``(starts[i], ends[i]]``, from the tick before it."""
+        return (NEG_INF, *self.ticks[:-1]), self.ticks
 
 
 @dataclass(frozen=True)
@@ -145,11 +155,10 @@ class SwcrParams:
                 f"({self.window}, {self.period}, {self.count})"
             )
 
-    def release_times(self) -> tuple[int, ...]:
-        return tuple(self.first_release + self.period * i for i in range(self.count))
-
-    def filters(self) -> tuple[TimeRangeFilter, ...]:
-        return tuple(TimeRangeFilter(t - self.window, t) for t in self.release_times())
+    def windows(self) -> tuple[range, range]:
+        """Window ``i`` reads ``(starts[i], ends[i]]``, ends ``first_release + i * period``."""
+        ends = range(self.first_release, self.first_release + self.period * self.count, self.period)
+        return range(ends.start - self.window, ends.stop - self.window, self.period), ends
 
 
 @dataclass(frozen=True)
@@ -191,25 +200,14 @@ class HdcrParams:
         """Number of nodes in a layer."""
         return -(-self.span // self.widths[layer]) if layer < len(self.widths) else 1
 
-    def layer_starts(self, layer: int) -> range:
-        """A layer's node starts in index order: node ``i`` reads ``(start + i*w,
-        start + (i+1)*w]`` for node width ``w``, capped at ``start + span``."""
+    def windows(self, layer: int) -> tuple[range, list[int]]:
+        """A layer's node windows in index order: node ``i`` reads ``(starts[i], ends[i]]``,
+        ``(start + i*w, start + (i+1)*w]`` for node width ``w``, capped at ``start + span``."""
         if not 0 <= layer < self.height:
             raise ValueError(f"no layer {layer} in a {self.height}-layer hierarchy")
-        widths = self.widths
-        return range(self.start, self.start + self.span,
-                     widths[layer] if layer < len(widths) else self.span)
-
-    def layer_filters(self, layer: int) -> list[TimeRangeFilter]:
-        """A layer's node windows in index order (``layer_starts``)."""
-        starts = self.layer_starts(layer)
-        return list(map(TimeRangeFilter, starts, [*starts[1:], self.start + self.span]))
-
-    def grid_bounds(self, lows: Iterable[int], highs: Iterable[int]) -> tuple[list[int], list[int]]:
-        """Real starts and ends of grid ranges ``(lows[i], highs[i]]``, capped at ``start + span``."""
-        start, interval, end = self.start, self.interval, self.start + self.span
-        return ([start + low * interval for low in lows],
-                [min(start + high * interval, end) for high in highs])
+        widths, end = self.widths, self.start + self.span
+        starts = range(self.start, end, widths[layer] if layer < len(widths) else self.span)
+        return starts, [*starts[1:], end]
 
     def grid_size(self) -> int:
         """Bottom-layer node count; the unit grid for range covers."""
@@ -267,9 +265,17 @@ def _folds(
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
+def uniform_span_folds(interval: int, count: int, bound: int) -> int:
+    """``span_folds`` of ``count`` endpoints ``interval`` ticks apart, in closed form."""
+    return min(count, -(-bound // interval) + 1) if bound else 1
+
+
 def dcr_folds(schedule: ReleaseSchedule, constraint: MutationConstraint) -> int:
-    """Queries of a disjoint release one entry can affect."""
-    return _folds(constraint, 1, lambda b: span_folds(schedule.ticks, b))
+    """Queries of a disjoint release one entry can affect; uniform ticks in closed form."""
+    t = schedule.ticks
+    if isinstance(t, range):
+        return _folds(constraint, 1, lambda b: uniform_span_folds(t.step, schedule.count, b))
+    return _folds(constraint, 1, lambda b: span_folds(t, b))
 
 
 def swcr_folds(params: SwcrParams, constraint: MutationConstraint) -> int:

@@ -10,10 +10,10 @@ A ``Changelog`` holds its mutations as columns: sorted ``int64`` times,
 integer entry codes into ``ids`` (the entry ids in sorted order, so a
 code is its id's rank), and ``float64`` previous and new values with
 presence masks; ``sorted_columns`` orders rows given in any order. A
-time window is one contiguous slice of rows (``Changelog.rows``), so a
-release reads each window without scanning the log. ``Mutation``
-objects are built only on demand: by ``mutations``, iteration,
-``filter`` and ``for_entry``.
+time window is one contiguous slice of rows, from the ``Changelog.ranks``
+of its start to that of its end, so a release reads each window without
+scanning the log. ``Mutation`` objects are built only on demand: by
+``mutations``, iteration, ``filter`` and ``for_entry``.
 
 JSON Lines logs, changelogs and answer logs alike, are read by one block
 reader (``read_columns``). It parses ``BLOCK_LINES`` lines at a time and
@@ -273,10 +273,6 @@ class Changelog:
             return ()
         return self._mutations(np.flatnonzero(self.codes == code))
 
-    def rows(self, windows: Sequence[TimeRangeFilter]) -> tuple[np.ndarray, np.ndarray]:
-        """Each window's first row and stop row: its mutations have ``start < time <= end``."""
-        return self.ranks([w.start for w in windows]), self.ranks([w.end for w in windows])
-
     def ranks(self, bounds: Sequence[float]) -> np.ndarray:
         """How many rows have ``time <= bound``, for each bound (an int of any size, or
         ``-inf``), by one ``np.searchsorted``. Times fit in int64, so the bounds are clamped
@@ -289,7 +285,7 @@ class Changelog:
 
     def filter(self, window: TimeRangeFilter) -> tuple[Mutation, ...]:
         """Mutations with ``start < time <= end``, original order preserved."""
-        (first,), (stop,) = self.rows((window,))
+        first, stop = self.ranks([window.start, window.end])
         return self._mutations(slice(first, stop))
 
     @classmethod

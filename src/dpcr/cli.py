@@ -14,7 +14,8 @@ Exit codes: 0 success; 2 a refused config value, ``compare`` argument or
 input file, with a ``config error:`` message naming what was refused, or
 an allocation failure (the release needs more memory than the process
 may use); 3 a constraint violation; 4 a failed verification. Every
-refusal of a library value passes through one helper, ``_refused``.
+refusal of a library value passes through one helper, ``_refused``, and
+so does a release with more windows or grid units than an int64 can index.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .accounting import (
     swcr_folds,
 )
 from .changelog import (
+    INT64_MAX,
     AtMostK,
     Changelog,
     Hybrid,
@@ -337,13 +339,18 @@ def release_accounting(cfg: Mapping) -> tuple[
             # the derived release's loss is the underlying hierarchy's
             branching = _get(cfg, "release.branching", int, default=2)
             accounted = swcr_equivalent_hdcr_params(params, branching)
+        # windows and grid units are counted, sliced and indexed as int64s
+        hierarchy = isinstance(accounted, HdcrParams)
+        units = accounted.grid_size() if hierarchy else accounted.count
+        if units > INT64_MAX:
+            raise ValueError(f"{units} windows or grid units are more than an int64 can index")
         if local:
             mechanism = _space_from_config(cfg, "release.labels")
             _invertible_rule_entries(AnswerMutationSpace(mechanism).size, epsilon)
         else:
             mechanism = query_from_config(cfg)
             scale = NoiseSpec(epsilon, sensitivity(mechanism), seed=0).scale  # reads no seed
-            if isinstance(accounted, HdcrParams):
+            if hierarchy:
                 # an aggregate reports node_count * 2 * scale**2, and a cover has at most
                 # 2 * (branching - 1) nodes per layer up to the first one-node layer
                 layers = min(accounted.height, len(accounted.widths) + 1)

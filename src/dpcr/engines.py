@@ -110,7 +110,7 @@ def run_dcr(
     The first query reads everything up to the first endpoint. Queries
     are non-adaptive and use mutually independent noise streams.
     """
-    return _run_filters(log, spec, schedule.filters(), noise, "dcr")
+    return _run_windows(log, spec, schedule.windows(), noise, "dcr")
 
 
 def run_swcr(
@@ -120,17 +120,16 @@ def run_swcr(
     noise: NoiseSpec,
 ) -> ReleaseResult:
     """Sliding-window release: query ``i`` reads ``(t_i - window, t_i]``."""
-    return _run_filters(log, spec, params.filters(), noise, "swcr")
+    return _run_windows(log, spec, params.windows(), noise, "swcr")
 
 
-def _run_filters(
-    log: Changelog, spec: LinearQuerySpec, filters: Sequence[TimeRangeFilter],
+def _run_windows(
+    log: Changelog, spec: LinearQuerySpec, windows: tuple[Sequence[float], Sequence[int]],
     noise: NoiseSpec, stream: str,
 ) -> ReleaseResult:
-    """One value per filter, valued by ``_window_values``."""
-    noisy, exact = _window_values(_change_terms(log, spec), *log.rows(filters), noise, stream)
-    return ReleaseResult([f.start for f in filters], [f.end for f in filters],
-                         noisy.tolist(), exact.tolist())
+    """One value per window ``(starts[i], ends[i]]``, valued by ``_window_values``."""
+    noisy, exact = _window_values(_change_terms(log, spec), *map(log.ranks, windows), noise, stream)
+    return ReleaseResult(*windows, noisy.tolist(), exact.tolist())
 
 
 def _change_terms(log: Changelog, spec: LinearQuerySpec) -> np.ndarray:
@@ -147,7 +146,7 @@ def _window_values(
     """The noisy and exact values of the windows of rows ``first[i]:stop[i]``, in order.
 
     A window's exact change adds the ``terms`` of its rows
-    (``Changelog.rows``) one at a time from ``0.0``, so it equals
+    (``Changelog.ranks``) one at a time from ``0.0``, so it equals
     ``linear_query_change(log.filter(window), spec)`` bit for bit.
     Window ``i`` is perturbed with draw ``i`` of ``(seed, *stream)``.
     """
@@ -265,9 +264,9 @@ class HdcrTree:
     def nodes(self) -> Mapping[tuple[int, int], ReleaseRecord]:
         pairs = iter(self.values.tolist())
         return {
-            (layer, index): ReleaseRecord(window, *next(pairs))
+            (layer, index): ReleaseRecord(TimeRangeFilter(start, end), *next(pairs))
             for layer in range(self.params.height)
-            for index, window in enumerate(self.params.layer_filters(layer))
+            for index, (start, end) in enumerate(zip(*self.params.windows(layer)))
         }
 
 
@@ -277,13 +276,14 @@ def node_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every node's value row, layer after layer in index order, and each layer's first row
     (then the row count). ``value_layer(layer, first, stop)`` values a layer's nodes from
-    their rows of ``log``: one ``Changelog.ranks`` of its node starts (``layer_starts``) and
-    the hierarchy end gives every node's first row and the next one's.
+    their rows of ``log``: a layer's windows are contiguous, so one ``Changelog.ranks`` of
+    its first start and its ends gives every node's first row and the next one's.
     """
-    end, table = params.start + params.span, None
+    table = None
     offsets = np.cumsum([0] + [params.layer_size(layer) for layer in range(params.height)])
     for layer in range(params.height):
-        edges = log.ranks([*params.layer_starts(layer), end])
+        starts, ends = params.windows(layer)
+        edges = log.ranks([starts[0], *ends])
         values = value_layer(layer, edges[:-1], edges[1:])
         if table is None:  # the bottom layer gives the row shape
             table = np.empty((offsets[-1], *values.shape[1:]), values.dtype)
@@ -344,13 +344,15 @@ def build_hdcr(
 
 def aggregate(tree: HdcrTree, low, high) -> ReleaseResult:
     """Answer each grid range ``(low, high]`` (integers or integer arrays) by summing a node
-    cover (``cover_sums``). Grid units are bottom-layer intervals from the hierarchy start;
-    a range's window is ``params.grid_bounds``, capped at the hierarchy end. Variance is
+    cover (``cover_sums``). Grid units are the bottom-layer nodes, so a range's window runs
+    from the start of node ``low`` to the end of node ``high - 1``. Variance is
     ``node_count * 2 * scale**2`` for the per-node Laplace scale.
     """
     sums, sizes = cover_sums(tree.values, tree.offsets, tree.params, low, high)
-    bounds = tree.params.grid_bounds(*(np.ravel(x).tolist() for x in np.broadcast_arrays(low, high)))
-    return ReleaseResult(*bounds, *sums.T.tolist(), sizes.tolist(), 2 * tree.noise.scale**2)
+    starts, ends = tree.params.windows(0)
+    lows, highs = (np.ravel(x).tolist() for x in np.broadcast_arrays(low, high))
+    return ReleaseResult([starts[i] for i in lows], [ends[i - 1] for i in highs],
+                         *sums.T.tolist(), sizes.tolist(), 2 * tree.noise.scale**2)
 
 
 def check_prefix_cover(params: HdcrParams) -> HdcrParams:
@@ -482,7 +484,7 @@ def result_to_csv(
     """Columns ``query_index, t_start, t_end, noisy`` (+ ``exact`` if asked)."""
     writer = csv.writer(fh, lineterminator="\n")
     header = ["query_index", "t_start", "t_end", "noisy"]
-    columns = [count(), map(_start_repr, result.starts), result.ends, map(repr, result.noisy)]
+    columns = [count(), result.starts, result.ends, map(repr, result.noisy)]
     if include_exact:
         header.append("exact")
         columns.append(map(repr, result.exact))
@@ -506,7 +508,7 @@ def result_to_jsonl(
     if include_exact:
         exact = (f', "exact": {_json_float(x)}' for x in result.exact)
     fh.writelines(
-        f'{{"query_index": {i}, "t_start": {"null" if start == NEG_INF else int(start)}, '
+        f'{{"query_index": {i}, "t_start": {"null" if start == NEG_INF else start}, '
         f'"t_end": {end}, "noisy": {_json_float(noisy)}{more}{known}}}\n'
         for i, start, end, noisy, more, known
         in zip(count(), result.starts, result.ends, result.noisy, counted, exact)
@@ -518,7 +520,3 @@ def _json_float(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _start_repr(start: float) -> str:
-    return "-inf" if start == NEG_INF else str(int(start))

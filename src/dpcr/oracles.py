@@ -54,7 +54,7 @@ def snapshot_at(log: Changelog, time: int) -> dict[str, float]:
     """Reconstruct the database state at ``time`` from an empty start.
 
     The mutations up to ``time`` are selected here, not by the
-    changelog's window slices (``Changelog.rows``), which the releases use.
+    changelog's window slices (``Changelog.ranks``), which the releases use.
     """
     return apply_mutations({}, [m for m in log.mutations if m.time <= time])
 

@@ -424,9 +424,9 @@ def rr_dcr(
     takes uniforms ``[i n, (i + 1) n)`` of ``named_stream(seed, "rr-dcr")``.
     """
     survey = _window_survey(log, space, epsilon)
-    windows = schedule.filters()
-    estimates = survey(*log.rows(windows), named_stream(seed, "rr-dcr"))
-    return [RrRecord(window.end, estimate) for window, estimate in zip(windows, estimates)]
+    starts, ends = schedule.windows()
+    estimates = survey(*map(log.ranks, (starts, ends)), named_stream(seed, "rr-dcr"))
+    return [RrRecord(end, estimate) for end, estimate in zip(ends, estimates)]
 
 
 def rr_hdcr(
@@ -447,7 +447,7 @@ def rr_hdcr(
     """
     params = check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
-    k, entries, highs = space.size, len(log.ids), np.arange(1, params.grid_size() + 1)
+    k, entries = space.size, len(log.ids)
 
     def node_rows(layer: int, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
         """A node's row: its estimate's values, then its covariance row by row."""
@@ -457,8 +457,8 @@ def rr_hdcr(
         return rows
 
     values, offsets = node_table(params, log, node_rows)
-    sums, sizes = cover_sums(values, offsets, params, 0, highs)
-    _, ends = params.grid_bounds((), highs.tolist())
+    sums, sizes = cover_sums(values, offsets, params, 0, np.arange(1, params.grid_size() + 1))
+    _, ends = params.windows(0)  # prefix ``j`` ends where bottom-layer node ``j`` does
     return [
         RrRecord(end, HistogramEstimate(row[:k], row[k:].reshape(k, k), entries), node_count=n)
         for end, row, n in zip(ends, sums, sizes.tolist())
@@ -470,7 +470,7 @@ def _window_survey(
 ) -> Callable[[np.ndarray, np.ndarray, np.random.Generator], Iterator[HistogramEstimate]]:
     """One survey round per window, in order: net cells, responses in entry-id order, estimate.
 
-    Round ``i`` reads the rows ``begin[i]:end[i]`` (``Changelog.rows``). An entry's
+    Round ``i`` reads the rows ``begin[i]:end[i]`` (``Changelog.ranks``). An entry's
     cell is the net change of its mutations there: the first one's
     previous answer and the last one's new answer, both ends of its run
     in one stable argsort (``chains``). An entry without one takes the

@@ -10,15 +10,15 @@ The random dominance instances are drawn in chunks (``CHUNK``
 schedules or ``HIERARCHY_CHUNK`` hierarchies), one vectorized draw per
 parameter. Each instance still builds its release and fold count
 through the code under test, and its windows are the ones the release
-reads (``filters()``, ``HdcrParams.layer_filters``), so a widened window
-shows. ``oracles.affected_count_oracle`` then counts the whole chunk
-over padded integer arrays.
+reads (``windows``), so a widened window shows, and a uniform schedule's
+fold count is its closed form. ``oracles.affected_count_oracle`` then
+counts the whole chunk over padded integer arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .accounting import (
     most_span,
     swcr_folds,
 )
-from .changelog import NEG_INF, Changelog, Mutation, TimeRangeFilter
+from .changelog import NEG_INF, Changelog, Mutation
 from .engines import build_hdcr, aggregate, cover_range, run_dcr
 from .mechanisms import LinearQuerySpec, NoiseSpec, linear_query_change, sensitivity
 from .randomized_response import (
@@ -159,14 +159,6 @@ def check_most_span(seed: int) -> list[OracleReport]:
     ]
 
 
-def _packed_time_bounded_times(ticks: tuple[int, ...], interval: int, bound: int) -> list[int]:
-    # mutations at consecutive endpoints, last one `bound` after the first
-    steps = -(-bound // interval)
-    times = [ticks[0] + interval * j for j in range(steps)]
-    times.append(ticks[0] + bound)
-    return sorted(set(times))
-
-
 # Random dominance instances are drawn and counted this many at a time.
 # A chunk's arrays are padded to its widest release: a schedule has up to
 # 19 windows and a hierarchy up to 75 nodes, so hierarchies go a quarter
@@ -218,6 +210,7 @@ class _Schedules:
     count: np.ndarray
     start: np.ndarray
     ticks: np.ndarray  # (rows, max count); row i holds count[i] endpoints
+    uniform: np.ndarray  # rows whose endpoints are interval[i] apart
     insertion: np.ndarray
     entries: _Entries
     window: np.ndarray
@@ -248,25 +241,25 @@ def _draw_schedules(rng: np.random.Generator, rows: int) -> _Schedules:
     )
     entries = _draw_entries(rng, insertion, 4 * interval, last - start + 4 * interval)
     window = interval * rng.integers(1, 5, rows)
-    return _Schedules(interval, count, start, ticks, insertion, entries, window)
+    return _Schedules(interval, count, start, ticks, uniform, insertion, entries, window)
 
 
 def _counts(
-    instances: Iterable[tuple[Sequence[TimeRangeFilter], int]], times: np.typing.ArrayLike
+    instances: Iterable[tuple[tuple, int]], times: np.typing.ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
     """Affected counts over each release's own windows, and the fold counts.
 
-    ``instances`` gives one ``(windows, folds)`` pair per row of
+    ``instances`` gives one ``((starts, ends), folds)`` pair per row of
     ``times`` and is read once, so each release lives only while its
     row is written. Padding windows are empty, ``(0, 0]``, and a
     ``-inf`` start becomes ``oracles.FAR_PAST``.
     """
     folds, lengths, starts, ends = [], [], [], []
-    for filters, count in instances:
+    for (window_starts, window_ends), count in instances:
         folds.append(count)
-        lengths.append(len(filters))
-        starts += [oracles.FAR_PAST if f.start == NEG_INF else f.start for f in filters]
-        ends += [f.end for f in filters]
+        lengths.append(len(window_ends))
+        starts += [oracles.FAR_PAST if s == NEG_INF else s for s in window_starts]
+        ends += window_ends
     written = np.arange(max(lengths)) < np.array(lengths)[:, None]
     padded = np.zeros((2, *written.shape), dtype=np.int64)
     padded[0][written] = starts
@@ -274,7 +267,7 @@ def _counts(
     return oracles.affected_count_oracle(padded[0], padded[1], times), np.array(folds)
 
 
-def _exceedances(instances: Iterable[tuple[Sequence[TimeRangeFilter], int]], entries: _Entries) -> int:
+def _exceedances(instances: Iterable[tuple[tuple, int]], entries: _Entries) -> int:
     hits, folds = _counts(instances, entries.times)
     return int(np.count_nonzero(hits > folds))
 
@@ -282,12 +275,15 @@ def _exceedances(instances: Iterable[tuple[Sequence[TimeRangeFilter], int]], ent
 def _schedule_exceedances(rng: np.random.Generator, rows: int) -> tuple[int, int]:
     """Disjoint and sliding-window exceedances over ``rows`` random instances."""
     s = _draw_schedules(rng, rows)
-    ticks, count, interval, start, window = (
-        a.tolist() for a in (s.ticks, s.count, s.interval, s.start, s.window)
+    ticks, count, interval, start, uniform, window = (
+        a.tolist() for a in (s.ticks, s.count, s.interval, s.start, s.uniform, s.window)
     )
-    schedules = (ReleaseSchedule(tuple(t[:c])) for t, c in zip(ticks, count))
+    schedules = (
+        ReleaseSchedule.uniform(t[0], i, c) if u else ReleaseSchedule(tuple(t[:c]))
+        for t, c, i, u in zip(ticks, count, interval, uniform)
+    )
     dcr = _exceedances(
-        ((x.filters(), dcr_folds(x, c)) for x, c in zip(schedules, s.entries.constraints())),
+        ((x.windows(), dcr_folds(x, c)) for x, c in zip(schedules, s.entries.constraints())),
         s.entries,
     )
     swcrs = (
@@ -295,14 +291,15 @@ def _schedule_exceedances(rng: np.random.Generator, rows: int) -> tuple[int, int
         for w, i, t, c in zip(window, interval, start, count)
     )
     swcr = _exceedances(
-        ((x.filters(), swcr_folds(x, c)) for x, c in zip(swcrs, s.entries.constraints())),
+        ((x.windows(), swcr_folds(x, c)) for x, c in zip(swcrs, s.entries.constraints())),
         s.entries,
     )
     return dcr, swcr
 
 
-def _node_windows(params: HdcrParams) -> list[TimeRangeFilter]:
-    return [window for layer in range(params.height) for window in params.layer_filters(layer)]
+def _node_windows(params: HdcrParams) -> tuple[list, list]:
+    layers = [params.windows(layer) for layer in range(params.height)]
+    return [s for starts, _ in layers for s in starts], [e for _, ends in layers for e in ends]
 
 
 def _hierarchy_exceedances(rng: np.random.Generator, rows: int) -> int:
@@ -332,8 +329,8 @@ def check_dominance(instances: int, seed: int) -> list[OracleReport]:
     entries must achieve equality for uniform disjoint schedules. About
     a tenth as many random hierarchies follow. Instances are drawn and
     counted in chunks, each over the windows its release reads
-    (``filters()``, ``HdcrParams.layer_filters``), so a window that opens
-    early or overlaps its neighbour shows.
+    (``windows``), so a window that opens early or overlaps its neighbour
+    shows.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -341,33 +338,22 @@ def check_dominance(instances: int, seed: int) -> list[OracleReport]:
     interval, bound = 3, 7
     ticks = ReleaseSchedule.uniform(3, interval, 12)
     hits, folds = (int(x[0]) for x in _counts(
-        [(ticks.filters(), dcr_folds(ticks, TimeBounded(bound)))],
-        [_packed_time_bounded_times(ticks.ticks, interval, bound)],
+        [(ticks.windows(), dcr_folds(ticks, TimeBounded(bound)))],
+        # mutations at consecutive endpoints, the last one `bound` after the first
+        [sorted({*ticks.ticks[:-(-bound // interval)], ticks.ticks[0] + bound})],
     ))
-    reports.append(
-        _report(
-            "dcr-time-bounded-equality",
-            f"uniform interval={interval} bound={bound}, packed entry",
-            folds,
-            hits,
-            hits == folds,
-        )
-    )
+    reports.append(_report("dcr-time-bounded-equality",
+                           f"uniform interval={interval} bound={bound}, packed entry",
+                           folds, hits, hits == folds))
 
     k = 4
     hits_k, folds_k = (int(x[0]) for x in _counts(
-        [(ticks.filters(), dcr_folds(ticks, AtMostK(k)))],
-        [[ticks.ticks[0] + interval * j for j in range(k)]],
+        [(ticks.windows(), dcr_folds(ticks, AtMostK(k)))],
+        [list(ticks.ticks[:k])],
     ))
-    reports.append(
-        _report(
-            "dcr-at-most-k-equality",
-            f"uniform schedule, k={k} mutations in distinct intervals",
-            folds_k,
-            hits_k,
-            hits_k == folds_k,
-        )
-    )
+    reports.append(_report("dcr-at-most-k-equality",
+                           f"uniform schedule, k={k} mutations in distinct intervals",
+                           folds_k, hits_k, hits_k == folds_k))
 
     dcr_bad = swcr_bad = 0
     for done in range(0, instances, CHUNK):

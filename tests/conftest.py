@@ -33,11 +33,16 @@ def changelogs(draw, max_entries: int = 6, horizon: int = 24):
     return Changelog.from_unsorted(muts)
 
 
-def affected_count(filters, mutations) -> int:
-    """``affected_count_oracle`` on one instance: ``(start, end]`` pairs or
-    filters, and one entry's mutations."""
-    pairs = [f if isinstance(f, tuple) else (f.start, f.end) for f in filters]
-    starts = np.array([[FAR_PAST if s == NEG_INF else s for s, _ in pairs]], dtype=np.int64)
-    ends = np.array([[e for _, e in pairs]], dtype=np.int64)
+def affected_count(windows, mutations) -> int:
+    """``affected_count_oracle`` on one instance: windows ``(starts[i], ends[i]]``
+    given as one ``(starts, ends)`` pair, and one entry's mutations."""
+    starts = np.array([[FAR_PAST if s == NEG_INF else s for s in windows[0]]], dtype=np.int64)
+    ends = np.array([list(windows[1])], dtype=np.int64)
     times = np.array([[m.time for m in mutations] or [FAR_PAST]], dtype=np.int64)
     return int(affected_count_oracle(starts, ends, times)[0])
+
+
+def node_windows(params) -> tuple[list, list]:
+    """Every node window of a hierarchy, layer after layer, as one ``(starts, ends)`` pair."""
+    layers = [params.windows(layer) for layer in range(params.height)]
+    return [s for starts, _ in layers for s in starts], [e for _, ends in layers for e in ends]

@@ -18,21 +18,23 @@ from dpcr.accounting import (
     most_span,
     span_folds,
     swcr_folds,
+    uniform_span_folds,
 )
-from dpcr.changelog import AtMostK, Hybrid, TimeBounded, TimeRangeFilter, insert, modify
+from dpcr.changelog import AtMostK, Hybrid, TimeBounded, insert, modify
 from dpcr.oracles import most_span_oracle
 
-from conftest import affected_count
+from conftest import affected_count, node_windows
 
 LOSS = PrivacyLoss(0.1, 1e-6)
 
 
-def node_filter(params: HdcrParams, layer: int, index: int) -> TimeRangeFilter:
-    """Reference for ``HdcrParams.layer_filters``: node ``index`` of ``layer``
-    is grid range ``(w * index, w * (index + 1)]`` for width ``w = c**layer``."""
-    width = params.branching**layer
-    (start,), (end,) = params.grid_bounds([width * index], [width * (index + 1)])
-    return TimeRangeFilter(start, end)
+def node_window(params: HdcrParams, layer: int, index: int) -> tuple[int, int]:
+    """Reference for ``HdcrParams.windows``: node ``index`` of ``layer`` is grid
+    range ``(w * index, w * (index + 1)]`` for width ``w = c**layer``, in ticks
+    from the start and capped at the hierarchy end."""
+    width = params.branching**layer * params.interval
+    end = params.start + params.span
+    return params.start + width * index, min(params.start + width * (index + 1), end)
 
 
 def covers(a: PrivacyLoss, b: PrivacyLoss) -> bool:
@@ -109,14 +111,14 @@ def _entry(times):
 class TestSpanFolds:
     def test_non_uniform_ticks_within_span(self):
         schedule = ReleaseSchedule((5, 10, 11, 12, 14))
-        hits = affected_count(schedule.filters(), _entry([10, 11, 12, 13]))
+        hits = affected_count(schedule.windows(), _entry([10, 11, 12, 13]))
         assert hits == 4
         assert most_span(schedule.ticks, 5) == 2
         assert dcr_folds(schedule, TimeBounded(5)) >= hits
 
     def test_bound_wider_than_schedule(self):
         schedule = ReleaseSchedule((0, 1, 2))
-        hits = affected_count(schedule.filters(), _entry([0, 1, 2]))
+        hits = affected_count(schedule.windows(), _entry([0, 1, 2]))
         assert hits == 3
         assert most_span(schedule.ticks, 100) == 0
         assert dcr_folds(schedule, TimeBounded(100)) >= hits
@@ -126,12 +128,19 @@ class TestSpanFolds:
     def test_single_endpoint(self):
         assert span_folds((5,), 7) == 1
 
+    @given(st.integers(-(2**64), 2**64), st.integers(1, 8), st.integers(1, 64), st.data())
+    def test_uniform_closed_form_equals_span_folds(self, start, interval, count, data):
+        schedule = ReleaseSchedule.uniform(start, interval, count)
+        ticks = tuple(schedule.ticks)
+        # from 0 to past the schedule span, interval * (count - 1)
+        bound = data.draw(st.integers(0, interval * (count + 2)))
+        assert uniform_span_folds(interval, count, bound) == span_folds(ticks, bound)
+        constraint = TimeBounded(bound)
+        assert dcr_folds(schedule, constraint) == dcr_folds(ReleaseSchedule(ticks), constraint)
+
     def test_hdcr_bound_wider_than_span(self):
         params = HdcrParams(height=3, branching=2, start=0, span=8, interval=1)
-        nodes = [
-            window for layer in range(params.height) for window in params.layer_filters(layer)
-        ]
-        hits = affected_count(nodes, _entry(list(range(1, 9))))
+        hits = affected_count(node_windows(params), _entry(list(range(1, 9))))
         assert hits == 14
         assert hdcr_folds(params, TimeBounded(100)) >= hits
 
@@ -152,9 +161,7 @@ class TestSpanFolds:
                 interval=int(rng.integers(1, 5)),
             )
             bound = int(rng.integers(0, params.span + 20))
-            nodes = [
-                window for layer in range(params.height) for window in params.layer_filters(layer)
-            ]
+            nodes = node_windows(params)
             best = max(
                 affected_count(nodes, _entry(list(range(first, first + bound + 1))))
                 for first in range(params.start - bound + 1, params.start + params.span + 1)
@@ -171,9 +178,7 @@ class TestSpanFolds:
                 span=int(rng.integers(1, 40)),
                 interval=int(rng.integers(1, 4)),
             )
-            nodes = [
-                window for layer in range(params.height) for window in params.layer_filters(layer)
-            ]
+            nodes = node_windows(params)
             first = int(rng.integers(params.start - 4, params.start + params.span + 3))
             if rng.random() < 0.5:
                 k = int(rng.integers(1, 6))
@@ -324,34 +329,44 @@ class TestSchedules:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             ReleaseSchedule((3, 3))
+        with pytest.raises(ValueError):
+            ReleaseSchedule(range(8, 0, -4))
+
+    def test_uniform_schedule_is_counted_without_its_ticks(self):
+        # a range past sys.maxsize has no len(); its count and folds are arithmetic
+        schedule = ReleaseSchedule.uniform(8, 8, 10**20)
+        assert schedule.ticks == range(8, 8 * (10**20 + 1), 8)
+        assert schedule.count == 10**20
+        assert dcr_folds(schedule, TimeBounded(20)) == 4
+        starts, ends = ReleaseSchedule.uniform(8, 8, 3).windows()
+        assert list(zip(starts, ends)) == [(float("-inf"), 8), (8, 16), (16, 24)]
 
     def test_first_filter_is_unbounded(self):
-        filters = ReleaseSchedule((4, 8)).filters()
-        assert filters[0].start == float("-inf")
-        assert filters[0].end == 4
-        assert (filters[1].start, filters[1].end) == (4, 8)
+        starts, ends = ReleaseSchedule((4, 8)).windows()
+        assert list(zip(starts, ends)) == [(float("-inf"), 4), (4, 8)]
 
     def test_hdcr_layer_geometry(self):
         params = HdcrParams(height=3, branching=2, start=10, span=10, interval=2)
         assert params.layer_size(0) == 5
         assert params.layer_size(1) == 3
         assert params.layer_size(2) == 2
-        assert params.layer_filters(1)[2].end == 20  # truncated at start + span
-        assert [w.start for w in params.layer_filters(1)] == [10, 14, 18]
+        starts, ends = params.windows(1)
+        assert ends[2] == 20  # truncated at start + span
+        assert list(starts) == [10, 14, 18]
 
     # starts reach past int64 either way, where no window may wrap; the first
     # one-node layer is at most layer 7, so taller hierarchies have layers above it
     @given(st.integers(1, 12), st.integers(2, 4), st.integers(-(2**63), 2**63),
            st.integers(1, 90), st.integers(1, 4))
-    def test_layer_filters_are_the_node_filters(self, height, branching, start, span, interval):
+    def test_layer_windows_are_the_node_windows(self, height, branching, start, span, interval):
         params = HdcrParams(height, branching, start, span, interval)
         for layer in range(height):
             size = -(-span // (branching**layer * interval))
             assert params.layer_size(layer) == size
             assert (size == 1) == (layer >= len(params.widths))
-            assert params.layer_filters(layer) == [
-                node_filter(params, layer, index) for index in range(size)
+            assert list(zip(*params.windows(layer))) == [
+                node_window(params, layer, index) for index in range(size)
             ]
         for layer in (-1, height):
             with pytest.raises(ValueError):
-                params.layer_filters(layer)
+                params.windows(layer)

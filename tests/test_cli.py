@@ -825,11 +825,11 @@ class TestAllocationFailure:
     @pytest.mark.parametrize(
         "command,overrides",
         [
-            ("account", {"release.schedule.count": 100_000_000}),
+            ("run", {"release.schedule.count": 100_000_000}),
             ("run", {"release.kind": "hdcr", "release.branching": 2, "release.height": 41,
                      "release.start": 0, "release.span": 10**12, "release.interval": 1}),
         ],
-        ids=["account-tick-tuple", "run-hierarchy-windows"],
+        ids=["run-tick-windows", "run-hierarchy-windows"],
     )
     def test_exits_2_without_traceback(self, tmp_path, command, overrides):
         """A release too large for the process's address space exits 2.
@@ -1061,6 +1061,65 @@ class TestAccountRunAgreement:
             assert codes["run"] == 2, errors
         if codes["run"] == 2 and not errors["run"].startswith("config error: --changelog"):
             assert codes["account"] == 2, errors
+
+
+# the fields that size a release: its window count, a window's or hierarchy's
+# reach in ticks, and a hierarchy's height
+SIZE_FIELDS = {
+    "dcr": ["release.schedule.count"],
+    "swcr": ["release.count", "release.window", "release.period"],
+    "swcr-from-hdcr": ["release.count", "release.window", "release.period"],
+    "hdcr": ["release.span", "release.height"],
+    "rr-dcr": ["release.schedule.count"],
+    "rr-hdcr": ["release.span", "release.height"],
+}
+# a hierarchy of unit intervals tall enough to cover any span up to 2**80 ticks,
+# so that a wide span is planned rather than refused as too flat
+TALL = ["--set", "release.interval=1", "--set", "release.height=80"]
+
+
+def _probe(argv: list[str]) -> subprocess.CompletedProcess:
+    """``dpcr`` in a subprocess that lowers its own ``RLIMIT_AS``, under a hang guard."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dpcr.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "dpcr.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_lower_address_space,
+    )
+
+
+class TestSizeFields:
+    @pytest.mark.parametrize("command", ["account", "run"])
+    @pytest.mark.parametrize("value", [10**12, 10**20], ids=["1e12", "1e20"])
+    @pytest.mark.parametrize("release, field", [
+        (release, field) for release, fields in SIZE_FIELDS.items() for field in fields
+    ])
+    def test_exits_with_a_documented_code(self, fuzz_inputs, release, field, value, command):
+        """A size field at 10**12 or 10**20 is accounted, refused (more windows or grid
+        units than an int64 can index) or fails on allocation; it never ends in a traceback.
+        A run that fails on allocation is a resource failure, not a refusal, so these
+        values stay out of ``FUZZ_VALUES``."""
+        cfg, data = fuzz_inputs[release]
+        tall = TALL if field in SIZE_FIELDS["hdcr"] else []
+        argv = [command, "--config", cfg, *tall, "--set", f"{field}={value}"]
+        if command == "run":
+            argv += ["--changelog", data, "--out", data.with_suffix(f".{command}-{value}")]
+        proc = _probe(argv)
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("release", ["dcr", "rr-dcr"])
+    def test_account_counts_a_uniform_schedule_without_its_ticks(self, fuzz_inputs, release):
+        cfg, _ = fuzz_inputs[release]
+        folds = []
+        for count in (512, 10**12):
+            proc = _probe(["account", "--config", cfg, "--set", f"release.schedule.count={count}",
+                           "--set", 'release.constraint={"kind":"time_bounded","bound":20}'])
+            assert proc.returncode == 0, proc.stderr
+            folds += [line for line in proc.stdout.splitlines()
+                      if line.startswith("composed folds:")]
+        # ceil(20 / 8) + 1 ranges at interval 8, far fewer than either count
+        assert folds[0] == folds[1] == f"composed folds:    {(4 if release == 'dcr' else 8)}"
 
 
 # JSON texts for input-log fields: a valid pool, and an adversarial pool of

@@ -155,10 +155,11 @@ def value_specs(log: Changelog) -> list[LinearQuerySpec]:
 
 
 def reference_exacts(log: Changelog, windows, spec: LinearQuerySpec) -> list[str]:
-    """``linear_query_change`` over a full scan of the log per window, as reprs."""
+    """``linear_query_change`` over a full scan of the log per window ``(starts[i], ends[i]]``
+    of a ``(starts, ends)`` pair, as reprs."""
     return [
-        repr(linear_query_change([m for m in log.mutations if w.start < m.time <= w.end], spec))
-        for w in windows
+        repr(linear_query_change([m for m in log.mutations if start < m.time <= end], spec))
+        for start, end in zip(*windows)
     ]
 
 
@@ -171,7 +172,7 @@ class TestReferenceScan:
         for spec in value_specs(log):
             result = run_dcr(log, schedule, spec, NOISE)
             got = [repr(r.exact) for r in result.records]
-            assert got == reference_exacts(log, schedule.filters(), spec)
+            assert got == reference_exacts(log, schedule.windows(), spec)
 
     @given(changelogs(), st.integers(1, 12), st.integers(1, 12), st.integers(-10, 40),
            st.integers(1, 8))
@@ -180,7 +181,7 @@ class TestReferenceScan:
         for spec in value_specs(log):
             result = run_swcr(log, params, spec, NOISE)
             got = [repr(r.exact) for r in result.records]
-            assert got == reference_exacts(log, params.filters(), spec)
+            assert got == reference_exacts(log, params.windows(), spec)
 
     @given(changelogs(), st.integers(1, 4), st.integers(2, 3), st.integers(-10, 40),
            st.integers(1, 30), st.integers(1, 5))
@@ -190,7 +191,8 @@ class TestReferenceScan:
             tree = build_hdcr(log, params, spec, NOISE)
             keys = sorted(tree.nodes)
             got = [repr(tree.nodes[k].exact) for k in keys]
-            windows = [params.layer_filters(layer)[index] for layer, index in keys]
+            windows = [[params.windows(layer)[side][index] for layer, index in keys]
+                       for side in (0, 1)]
             assert got == reference_exacts(log, windows, spec)
 
 
@@ -207,7 +209,7 @@ def cumsum_exacts(log: Changelog, terms: np.ndarray, windows) -> list[str]:
     """Each window's terms summed by its own ``np.cumsum``, plus ``0.0``, as reprs."""
     return [
         repr(float(np.cumsum(terms[2 * first:2 * stop])[-1]) + 0.0) if first < stop else "0.0"
-        for first, stop in zip(*log.rows(windows))
+        for first, stop in zip(*map(log.ranks, windows))
     ]
 
 
@@ -221,14 +223,15 @@ TERMS = st.one_of(
 
 @st.composite
 def windows(draw, horizon: int):
-    """Arbitrary, often empty and overlapping ranges, or a sliding-window release's."""
+    """Arbitrary, often empty and overlapping ranges, or a sliding-window release's, as one
+    ``(starts, ends)`` pair."""
     if draw(st.booleans()):
         params = SwcrParams(draw(st.integers(1, 12)), draw(st.integers(1, 6)),
                             draw(st.integers(-5, horizon + 5)), draw(st.integers(1, 12)))
-        return list(params.filters())
+        return params.windows()
     bounds = st.tuples(st.integers(-5, horizon + 5), st.integers(1, 12))
-    return [TimeRangeFilter(start, start + width)
-            for start, width in draw(st.lists(bounds, min_size=1, max_size=12))]
+    drawn = draw(st.lists(bounds, min_size=1, max_size=12))
+    return [start for start, _ in drawn], [start + width for start, width in drawn]
 
 
 class TestWindowValues:
@@ -240,10 +243,11 @@ class TestWindowValues:
         terms = np.array(data.draw(st.lists(TERMS, min_size=2 * len(log), max_size=2 * len(log))))
         if data.draw(st.booleans()):
             terms = -np.abs(terms) * 0.0  # every term -0.0
-        filters = data.draw(windows(30))
-        noisy, exact = (x.tolist() for x in _window_values(terms, *log.rows(filters), NOISE, "test"))
-        assert [repr(x) for x in exact] == cumsum_exacts(log, terms, filters)
-        draws = named_stream(NOISE.seed, "test").laplace(0.0, NOISE.scale, len(filters))
+        drawn = data.draw(windows(30))
+        values = _window_values(terms, *map(log.ranks, drawn), NOISE, "test")
+        noisy, exact = (x.tolist() for x in values)
+        assert [repr(x) for x in exact] == cumsum_exacts(log, terms, drawn)
+        draws = named_stream(NOISE.seed, "test").laplace(0.0, NOISE.scale, len(drawn[1]))
         assert noisy == [x + d for x, d in zip(exact, draws.tolist())]
 
     def test_one_full_window_among_many_empty_ones(self):
@@ -252,14 +256,14 @@ class TestWindowValues:
         n = 400_000
         log = insert_log(np.arange(1, n + 1))
         terms = np.random.default_rng(7).standard_normal(2 * n)
-        filters = [TimeRangeFilter(0, n)] + [TimeRangeFilter(n + k, n + k + 1) for k in range(10**4)]
+        pair = [0, *range(n, n + 10**4)], [n, *range(n + 1, n + 10**4 + 1)]
         tracemalloc.start()
         try:
-            _, exact = _window_values(terms, *log.rows(filters), NOISE, "test")
+            _, exact = _window_values(terms, *map(log.ranks, pair), NOISE, "test")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [repr(x) for x in exact.tolist()] == cumsum_exacts(log, terms, filters)
+        assert [repr(x) for x in exact.tolist()] == cumsum_exacts(log, terms, pair)
         # a windows x longest-window block would take 64 GB, one gather of the
         # whole first window 6.4 MB per float array
         assert peak < 4 * 2**20
@@ -270,14 +274,14 @@ class TestWindowValues:
         n = 20_000
         log = insert_log(np.arange(1, n + 1))
         terms = np.random.default_rng(8).standard_normal(2 * n)
-        filters = SwcrParams(window=10_000, period=10, first_release=10_000, count=1001).filters()
+        pair = SwcrParams(window=10_000, period=10, first_release=10_000, count=1001).windows()
         tracemalloc.start()
         try:
-            _, exact = _window_values(terms, *log.rows(filters), NOISE, "test")
+            _, exact = _window_values(terms, *map(log.ranks, pair), NOISE, "test")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [repr(x) for x in exact.tolist()] == cumsum_exacts(log, terms, filters)
+        assert [repr(x) for x in exact.tolist()] == cumsum_exacts(log, terms, pair)
         assert peak < 4 * 2**20  # a windows x longest-window block would take 160 MB
 
 
@@ -289,10 +293,11 @@ EDGE_STARTS = st.sampled_from([-(2**64), INT64_MIN - 3, INT64_MIN, -7, 0, INT64_
 
 
 def bisected_rows(log: Changelog, windows) -> list[tuple[int, int]]:
-    """Reference for ``Changelog.rows``: two bisections per window over the times as
-    Python ints, so every bound, of any size or ``-inf``, compares exactly."""
+    """Reference for ``Changelog.ranks`` of window starts and ends: two bisections per window
+    of a ``(starts, ends)`` pair over the times as Python ints, so every bound, of any size
+    or ``-inf``, compares exactly."""
     ticks = log.times.tolist()
-    return [(bisect_right(ticks, w.start), bisect_right(ticks, w.end)) for w in windows]
+    return [(bisect_right(ticks, start), bisect_right(ticks, end)) for start, end in zip(*windows)]
 
 
 class TestRowSlices:
@@ -305,14 +310,14 @@ class TestRowSlices:
                               st.one_of(st.integers(1, 5), st.integers(1, 2**66))), max_size=12))
     def test_rows_equal_the_bisected_rows(self, times, bounds):
         log = insert_log(sorted(times))
-        windows = [TimeRangeFilter(start, (0 if start == float("-inf") else start) + width)
-                   for start, width in bounds]
-        got = log.rows(windows)
+        windows = ([start for start, _ in bounds],
+                   [(0 if start == float("-inf") else start) + width for start, width in bounds])
+        got = map(log.ranks, windows)
         assert list(zip(*(rows.tolist() for rows in got))) == bisected_rows(log, windows)
 
     @given(st.integers(1, 6), st.integers(2, 4), st.one_of(EDGE_STARTS, st.integers(-(2**64), 2**64)),
            st.one_of(st.integers(1, 9), st.integers(1, 2**65)), st.integers(1, 40), st.data())
-    def test_node_table_slices_equal_the_rows_of_the_layer_filters(
+    def test_node_table_slices_equal_the_rows_of_the_layer_windows(
         self, height, branching, start, interval, nodes, data
     ):
         span = interval * (nodes - 1) + data.draw(st.integers(1, interval))
@@ -326,9 +331,9 @@ class TestRowSlices:
         table, offsets = node_table(params, log, lambda layer, first, stop: np.column_stack(
             [first, stop]))
         for layer in range(height):
-            windows = params.layer_filters(layer)
+            windows = params.windows(layer)
             got = [tuple(rows) for rows in table[offsets[layer]:offsets[layer + 1]].tolist()]
-            assert got == list(zip(*(rows.tolist() for rows in log.rows(windows))))
+            assert got == list(zip(*(rows.tolist() for rows in map(log.ranks, windows))))
             assert got == bisected_rows(log, windows)
 
 
@@ -535,7 +540,8 @@ class TestBuildHdcr:
         assert "nodes" not in vars(tree)  # a release reads the node table only
         node = tree.nodes[1, 2]
         assert [node.noisy, node.exact] == tree.values[tree.offsets[1] + 2].tolist()
-        assert node.window == self.PARAMS.layer_filters(1)[2]
+        starts, ends = self.PARAMS.windows(1)
+        assert node.window == TimeRangeFilter(starts[2], ends[2])
         assert tree.nodes is tree.nodes
         assert len(tree.nodes) == len(tree.values) == tree.offsets[-1]
 

@@ -62,7 +62,7 @@ class TestAffectedCountOracle:
     def test_packed_time_bounded_hits_formula(self):
         schedule = ReleaseSchedule.uniform(1, 1, 12)
         muts = [insert("x", 1, 1.0), modify("x", 2, 1.0, 1.0), modify("x", 3, 1.0, 1.0)]
-        assert affected_count(schedule.filters(), muts) == 2 // 1 + 1
+        assert affected_count(schedule.windows(), muts) == 2 // 1 + 1
 
     @pytest.mark.parametrize(
         "uniform, times, hits",
@@ -72,18 +72,18 @@ class TestAffectedCountOracle:
     def test_disjoint_schedule_counts(self, uniform, times, hits):
         muts = [insert("x", t, 1.0) for t in times[:1]]
         muts += [modify("x", t, 1.0, 1.0) for t in times[1:]]
-        assert affected_count(ReleaseSchedule.uniform(*uniform).filters(), muts) == hits
+        assert affected_count(ReleaseSchedule.uniform(*uniform).windows(), muts) == hits
 
     def test_sliding_window_single_mutation(self):
         params = SwcrParams(window=14, period=7, first_release=14, count=8)
-        assert affected_count(params.filters(), [insert("x", 20, 1.0)]) <= 2
+        assert affected_count(params.windows(), [insert("x", 20, 1.0)]) <= 2
 
     def test_empty_entry(self):
         schedule = ReleaseSchedule.uniform(1, 1, 5)
-        assert affected_count(schedule.filters(), []) == 0
+        assert affected_count(schedule.windows(), []) == 0
 
     def test_accepts_plain_tuples(self):
-        assert affected_count([(0, 5), (5, 10)], [insert("x", 7, 1.0)]) == 1
+        assert affected_count(((0, 5), (5, 10)), [insert("x", 7, 1.0)]) == 1
 
 
 def affected_count_reference(filters, entry_muts) -> int:

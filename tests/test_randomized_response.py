@@ -399,9 +399,8 @@ def test_survey_cells_equal_snapshot_cells(tmp_path, monkeypatch, seed):
     rr_dcr(log, space, schedule, 1.0, seed=seed)
     params = HdcrParams(height=3, branching=2, start=-2, span=16, interval=3)
     rr_hdcr(log, space, params, 1.0, seed=seed)
-    windows = list(schedule.filters()) + [
-        window for layer in range(params.height) for window in params.layer_filters(layer)
-    ]
+    pairs = [schedule.windows(), *map(params.windows, range(params.height))]
+    windows = [window for pair in pairs for window in map(TimeRangeFilter, *pair)]
     assert drawn == [_snapshot_cells(log, space, w) for w in windows]
 
 
@@ -531,7 +530,8 @@ class TestPrecomputedEstimator:
         records = rr_dcr(log, space, schedule, epsilon=1.0, seed=5)
         n = len(log.ids)
         u = named_stream(5, "rr-dcr").random(2 * n)
-        for i, (record, window) in enumerate(zip(records, schedule.filters())):
+        windows = map(TimeRangeFilter, *schedule.windows())
+        for i, (record, window) in enumerate(zip(records, windows)):
             want = _round_reference(log, space, window, u[i * n:(i + 1) * n], 1.0)
             _assert_same_estimate(record.estimate, want)
 
@@ -544,7 +544,8 @@ class TestPrecomputedEstimator:
         assert [r.node_count for r in records] == [1, 1]
         for record, layer in zip(records, [0, 1]):
             u = named_stream(5, "rr-hdcr", layer).random(len(log.ids))
-            want = _round_reference(log, space, params.layer_filters(layer)[0], u, 1.0)
+            starts, ends = params.windows(layer)
+            want = _round_reference(log, space, TimeRangeFilter(starts[0], ends[0]), u, 1.0)
             _assert_same_estimate(record.estimate, want)
 
 

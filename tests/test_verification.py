@@ -3,9 +3,9 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from dpcr import verification
+from dpcr import accounting, verification
 from dpcr.accounting import HdcrParams, ReleaseSchedule, SwcrParams
-from dpcr.changelog import Changelog, TimeRangeFilter
+from dpcr.changelog import Changelog
 from dpcr.oracles import FAR_PAST
 from dpcr.verification import (
     CHUNK,
@@ -66,29 +66,34 @@ def test_cover_bound_counts_levels_in_integers():
     assert _cover_bound(2, 1) == 1
 
 
-def _early(window: TimeRangeFilter) -> TimeRangeFilter:
-    return TimeRangeFilter(window.start - 1, window.end)
+def _early(windows):
+    """A ``(starts, ends)`` pair whose every window starts one tick earlier."""
+    starts, ends = windows
+    return [start - 1 for start in starts], ends
 
 
 DOMINANCE_MUTANTS = {
     "dcr-folds-one-less": (verification, "dcr_folds", lambda f: lambda *a: f(*a) - 1, "dcr-dominance"),
     "swcr-folds-one-less": (verification, "swcr_folds", lambda f: lambda *a: f(*a) - 1, "swcr-dominance"),
     "hdcr-folds-one-less": (verification, "hdcr_folds", lambda f: lambda *a: f(*a) - 1, "hdcr-dominance"),
+    # the closed form of uniform schedules only; explicit ticks keep span_folds
+    "dcr-uniform-closed-form-one-less": (
+        accounting, "uniform_span_folds", lambda f: lambda *a: f(*a) - 1, "dcr-dominance",
+    ),
     "dcr-windows-one-tick-early": (
-        ReleaseSchedule, "filters", lambda f: lambda self: tuple(map(_early, f(self))), "dcr-dominance",
+        ReleaseSchedule, "windows", lambda f: lambda self: _early(f(self)), "dcr-dominance",
     ),
     "swcr-windows-one-tick-early": (
-        SwcrParams, "filters", lambda f: lambda self: tuple(map(_early, f(self))), "swcr-dominance",
+        SwcrParams, "windows", lambda f: lambda self: _early(f(self)), "swcr-dominance",
     ),
     "hdcr-nodes-one-tick-early": (
-        HdcrParams, "layer_filters", lambda f: lambda self, layer: list(map(_early, f(self, layer))),
-        "hdcr-dominance",
+        HdcrParams, "windows", lambda f: lambda self, layer: _early(f(self, layer)), "hdcr-dominance",
     ),
     # overlapping nodes in some hierarchies only
     "hdcr-nodes-one-tick-early-at-branching-3": (
-        HdcrParams, "layer_filters",
+        HdcrParams, "windows",
         lambda f: lambda self, layer: (
-            list(map(_early, f(self, layer))) if self.branching == 3 else f(self, layer)
+            _early(f(self, layer)) if self.branching == 3 else f(self, layer)
         ),
         "hdcr-dominance",
     ),
@@ -115,6 +120,8 @@ def test_one_chunk_draws_every_documented_case():
     gaps_equal = (np.diff(s.ticks, axis=1) == s.interval[:, None]) | ~endpoint[:, 1:]
     uniform = gaps_equal.all(axis=1)
     assert uniform[s.count >= 3].any() and not uniform.all()
+    # the rows marked uniform, built by ReleaseSchedule.uniform, are uniform
+    assert uniform[s.uniform].all() and s.uniform[s.count >= 3].any()
     assert (s.count == 1).any()
     on_tick = ((s.ticks == s.insertion[:, None]) & endpoint).any(axis=1)
     assert on_tick.any() and not on_tick.all()
