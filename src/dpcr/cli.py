@@ -494,8 +494,10 @@ def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> Change
     if space is None:
         value_range = _get(cfg, "generator.value_range", list, default=[0.0, 100.0])
         low, high = _pair(value_range, "generator.value_range")
-        if not (low <= high and math.isfinite(high - low)):
-            raise ConfigError(f"generator.value_range must be finite [low, high], got {value_range}")
+        # rounding to 6 decimals multiplies a value by 1e6, which must stay finite
+        if not (low <= high and math.isfinite(high - low) and math.isfinite(max(-low, high) * 1e6)):
+            raise ConfigError(f"generator.value_range must be finite [low, high], and finite "
+                              f"times 1e6, got {value_range}")
         stream = "generate"
 
         def draw(rng: np.random.Generator, value: float | None) -> float:

@@ -12,19 +12,20 @@ sliding-window release takes draw ``i`` of ``named_stream(seed, "dcr")``
 therefore a function of the seed, the stream name and its position only:
 it does not depend on evaluation order, and extending a schedule or a
 span leaves earlier values' noise unchanged. A release evaluates ``f``
-once per mutation (``_change_terms``), and each window adds the terms of
-its contiguous row slice of the log left to right from ``0.0``. Exact
-values ride along in the in-memory results for verification; the
-serializers drop them unless explicitly asked.
+once per mutation (``_change_terms``). Exact values ride along in the
+in-memory results for verification; the serializers drop them unless
+explicitly asked.
 
+Every value is one ordered sum (``_ordered_sums``): a run of table rows,
+floats or vectors, added left to right from ``0.0``, overflowing to ``inf``
+silently, as Python floats add. A window's run is its row slice of the log.
 Every hierarchy, Laplace or survey, values each layer once into a
 ``node_table``: one row per node, layer after layer, each layer's rows
 sliced from the log by one ``np.searchsorted``. ``cover_sums`` answers all
 of a release's grid ranges at once: one ``cover_range`` call finds every
-cover, then a lockstep walk adds node ``s`` of every cover at step ``s``.
-Each range adds its nodes in cover order from ``0.0``, so a sum's bits are
-fixed by the range alone. No prefix cover climbs above the first one-node
-layer, so a prefix release values only the layers up to it
+cover, whose node rows, in cover order, are the range's run, so a sum's
+bits are fixed by the range alone. No prefix cover climbs above the first
+one-node layer, so a prefix release values only the layers up to it
 (``check_prefix_cover``); its header still accounts every layer.
 """
 
@@ -145,55 +146,59 @@ def _window_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The noisy and exact values of the windows of rows ``first[i]:stop[i]``, in order.
 
-    A window's exact change adds the ``terms`` of its rows
-    (``Changelog.ranks``) one at a time from ``0.0``, so it equals
-    ``linear_query_change(log.filter(window), spec)`` bit for bit.
-    Window ``i`` is perturbed with draw ``i`` of ``(seed, *stream)``.
+    A window's exact change is the ``_ordered_sums`` run of its ``terms``, two per row
+    (``Changelog.ranks``), so it equals ``linear_query_change(log.filter(window), spec)``
+    bit for bit. Window ``i`` is perturbed with draw ``i`` of ``(seed, *stream)``.
     """
-    exact = _window_sums(terms, first, stop)
+    exact = _ordered_sums(terms, 2 * first, 2 * (stop - first))
     return perturb(exact, noise, named_stream(noise.seed, *stream)), exact
 
 
-# Terms gathered into one padded block at a time, however many and however
-# long the windows are: sliding windows overlap, so their lengths can add up
-# to far more than the log. A block's float arrays take 64 KiB each.
+# Values gathered into one padded block at a time, however many and however long the
+# runs are: sliding windows overlap, so their lengths can add up to far more than the
+# log. A block's float arrays take 64 KiB each, or one row where a row is wider.
 _GATHER_TERMS = 1 << 13
 
 
-def _window_sums(terms: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Each window's terms, two per row, added left to right from ``0.0``.
+def _ordered_sums(
+    table: np.ndarray, starts: np.ndarray, lengths: np.ndarray, index: np.ndarray | None = None,
+) -> np.ndarray:
+    """The sum of each run ``rows[start:start + length]`` of float or vector rows, added left
+    to right from ``0.0``, where ``rows`` is ``table``, or ``table[index]`` if given.
 
-    Windows are taken longest first, in groups of as many as fit
-    ``_GATHER_TERMS`` terms once padded to the group's longest (at least
-    one). A group is gathered into a ``length x windows`` block padded
-    with ``0.0`` and summed by one ``np.add.accumulate`` down its columns,
-    which adds each column in order, where a reduction may add pairwise. A
-    window longer than ``_GATHER_TERMS`` goes alone, in blocks of that
-    many terms, each block starting from the sum of the ones before.
-    Empty windows sum to ``0.0``.
+    Runs are taken longest first, in groups of as many as fit ``_GATHER_TERMS`` values,
+    counting a row's width, once padded to the group's longest (at least one run). A group
+    is gathered into a ``length x runs`` block padded with ``0.0`` and summed by one
+    ``np.add.accumulate`` down its columns, which adds each column in order, where a
+    reduction may add pairwise. A run too long for one block goes alone, in blocks of
+    ``_GATHER_TERMS`` values (at least one row), each starting from the sum of the ones
+    before. Empty runs sum to ``0.0``. Sums overflow silently, as Python floats add.
     """
-    starts = 2 * first
-    lengths = 2 * stop - starts
+    width = math.prod(table.shape[1:])
     order = np.argsort(-lengths, kind="stable")
     ordered = lengths[order].tolist()
-    sums = np.zeros(len(starts))
+    sums = np.zeros((len(starts), *table.shape[1:]))
     i = 0
-    while i < len(ordered) and ordered[i]:
-        group = order[i:i + max(1, _GATHER_TERMS // ordered[i])]
-        sums[group] = _padded_sums(terms, starts[group], lengths[group], ordered[i])
-        i += len(group)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < len(ordered) and ordered[i]:
+            group = order[i:i + max(1, _GATHER_TERMS // (ordered[i] * width))]
+            sums[group] = _padded_sums(table, index, starts[group], lengths[group], ordered[i])
+            i += len(group)
     return sums
 
 
 def _padded_sums(
-    terms: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int
+    table: np.ndarray, index: np.ndarray | None, starts: np.ndarray, lengths: np.ndarray,
+    longest: int,
 ) -> np.ndarray:
-    """Sums of ``terms[start:start + length]``, gathered ``_GATHER_TERMS`` at a time."""
-    total = np.zeros(len(starts))
-    step = max(1, _GATHER_TERMS // len(starts))
-    for first in range(0, width, step):
-        cols = np.arange(first, min(first + step, width))[:, None]
-        block = np.where(cols < lengths, terms.take(starts + cols, mode="clip"), 0.0)
+    """Sums of the runs of ``_ordered_sums``, gathered ``_GATHER_TERMS`` values at a time."""
+    total = np.zeros((len(starts), *table.shape[1:]))
+    step = max(1, _GATHER_TERMS // total.size)
+    for first in range(0, longest, step):
+        cols = np.arange(first, min(first + step, longest))[:, None]
+        rows = starts + cols if index is None else index.take(starts + cols, mode="clip")
+        block = table.take(rows, axis=0, mode="clip")
+        block[cols >= lengths] = 0.0
         # the running sum starts at 0.0, so a run of -0.0 terms sums to 0.0
         block[0] += total
         total = np.add.accumulate(block, axis=0)[-1]
@@ -210,7 +215,8 @@ def cover_range(low, high, branching: int, height: int) -> np.ndarray:
     step, each range short of ``high`` takes the widest node aligned at its
     position that still ends by ``high``, so widths rise to the widest fitting
     layer, then fall, with at most ``branching - 1`` nodes per layer on each
-    side. The node widths stop at the widest any range can use, so no
+    side. The steps' rows, stably sorted by range, keep each range's nodes in
+    step order. The node widths stop at the widest any range can use, so no
     ``branching**height`` is built.
     """
     lows, highs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64))
@@ -227,22 +233,21 @@ def cover_range(low, high, branching: int, height: int) -> np.ndarray:
         raise RangeTooWideError(
             f"range ({lows[i]}, {highs[i]}] is wider than {branching}**{height} grid units"
         )
-    widths, sizes = np.array(widths), np.zeros(len(lows), dtype=np.int64)
-    pos, live, steps = lows.copy(), np.arange(len(lows)), []
+    widths, pos, live = np.array(widths), lows.copy(), np.arange(len(lows))
+    steps = [(live[:0],) * 3]  # an empty first step, so no ranges give no rows
     while live.size:
         at, rest = pos[live], highs[live] - pos[live]
         # the layers a node aligned at ``at`` may take, and those that fit ``rest``,
         # are each every layer up to some top
         layer = np.minimum(np.count_nonzero(at[:, None] % widths == 0, axis=1),
                            np.searchsorted(widths, rest, side="right")) - 1
-        steps.append(np.column_stack([live, layer, at // widths[layer]]))
-        sizes[live] += 1
+        steps.append((live, layer, at // widths[layer]))
         pos[live] = at + widths[layer]
         live = live[widths[layer] < rest]
-    rows, first = np.empty((sizes.sum(), 3), dtype=np.int64), np.cumsum(sizes) - sizes
-    for step, nodes in enumerate(steps):  # node ``step`` of each range still walking
-        rows[first[nodes[:, 0]] + step] = nodes
-    return rows
+    ranges, layers, indexes = (np.concatenate(column) for column in zip(*steps))
+    del steps  # copied: not held through the sort and the gathers
+    order = np.argsort(ranges, kind="stable")
+    return np.column_stack([ranges[order], layers[order], indexes[order]])
 
 
 @dataclass(frozen=True)
@@ -292,34 +297,20 @@ def node_table(
     return table, offsets
 
 
-# Columns of the node rows summed at a time, so a wide survey row gathers a
-# block of at most 32 KiB per range at each step
-_SUM_COLUMNS = 1 << 12
-
-
 def cover_sums(
     values: np.ndarray, offsets: np.ndarray, params: HdcrParams, low, high
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sums of the ``node_table`` rows covering each grid range ``(low, high]``, and
-    their node counts. Step ``s`` of a lockstep walk over one ``cover_range`` call adds node
-    ``s`` of every cover that has one, so each range adds its nodes (floats or vectors) in
-    cover order from ``0.0``, and a sum's bits are fixed by the range alone.
+    their node counts. One ``cover_range`` call finds every cover, and each range's node
+    rows, floats or vectors, in cover order, are one ``_ordered_sums`` run, so a sum's bits
+    are fixed by the range alone.
     """
     grid = offsets[1]  # the bottom layer has one node per grid unit
     if np.max(high) > grid:
         raise ValueError(f"a range ends at {np.max(high)}, beyond the {grid}-unit grid")
     ranges, layer, index = cover_range(low, high, params.branching, params.height).T
     sizes = np.bincount(ranges, minlength=np.broadcast(low, high).size)
-    rows, first = offsets[layer] + index, np.cumsum(sizes) - sizes
-    sums = np.zeros((len(sizes), *values.shape[1:]))
-    flat, out = values.reshape(len(values), -1), sums.reshape(len(sizes), -1)
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add, silently
-        for block in range(0, out.shape[1], _SUM_COLUMNS):
-            cols = slice(block, block + _SUM_COLUMNS)
-            for step in range(sizes.max(initial=0)):
-                live = np.flatnonzero(sizes > step)
-                out[live, cols] += flat[rows[first[live] + step], cols]
-    return sums, sizes
+    return _ordered_sums(values, np.cumsum(sizes) - sizes, sizes, offsets[layer] + index), sizes
 
 
 def build_hdcr(
@@ -346,13 +337,14 @@ def aggregate(tree: HdcrTree, low, high) -> ReleaseResult:
     """Answer each grid range ``(low, high]`` (integers or integer arrays) by summing a node
     cover (``cover_sums``). Grid units are the bottom-layer nodes, so a range's window runs
     from the start of node ``low`` to the end of node ``high - 1``. Variance is
-    ``node_count * 2 * scale**2`` for the per-node Laplace scale.
+    ``node_count * 2 * scale * scale`` for the per-node Laplace scale, ``inf`` past the
+    float range.
     """
     sums, sizes = cover_sums(tree.values, tree.offsets, tree.params, low, high)
     starts, ends = tree.params.windows(0)
     lows, highs = (np.ravel(x).tolist() for x in np.broadcast_arrays(low, high))
     return ReleaseResult([starts[i] for i in lows], [ends[i - 1] for i in highs],
-                         *sums.T.tolist(), sizes.tolist(), 2 * tree.noise.scale**2)
+                         *sums.T.tolist(), sizes.tolist(), 2 * tree.noise.scale * tree.noise.scale)
 
 
 def check_prefix_cover(params: HdcrParams) -> HdcrParams:

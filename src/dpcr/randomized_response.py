@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -425,8 +425,8 @@ def rr_dcr(
     """
     survey = _window_survey(log, space, epsilon)
     starts, ends = schedule.windows()
-    estimates = survey(*map(log.ranks, (starts, ends)), named_stream(seed, "rr-dcr"))
-    return [RrRecord(end, estimate) for end, estimate in zip(ends, estimates)]
+    rows = survey(*map(log.ranks, (starts, ends)), named_stream(seed, "rr-dcr"))
+    return _records(log, space, ends, rows)
 
 
 def rr_hdcr(
@@ -439,36 +439,37 @@ def rr_hdcr(
     """Cumulative histogram estimates aggregated from a response hierarchy.
 
     Every node collects one response per entry over its own interval and
-    holds a histogram-change estimate; the estimate at each bottom-layer
-    endpoint sums the node cover of the prefix range, so its variance
-    follows the cover size instead of the elapsed time. Node
-    ``(layer, index)`` over ``n`` entries takes uniforms
-    ``[index n, (index + 1) n)`` of ``named_stream(seed, "rr-hdcr", layer)``.
+    holds a histogram-change estimate, one ``node_table`` row; the estimate
+    at each bottom-layer endpoint sums the rows of the prefix range's node
+    cover (``cover_sums``), so its variance follows the cover size instead
+    of the elapsed time. Node ``(layer, index)`` over ``n`` entries takes
+    uniforms ``[index n, (index + 1) n)`` of ``named_stream(seed, "rr-hdcr", layer)``.
     """
     params = check_prefix_cover(params)
     survey = _window_survey(log, space, epsilon_per_node)
-    k, entries = space.size, len(log.ids)
-
-    def node_rows(layer: int, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-        """A node's row: its estimate's values, then its covariance row by row."""
-        rows = np.empty((len(first), k + k * k))
-        for row, est in zip(rows, survey(first, stop, named_stream(seed, "rr-hdcr", layer))):
-            row[:k], row[k:] = est.values, est.covariance.ravel()
-        return rows
-
-    values, offsets = node_table(params, log, node_rows)
+    values, offsets = node_table(params, log, lambda layer, first, stop: survey(
+        first, stop, named_stream(seed, "rr-hdcr", layer)
+    ))
     sums, sizes = cover_sums(values, offsets, params, 0, np.arange(1, params.grid_size() + 1))
     _, ends = params.windows(0)  # prefix ``j`` ends where bottom-layer node ``j`` does
+    return _records(log, space, ends, sums, sizes.tolist())
+
+
+def _records(log: Changelog, space: ResponseSpace, ends: Sequence[int], rows: np.ndarray,
+             node_counts: Iterable[int | None] = repeat(None)) -> list[RrRecord]:
+    """One record per estimate row ending at ``ends[i]``, over every entry of ``log``."""
+    k, entries = space.size, len(log.ids)
     return [
-        RrRecord(end, HistogramEstimate(row[:k], row[k:].reshape(k, k), entries), node_count=n)
-        for end, row, n in zip(ends, sums, sizes.tolist())
+        RrRecord(end, HistogramEstimate(row[:k], row[k:].reshape(k, k), entries), n)
+        for end, row, n in zip(ends, rows, node_counts)
     ]
 
 
 def _window_survey(
     log: Changelog, space: ResponseSpace, epsilon: float
-) -> Callable[[np.ndarray, np.ndarray, np.random.Generator], Iterator[HistogramEstimate]]:
-    """One survey round per window, in order: net cells, responses in entry-id order, estimate.
+) -> Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]:
+    """One survey round per window, in order: net cells, responses in entry-id order, and
+    the estimate as a row, its values and then its covariance row by row.
 
     Round ``i`` reads the rows ``begin[i]:end[i]`` (``Changelog.ranks``). An entry's
     cell is the net change of its mutations there: the first one's
@@ -481,11 +482,11 @@ def _window_survey(
     """
     mspace = AnswerMutationSpace(space)
     p, q = _invertible_rule_entries(mspace.size, epsilon)
+    k = space.size
 
-    def survey(
-        begin: np.ndarray, end: np.ndarray, rng: np.random.Generator
-    ) -> Iterator[HistogramEstimate]:
-        for rows in map(slice, begin.tolist(), end.tolist()):
+    def survey(begin: np.ndarray, end: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        estimates = np.empty((len(begin), k + k * k))
+        for out, rows in zip(estimates, map(slice, begin.tolist(), end.tolist())):
             cells = np.full(len(log.ids), mspace.size - 1)
             if rows.start < rows.stop:
                 codes = log.codes[rows]
@@ -497,6 +498,8 @@ def _window_survey(
                 )
             responses = _draw_responses(rng, cells, mspace.size, p, q)
             counts = np.bincount(responses, minlength=mspace.size).reshape(len(mspace.alphabet), -1)
-            yield _estimate(counts, p - q)
+            estimate = _estimate(counts, p - q)
+            out[:k], out[k:] = estimate.values, estimate.covariance.ravel()
+        return estimates
 
     return survey

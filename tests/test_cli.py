@@ -650,6 +650,7 @@ class TestInputFailures:
             ("run", ["release.query.fn=table", 'release.query.table={"1":"2"}'], "log"),
             ("generate", ['generator.value_range=["0","100"]'], "log"),
             ("generate", ["generator.labels=[1,2]"], "log"),
+            ("generate", ["generator.value_range=[1e307,1e308]"], "log"),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
              "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
@@ -669,7 +670,7 @@ class TestInputFailures:
              "numeric-labels-account", "integer-epsilon-beyond-float", "rr-overflowing-epsilon",
              "subnormal-epsilon", "overflowing-bounds-width", "string-bounds", "boolean-bounds",
              "string-threshold", "string-table-value", "string-value-range",
-             "numeric-generator-labels"],
+             "numeric-generator-labels", "value-range-beyond-rounding"],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"

@@ -108,6 +108,14 @@ class TestRunDcr:
         result = run_dcr(log, ReleaseSchedule((2,)), spec, NOISE)
         assert repr(result.records[0].exact) == repr(linear_query_change(log, spec)) == "0.0"
 
+    def test_overflowing_sum_is_inf_without_a_warning(self):
+        # a window adds its terms as Python floats do: past the float range the sum is
+        # inf, silently (the suite turns warnings into errors)
+        log = Changelog([insert("x", 1, 1e308), insert("y", 1, 1e308)])
+        spec = LinearQuerySpec("identity", 0.0, 1e308)
+        result = run_dcr(log, ReleaseSchedule((2,)), spec, NOISE)
+        assert result.exact == [linear_query_change(log, spec)] == [math.inf]
+
     def test_deterministic_per_seed(self):
         result = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
         again = run_dcr(small_log(), ReleaseSchedule.uniform(3, 3, 5), SPEC, NOISE)
@@ -481,11 +489,27 @@ class TestCoverSums:
             st.integers(0, span - 1).flatmap(lambda low: st.tuples(st.just(low), st.integers(low + 1, span))),
             min_size=1, max_size=10,
         ))
-        lows, highs = zip(*ranges)
+        self.assert_left_to_right(values, offsets, params, *zip(*ranges))
+
+    def test_rows_wider_than_a_gather(self):
+        # a 91-label survey row: 91 values, then 91 x 91 covariances, 8,372 columns in all;
+        # every 7th column holds 1e308, so a cover of two or more nodes overflows to inf
+        # there, without a warning
+        params = HdcrParams(4, 2, 0, 8, 1)
+        offsets = np.cumsum([0] + [params.layer_size(layer) for layer in range(params.height)])
+        values = np.random.default_rng(3).standard_normal((offsets[-1], 91 + 91 * 91))
+        values[:, ::7] = 1e308
+        assert values.shape[1] > _GATHER_TERMS
+        lows, highs = [0, 0, 1, 3, 0], [8, 7, 6, 5, 3]
+        self.assert_left_to_right(values, offsets, params, lows, highs)
+        assert np.isinf(cover_sums(values, offsets, params, 0, 7)[0]).any()
+
+    @staticmethod
+    def assert_left_to_right(values, offsets, params, lows, highs):
         sums, sizes = cover_sums(values, offsets, params, lows, highs)
         for low, high, got, size in zip(lows, highs, sums, sizes.tolist()):
-            want = np.zeros(shape[1:])
-            cover = reference_cover(low, high, branching, params.height)
+            want = np.zeros(values.shape[1:])
+            cover = reference_cover(low, high, params.branching, params.height)
             with np.errstate(over="ignore", invalid="ignore"):
                 for layer, index in cover:
                     want = want + values[offsets[layer] + index]
@@ -569,6 +593,9 @@ class TestAggregate:
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
         agg = aggregate(tree, 1, 11).records[0]
         assert agg.variance == pytest.approx(agg.node_count * 2 * NOISE.scale**2)
+        # past the float range the variance is inf, as node_count * 2 * scale * scale is
+        huge = run_hdcr(small_log(), HdcrParams(2, 2, 0, 4, 1), SPEC, NoiseSpec(1.0, 1e308, 1))
+        assert [r.variance for r in huge.records] == [math.inf] * 4
 
     def test_range_beyond_grid_rejected(self):
         tree = build_hdcr(small_log(), self.PARAMS, SPEC, NOISE)
