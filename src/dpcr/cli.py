@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -59,16 +58,17 @@ from .changelog import (
     validate_constraint,
 )
 from .engines import (
-    ReleaseResult,
     check_prefix_cover,
     compare_hdcr_swcr,
     derive_swcr_from_hdcr,
+    float_texts,
     result_to_csv,
     result_to_jsonl,
     run_dcr,
     run_hdcr,
     run_swcr,
     swcr_equivalent_hdcr_params,
+    write_rows,
 )
 from .mechanisms import LinearQuerySpec, NoiseSpec, named_stream, sensitivity
 from .randomized_response import (
@@ -238,7 +238,11 @@ def _refused(prefix: str) -> Iterator[None]:
 def _seed(cfg: Mapping) -> int:
     if "seed" not in cfg:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
-    return _get(cfg, "seed", int)
+    seed = _get(cfg, "seed", int)
+    # named_stream keys on the seed modulo 2**64: any other seed would alias one of these
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def constraint_from_config(obj, path: str) -> MutationConstraint:
@@ -571,10 +575,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             release = engine(log, params, mechanism, noise)
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            if rr:
-                _write_rr(release, mechanism, fh, fmt, header)
+            if fmt == "jsonl":
+                fh.write(json.dumps({"type": "header", **header}) + "\n")
             else:
-                _write_release(release, fh, fmt, header, include_exact)
+                fh.write("# " + json.dumps(header) + "\n")
+            if rr:
+                _write_rr(release, mechanism, fh, fmt)
+            else:
+                (result_to_jsonl if fmt == "jsonl" else result_to_csv)(release, fh, include_exact)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
     print(f"wrote release to {out} (accounted {accounting['scope']} loss: "
@@ -582,52 +590,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_header(fh: IO[str], fmt: str, header: dict) -> None:
-    if fmt == "jsonl":
-        fh.write(json.dumps({"type": "header", **header}) + "\n")
+def _write_rr(records: list[RrRecord], space: ResponseSpace, fh: IO[str], fmt: str) -> None:
+    """Cumulative histogram estimates, then their variances, one row per release time:
+    rr-hdcr's prefix aggregates with their node counts, or rr-dcr's running sums."""
+    k = space.size
+    table = np.array([np.append(rec.estimate.values, np.diag(rec.estimate.covariance))
+                      for rec in records]).reshape(-1, 2 * k)
+    counts = [rec.node_count for rec in records]
+    if None in counts:  # each sum adds left to right from 0.0
+        table = np.add.accumulate(np.vstack([np.zeros(2 * k), table]))[1:]
+    columns = {"t": lambda rows: [str(rec.time) for rec in records[rows]]}
+    if fmt == "csv":
+        names = [f"{name}_{label}" for name in ("vhat", "var") for label in space.labels]
+        for name, column in zip(names, table.T):
+            columns[name] = lambda rows, x=column: float_texts(x[rows], fmt)
     else:
-        fh.write("# " + json.dumps(header) + "\n")
-
-
-def _write_release(
-    result: ReleaseResult, fh: IO[str], fmt: str, header: dict, include_exact: bool
-) -> None:
-    _write_header(fh, fmt, header)
-    if fmt == "jsonl":
-        result_to_jsonl(result, fh, include_exact)
-    else:
-        result_to_csv(result, fh, include_exact)
-
-
-def _write_rr(
-    records: list[RrRecord], space: ResponseSpace, fh: IO[str], fmt: str, header: dict
-) -> None:
-    """Cumulative histogram estimates, one row per release time."""
-    cumulative = np.zeros(space.size)
-    cum_var = np.zeros(space.size)
-    rows = []
-    for rec in records:
-        if rec.node_count is None:
-            cumulative = cumulative + rec.estimate.values
-            cum_var = cum_var + np.diag(rec.estimate.covariance)
-            rows.append((rec.time, cumulative.copy(), cum_var.copy(), None))
-        else:
-            rows.append(
-                (rec.time, rec.estimate.values, np.diag(rec.estimate.covariance), rec.node_count)
-            )
-    _write_header(fh, fmt, header)
-    if fmt == "jsonl":
-        for t, values, variances, node_count in rows:
-            rec = {"t": t, "estimate": values.tolist(), "variance": variances.tolist()}
-            if node_count is not None:
-                rec["node_count"] = node_count
-            fh.write(json.dumps(rec))
-            fh.write("\n")
-    else:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"{kind}_{l}" for kind in ("vhat", "var") for l in space.labels])
-        for t, values, variances, _ in rows:
-            writer.writerow([t] + [repr(float(v)) for v in (*values, *variances)])
+        for name, x in (("estimate", table[:, :k]), ("variance", table[:, k:])):
+            columns[name] = lambda rows, x=x: ["[" + ", ".join(float_texts(row, fmt)) + "]"
+                                               for row in x[rows]]
+        if None not in counts:
+            columns["node_count"] = lambda rows: map(str, counts[rows])
+    write_rows(fh, fmt, len(records), columns)
 
 
 # -- account / compare / verify ------------------------------------------------

@@ -13,8 +13,9 @@ therefore a function of the seed, the stream name and its position only:
 it does not depend on evaluation order, and extending a schedule or a
 span leaves earlier values' noise unchanged. A release evaluates ``f``
 once per mutation (``_change_terms``). Exact values ride along in the
-in-memory results for verification; the serializers drop them unless
-explicitly asked.
+in-memory results for verification; the writers drop them unless asked.
+``write_rows`` writes every release row, Laplace or randomized response, CSV
+or JSON Lines, from column texts a block at a time; ``float_texts`` every float.
 
 Every value is one ordered sum (``_ordered_sums``): a run of table rows,
 floats or vectors, added left to right from ``0.0``, overflowing to ``inf``
@@ -32,17 +33,19 @@ one-node layer, so a prefix release values only the layers up to it
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from itertools import count, repeat
-from typing import IO, Callable, Mapping, Sequence
+from itertools import chain, repeat
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule, SwcrParams
 from .changelog import (
+    BLOCK_LINES,
     NEG_INF,
     AtMostK,
     Changelog,
@@ -217,7 +220,7 @@ def cover_range(low, high, branching: int, height: int) -> np.ndarray:
     layer, then fall, with at most ``branching - 1`` nodes per layer on each
     side. The steps' rows, stably sorted by range, keep each range's nodes in
     step order. The node widths stop at the widest any range can use, so no
-    ``branching**height`` is built.
+    ``branching**height`` is built. The rows' ``.T`` is one contiguous ``(3, n)`` array.
     """
     lows, highs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64))
                                         for x in (low, high)))
@@ -244,10 +247,9 @@ def cover_range(low, high, branching: int, height: int) -> np.ndarray:
         steps.append((live, layer, at // widths[layer]))
         pos[live] = at + widths[layer]
         live = live[widths[layer] < rest]
-    ranges, layers, indexes = (np.concatenate(column) for column in zip(*steps))
-    del steps  # copied: not held through the sort and the gathers
-    order = np.argsort(ranges, kind="stable")
-    return np.column_stack([ranges[order], layers[order], indexes[order]])
+    cover = np.concatenate(steps, axis=1)  # one (range, layer, index) column per node
+    del steps  # copied: not held through the sort and the gather
+    return cover.take(np.argsort(cover[0], kind="stable"), axis=1).T
 
 
 @dataclass(frozen=True)
@@ -473,42 +475,61 @@ def compare_hdcr_swcr(
 def result_to_csv(
     result: ReleaseResult, fh: IO[str], include_exact: bool = False
 ) -> None:
-    """Columns ``query_index, t_start, t_end, noisy`` (+ ``exact`` if asked)."""
-    writer = csv.writer(fh, lineterminator="\n")
-    header = ["query_index", "t_start", "t_end", "noisy"]
-    columns = [count(), result.starts, result.ends, map(repr, result.noisy)]
-    if include_exact:
-        header.append("exact")
-        columns.append(map(repr, result.exact))
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
+    """Columns ``query_index, t_start, t_end, noisy`` (+ ``exact`` if asked), for aggregates too."""
+    _write_result(result, fh, "csv", include_exact)
 
 
 def result_to_jsonl(
     result: ReleaseResult, fh: IO[str], include_exact: bool = False
 ) -> None:
-    """One JSON object per query; aggregates carry node_count and variance.
+    """One JSON object per query, as ``json.dumps`` writes it; aggregates add ``node_count``
+    and ``variance`` before ``exact`` (if asked), and a ``-inf`` start is ``null``."""
+    _write_result(result, fh, "jsonl", include_exact)
 
-    Each row is written as ``json.dumps`` would write its object, keys in
-    the order below, without building the object. A variance is formatted
-    once per distinct node count.
-    """
-    counted = exact = repeat("")
-    if result.node_count is not None:
-        variance = {n: _json_float(n * result.node_variance) for n in set(result.node_count)}
-        counted = (f', "node_count": {n}, "variance": {variance[n]}' for n in result.node_count)
+
+def _write_result(result: ReleaseResult, fh: IO[str], fmt: str, include_exact: bool) -> None:
+    """A release's rows by ``write_rows``; a variance is formatted once per node count."""
+    neg_inf = "null" if fmt == "jsonl" else "-inf"  # the text of a -inf start
+    columns = {
+        "query_index": lambda rows: map(str, range(len(result.noisy))[rows]),
+        "t_start": lambda rows: [neg_inf if s == NEG_INF else str(s) for s in result.starts[rows]],
+        "t_end": lambda rows: map(str, result.ends[rows]),
+        "noisy": lambda rows: float_texts(result.noisy[rows], fmt),
+    }
+    if fmt == "jsonl" and result.node_count is not None:
+        counts = list(set(result.node_count))
+        variance = dict(zip(counts, float_texts([n * result.node_variance for n in counts], fmt)))
+        columns["node_count"] = lambda rows: map(str, result.node_count[rows])
+        columns["variance"] = lambda rows: map(variance.__getitem__, result.node_count[rows])
     if include_exact:
-        exact = (f', "exact": {_json_float(x)}' for x in result.exact)
-    fh.writelines(
-        f'{{"query_index": {i}, "t_start": {"null" if start == NEG_INF else start}, '
-        f'"t_end": {end}, "noisy": {_json_float(noisy)}{more}{known}}}\n'
-        for i, start, end, noisy, more, known
-        in zip(count(), result.starts, result.ends, result.noisy, counted, exact)
-    )
+        columns["exact"] = lambda rows: float_texts(result.exact[rows], fmt)
+    write_rows(fh, fmt, len(result.noisy), columns)
 
 
-def _json_float(x: float) -> str:
-    """``json.dumps(x)``: the float's repr, a non-finite value by its JavaScript name."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+def write_rows(
+    fh: IO[str], fmt: str, length: int, columns: Mapping[str, Callable[[slice], Iterable[str]]]
+) -> None:
+    """Write ``length`` rows as CSV or JSON Lines (``fmt``), one string per ``BLOCK_LINES``
+    rows: ``columns`` maps each column's name to the value texts of a slice of its rows.
+    CSV joins each row with ``,`` under a header ``csv.writer`` quotes; JSON Lines writes
+    each row as ``json.dumps`` writes an object with the columns as keys, in order."""
+    if fmt == "csv":
+        csv.writer(fh, lineterminator="\n").writerow(columns)
+        leads, end = ["", *[","] * (len(columns) - 1)], "\n"
+    else:
+        leads, end = [f", {json.dumps(name)}: " for name in columns], "}\n"
+        leads[0] = "{" + leads[0][2:]
+    for first in range(0, length, BLOCK_LINES):
+        texts = (column(slice(first, first + BLOCK_LINES)) for column in columns.values())
+        cells = chain.from_iterable(zip(map(repeat, leads), texts))
+        fh.write("".join(chain.from_iterable(zip(*cells, repeat(end)))))
+
+
+def float_texts(values: Sequence[float], fmt: str) -> list[str]:
+    """``float.__repr__`` of each value; in JSON Lines, ``json.dumps``'s non-finite names."""
+    values = np.asarray(values, dtype=float)
+    texts = list(map(float.__repr__, values.tolist()))
+    if fmt == "jsonl":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[texts[i]]
+    return texts

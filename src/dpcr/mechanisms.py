@@ -156,6 +156,8 @@ def named_stream(seed: int, *parts: int | str) -> np.random.Generator:
     determine the name, and no name's words are another's with zeros
     appended, which ``SeedSequence``'s zero padding would merge:
     ``(seed, "dcr")`` and ``(seed, "dcr", 0)`` are distinct streams.
+    The seed and each integer part are masked to 64 bits, so seeds ``-1``
+    and ``2**64 - 1`` name the same streams (the CLI takes ``[0, 2**64)``).
     """
     values = [len(parts), seed]
     for part in parts:

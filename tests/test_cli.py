@@ -16,10 +16,17 @@ import pytest
 from hypothesis import given
 
 import dpcr
-from dpcr.accounting import HdcrParams
+from dpcr.accounting import HdcrParams, ReleaseSchedule
 from dpcr.changelog import AtMostK, dump_changelog, load_changelog, validate_constraint
-from dpcr.randomized_response import ResponseSpace, dump_answer_log, load_answer_log
-from dpcr.cli import main
+from dpcr.randomized_response import (
+    ResponseSpace,
+    answer_changelog,
+    dump_answer_log,
+    load_answer_log,
+    rr_dcr,
+    rr_hdcr,
+)
+from dpcr.cli import _write_rr, main
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -401,6 +408,57 @@ class TestRowPins:
         assert hashlib.sha256(rows).hexdigest() == ROW_DIGESTS[kind, fmt]
 
 
+class TestRrWriter:
+    """``_write_rr`` writes what the per-row dict, ``json.dumps`` and ``csv.writer`` writer
+    it replaced wrote, rr-dcr's running sums included."""
+
+    SPACE = ResponseSpace(("a,b", 'c"d', "\u00e9t\u00e9"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("kind", ["rr-dcr", "rr-hdcr"])
+    def test_rows_equal_the_reference(self, kind, fmt):
+        rng = np.random.default_rng(3)
+        log = answer_changelog((int(t), f"e{i:02d}", float(rng.integers(0, self.SPACE.size)))
+                               for i in range(40) for t in np.unique(rng.integers(0, 32, 3)))
+        if kind == "rr-dcr":
+            records = rr_dcr(log, self.SPACE, ReleaseSchedule.uniform(4, 4, 8), 1.0, 7)
+        else:
+            records = rr_hdcr(log, self.SPACE, HdcrParams(4, 2, 0, 32, 4), 1.0, 7)
+        buf = io.StringIO()
+        _write_rr(records, self.SPACE, buf, fmt)
+        assert buf.getvalue() == reference_rr(records, self.SPACE, fmt)
+
+
+def reference_rr(records, space: ResponseSpace, fmt: str) -> str:
+    """The replaced writer: running sums by a loop, one dict or ``writerow`` per row."""
+    fh = io.StringIO()
+    cumulative = np.zeros(space.size)
+    cum_var = np.zeros(space.size)
+    rows = []
+    for rec in records:
+        if rec.node_count is None:
+            cumulative = cumulative + rec.estimate.values
+            cum_var = cum_var + np.diag(rec.estimate.covariance)
+            rows.append((rec.time, cumulative.copy(), cum_var.copy(), None))
+        else:
+            rows.append(
+                (rec.time, rec.estimate.values, np.diag(rec.estimate.covariance), rec.node_count)
+            )
+    if fmt == "jsonl":
+        for t, values, variances, node_count in rows:
+            rec = {"t": t, "estimate": values.tolist(), "variance": variances.tolist()}
+            if node_count is not None:
+                rec["node_count"] = node_count
+            fh.write(json.dumps(rec))
+            fh.write("\n")
+    else:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"{kind}_{l}" for kind in ("vhat", "var") for l in space.labels])
+        for t, values, variances, _ in rows:
+            writer.writerow([t] + [repr(float(v)) for v in (*values, *variances)])
+    return fh.getvalue()
+
+
 NOISE_SEEDS = range(20)
 NOISE_RELEASES = {
     "dcr": {"release.schedule": {"start": 8, "interval": 8, "count": 400}},
@@ -651,6 +709,8 @@ class TestInputFailures:
             ("generate", ['generator.value_range=["0","100"]'], "log"),
             ("generate", ["generator.labels=[1,2]"], "log"),
             ("generate", ["generator.value_range=[1e307,1e308]"], "log"),
+            ("run", ["seed=-1"], "log"),
+            ("generate", ["seed=18446744073709551616"], "log"),
         ],
         ids=["nan-epsilon", "infinite-epsilon", "missing-log", "unsorted-log",
              "bad-threshold", "hierarchy-too-flat", "rr-zero-epsilon", "zero-delta-slack",
@@ -670,7 +730,8 @@ class TestInputFailures:
              "numeric-labels-account", "integer-epsilon-beyond-float", "rr-overflowing-epsilon",
              "subnormal-epsilon", "overflowing-bounds-width", "string-bounds", "boolean-bounds",
              "string-threshold", "string-table-value", "string-value-range",
-             "numeric-generator-labels", "value-range-beyond-rounding"],
+             "numeric-generator-labels", "value-range-beyond-rounding", "negative-seed",
+             "seed-beyond-64-bits"],
     )
     def test_exits_2_without_traceback(self, tmp_path, cfg, capsys, command, overrides, changelog):
         log = tmp_path / "log.jsonl"

@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import io
 import json
 import math
+import os
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -751,6 +753,65 @@ class TestSerialization:
         result = ReleaseResult(starts, ends, noisy, exact,
                                None if node_variance is None else counts, node_variance)
         assert jsonl(result, include_exact) == dumps_jsonl(result, include_exact)
+
+    @pytest.mark.parametrize("include_exact", [False, True])
+    def test_csv_rows_equal_csv_writer(self, include_exact):
+        # the json.dumps inputs above, with a -inf start in a later row as well
+        for node_count, node_variance in [(None, None), ([1, 2**64 + 1, 0, 3], 1 / 3),
+                                          ([1, 3, 3, 0], math.nan)]:
+            result = ReleaseResult(
+                [float("-inf"), -(2**70), float("-inf"), 4], [3, 2**70 + 1, 9, 9],
+                [-0.0, 5e-324, 1e16, math.inf],
+                [0.1 + 0.2, -2.2250738585072014e-308, math.nan, -math.inf],
+                node_count, node_variance,
+            )
+            assert csv_rows(result, include_exact) == writer_csv(result, include_exact)
+            assert jsonl(result, include_exact) == dumps_jsonl(result, include_exact)
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(float("-inf")), st.integers(-(2**70), 2**70)),
+        st.integers(1, 2**70), st.floats(), st.floats(), st.integers(0, 2**70),
+    ), max_size=8), st.one_of(st.none(), st.floats()), st.booleans())
+    def test_csv_rows_equal_csv_writer_for_any_floats(self, rows, node_variance, include_exact):
+        starts, widths, noisy, exact, counts = map(list, zip(*rows)) if rows else ([],) * 5
+        ends = [(0 if start == float("-inf") else start) + width
+                for start, width in zip(starts, widths)]
+        result = ReleaseResult(starts, ends, noisy, exact,
+                               None if node_variance is None else counts, node_variance)
+        assert csv_rows(result, include_exact) == writer_csv(result, include_exact)
+
+    @pytest.mark.parametrize("write", [result_to_csv, result_to_jsonl])
+    def test_writing_holds_one_block(self, write):
+        # rows are formatted a block at a time, so memory does not grow with the release
+        n = 50_000
+        result = ReleaseResult([float("-inf"), *range(1, n)], range(1, n + 1),
+                               np.linspace(-1e6, 1e6, n).tolist(), np.arange(n, dtype=float).tolist(),
+                               [1 + i % 13 for i in range(n)], 0.5)
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                write(result, fh, include_exact=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def csv_rows(result: ReleaseResult, include_exact: bool) -> str:
+    buf = io.StringIO()
+    result_to_csv(result, buf, include_exact)
+    return buf.getvalue()
+
+
+def writer_csv(result: ReleaseResult, include_exact: bool) -> str:
+    """The reference writer: one ``csv.writer`` row per record, floats by ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["query_index", "t_start", "t_end", "noisy"] + ["exact"] * include_exact)
+    for i, r in enumerate(result.records):
+        writer.writerow([i, r.window.start, r.window.end, repr(r.noisy)]
+                        + [repr(r.exact)] * include_exact)
+    return buf.getvalue()
 
 
 def jsonl(result: ReleaseResult, include_exact: bool) -> str:
