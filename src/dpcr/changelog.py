@@ -22,7 +22,9 @@ numpy, so no per-record Python check runs on a well-formed log. Each check
 also writes its own error message. When a block fails, each of its lines
 is checked alone by the same code, and the first bad line is named as
 ``path:lineno``. Chain validation likewise builds its message from the
-first broken row it finds.
+first broken row it finds. Both logs are written, as every release row
+is, by one row writer (``write_rows``): column texts, ``BLOCK_LINES``
+rows at a time.
 
 Time is an integer tick that must fit in a signed 64-bit integer.
 Values are 64-bit floats; an absent value is ``None`` in a ``Mutation``
@@ -31,14 +33,15 @@ and a false presence flag in the columns, never a sentinel number.
 
 from __future__ import annotations
 
+import csv
 import json
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -570,8 +573,62 @@ def load_changelog(path: str | Path) -> Changelog:
 
 
 def dump_changelog(log: Changelog, path: str | Path) -> None:
-    """Write a changelog in the JSON Lines interchange format."""
+    """Write a changelog in the JSON Lines interchange format.
+
+    Each line is what ``json.dumps`` writes for ``{"entry", "t", "prev",
+    "new"}``, an absent value ``null``. The lines are written by the row
+    writer (``write_rows``) from column texts, ``BLOCK_LINES`` at a time.
+    """
+    columns = entry_columns(log)
+    for name, values, present in (("prev", log.prev, log.has_prev), ("new", log.new, log.has_new)):
+        columns[name] = lambda rows, x=values, p=present: _nulled(
+            float_texts(x[rows], "jsonl"), p[rows]
+        )
     with open(path, "w", encoding="utf-8") as fh:
-        for t, entry, prev, new in log._records(slice(None)):
-            fh.write(json.dumps({"entry": entry, "t": t, "prev": prev, "new": new}))
-            fh.write("\n")
+        write_rows(fh, "jsonl", len(log), columns)
+
+
+def entry_columns(log: Changelog) -> dict[str, Callable[[slice], list[str]]]:
+    """The ``write_rows`` columns ``"entry"`` and ``"t"`` of a log's rows, as
+    ``json.dumps`` writes them; each entry id is dumped once."""
+    ids = list(map(json.dumps, log.ids))
+    return {
+        "entry": lambda rows: list(map(ids.__getitem__, log.codes[rows].tolist())),
+        "t": lambda rows: list(map(str, log.times[rows].tolist())),
+    }
+
+
+def _nulled(texts: list[str], present: np.ndarray) -> list[str]:
+    """``texts`` with ``null`` where a value is absent."""
+    for i in np.flatnonzero(~present).tolist():
+        texts[i] = "null"
+    return texts
+
+
+def write_rows(
+    fh: IO[str], fmt: str, length: int, columns: Mapping[str, Callable[[slice], Iterable[str]]]
+) -> None:
+    """Write ``length`` rows as CSV or JSON Lines (``fmt``), one string per ``BLOCK_LINES``
+    rows: ``columns`` maps each column's name to the value texts of a slice of its rows.
+    CSV joins each row with ``,`` under a header ``csv.writer`` quotes; JSON Lines writes
+    each row as ``json.dumps`` writes an object with the columns as keys, in order."""
+    if fmt == "csv":
+        csv.writer(fh, lineterminator="\n").writerow(columns)
+        leads, end = ["", *[","] * (len(columns) - 1)], "\n"
+    else:
+        leads, end = [f", {json.dumps(name)}: " for name in columns], "}\n"
+        leads[0] = "{" + leads[0][2:]
+    for first in range(0, length, BLOCK_LINES):
+        texts = (column(slice(first, first + BLOCK_LINES)) for column in columns.values())
+        cells = chain.from_iterable(zip(map(repeat, leads), texts))
+        fh.write("".join(chain.from_iterable(zip(*cells, repeat(end)))))
+
+
+def float_texts(values: Sequence[float], fmt: str) -> list[str]:
+    """``float.__repr__`` of each value; in JSON Lines, ``json.dumps``'s non-finite names."""
+    values = np.asarray(values, dtype=float)
+    texts = list(map(float.__repr__, values.tolist()))
+    if fmt == "jsonl":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[texts[i]]
+    return texts

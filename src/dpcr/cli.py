@@ -12,7 +12,7 @@ in the header is meaningless otherwise.
 
 Exit codes: 0 success; 2 a refused config value, ``compare`` argument or
 input file, with a ``config error:`` message naming what was refused, or
-an allocation failure (the release needs more memory than the process
+an allocation failure (the command needs more memory than the process
 may use); 3 a constraint violation; 4 a failed verification. Every
 refusal of a library value passes through one helper, ``_refused``, and
 so does a release with more windows or grid units than an int64 can index.
@@ -52,23 +52,22 @@ from .changelog import (
     MutationConstraint,
     TimeBounded,
     dump_changelog,
+    float_texts,
     load_changelog,
     sorted_columns,
-    to_columns,
     validate_constraint,
+    write_rows,
 )
 from .engines import (
     check_prefix_cover,
     compare_hdcr_swcr,
     derive_swcr_from_hdcr,
-    float_texts,
     result_to_csv,
     result_to_jsonl,
     run_dcr,
     run_hdcr,
     run_swcr,
     swcr_equivalent_hdcr_params,
-    write_rows,
 )
 from .mechanisms import LinearQuerySpec, NoiseSpec, named_stream, sensitivity
 from .randomized_response import (
@@ -105,7 +104,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print("config error: the release needs more memory than this process may use",
+        command = args.handler.__name__.removeprefix("cmd_")
+        print(f"config error: {command} needs more memory than this process may use",
               file=sys.stderr)
         return 2
 
@@ -454,6 +454,9 @@ def _generator_params(cfg: Mapping) -> tuple[int, int, MutationConstraint, float
     horizon = _get(cfg, "generator.horizon", int)
     if entries < 1 or horizon < 1:
         raise ConfigError("generator.entries and generator.horizon must be >= 1")
+    if horizon > INT64_MAX:
+        raise ConfigError(f"generator.horizon must be at most 2**63 - 1, so that every time "
+                          f"in [0, horizon] fits in int64, got {horizon}")
     constraint = constraint_from_config(
         _get(cfg, "generator.constraint", dict), "generator.constraint"
     )
@@ -463,36 +466,47 @@ def _generator_params(cfg: Mapping) -> tuple[int, int, MutationConstraint, float
     return entries, horizon, constraint, rate
 
 
-def _pick_branch(constraint: MutationConstraint, rng: np.random.Generator):
+def _leaves(constraint: MutationConstraint, share: float = 1.0) -> list[tuple]:
+    """``(leaf, probability)`` of each atomic constraint of a hybrid, where every level
+    picks one of its branches uniformly."""
     if isinstance(constraint, Hybrid):
-        choice = constraint.branches[int(rng.integers(0, len(constraint.branches)))]
-        return _pick_branch(choice, rng)
-    return constraint
+        share /= len(constraint.branches)
+        return [leaf for branch in constraint.branches for leaf in _leaves(branch, share)]
+    return [(constraint, share)]
 
 
-def _mutation_times(
-    rng: np.random.Generator, t0: int, horizon: int, branch, rate: float
-) -> list[int]:
-    if isinstance(branch, AtMostK):
-        budget, last = branch.k - 1, horizon
-    else:
-        budget, last = 4, min(horizon, t0 + branch.bound)
-    times = [t0]
-    if budget > 0 and last > t0:
-        extra = int(rng.binomial(budget, rate))
-        if extra:
-            times += np.unique(rng.integers(t0 + 1, last + 1, size=extra)).tolist()
-    return times
+def _addressable(rows) -> None:
+    """Raise MemoryError for more rows than an int64 column can hold in memory."""
+    if rows > sys.maxsize // 8:
+        raise MemoryError(f"{rows} rows do not fit in an int64 column")
 
 
 def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> Changelog:
     """Synthesize a log under the declared constraint, sorted by ``(time, entry)``.
 
-    With a response space the values are answer-log label codes, each
-    answer differing from the one before; without one they are drawn
-    from ``generator.value_range`` and rounded to 6 decimals. Only the
-    stream name and the value draws differ between the two kinds. Every
-    entry is checked against the constraint.
+    Entry ``i`` is ``e{i:06d}``. Every draw comes from one stream per log,
+    ``(seed, "generate")``, or ``(seed, "generate-answers")`` with a response
+    space, as one array per step, in this order:
+
+    - each entry's insertion time ``t0``, uniform in ``[0, horizon)``;
+    - its constraint leaf: a hybrid picks one of its branches uniformly,
+      level by level;
+    - its count of extra mutations, ``Binomial(budget, mutation_rate)``,
+      where the budget is ``k - 1`` for at-most-k and 4 for a time bound,
+      and 0 when no tick follows ``t0`` within reach;
+    - the extra times, uniform in ``(t0, last]``, where ``last`` is the
+      horizon, or ``t0 + bound`` if earlier; repeated times of one entry
+      count once;
+    - the values of each entry's chain, insertion first. Without a space
+      they are uniform in ``generator.value_range``, rounded to 6
+      decimals. With one they are label codes: the first uniform, each
+      later one uniform among the labels other than the one before it;
+    - whether an entry with more than one mutation ends with a deletion,
+      with probability ``0.25 * mutation_rate``.
+
+    A budget or bound past the horizon is capped at the horizon, which no
+    entry's distinct extra times can exceed. The log is checked against
+    the constraint before it is returned.
     """
     entries, horizon, constraint, rate = _generator_params(cfg)
     if space is None:
@@ -502,38 +516,61 @@ def generate_log(cfg: Mapping, seed: int, space: ResponseSpace | None) -> Change
         if not (low <= high and math.isfinite(high - low) and math.isfinite(max(-low, high) * 1e6)):
             raise ConfigError(f"generator.value_range must be finite [low, high], and finite "
                               f"times 1e6, got {value_range}")
-        stream = "generate"
-
-        def draw(rng: np.random.Generator, value: float | None) -> float:
-            return float(np.round(rng.uniform(low, high), 6))
+    rng = named_stream(seed, "generate" if space is None else "generate-answers")
+    times, lengths = _chain_times(rng, entries, horizon, constraint, rate)
+    first = np.cumsum(lengths) - lengths  # each entry's insertion row
+    inserted = np.zeros(len(times), dtype=bool)
+    inserted[first] = True
+    if space is None:
+        new = np.round(rng.uniform(low, high, size=len(times)), 6)
     else:
-        stream = "generate-answers"
-
-        def draw(rng: np.random.Generator, value: float | None) -> float:
-            if value is None:
-                return float(rng.integers(0, space.size))
-            other = int(rng.integers(0, space.size - 1))  # an index among the other labels
-            return float(other + (other >= value))
-
-    rows: list[tuple[int, str, float | None, float | None]] = []
-    for i in range(entries):
-        rng = named_stream(seed, stream, i)
-        eid = f"e{i:06d}"
-        times = _mutation_times(
-            rng, int(rng.integers(0, horizon)), horizon, _pick_branch(constraint, rng), rate
-        )
-        value = None
-        for t in times:
-            new_value = draw(rng, value)
-            rows.append((t, eid, value, new_value))
-            value = new_value
-        if len(times) > 1 and rng.random() < 0.25 * rate:
-            t, _, prev, _ = rows.pop()
-            rows.append((t, eid, prev, None))
-    log = Changelog.from_columns(*sorted_columns(to_columns(rows)))
+        # a later answer moves 1 to size - 1 labels on from the one before it
+        steps = rng.integers(0, np.where(inserted, space.size, space.size - 1)) + ~inserted
+        total = np.cumsum(steps)
+        new = ((total - np.repeat(total[first] - steps[first], lengths)) % space.size).astype(float)
+    has_new = np.ones(len(times), dtype=bool)
+    has_new[(first + lengths - 1)[(rng.random(entries) < 0.25 * rate) & (lengths > 1)]] = False
+    prev = np.empty_like(new)
+    prev[0], prev[1:] = 0.0, new[:-1]
+    codes = np.repeat(np.arange(entries), lengths)
+    ids = [f"e{i:06d}" for i in range(entries)]
+    columns = sorted_columns((times, codes, ids, prev, new, ~inserted, has_new))
+    # the rows in entry order are no longer needed once sorted
+    del times, codes, prev, new, inserted, has_new
+    log = Changelog.from_columns(*columns)
     if not validate_constraint(log, constraint).all():
         raise AssertionError("generator produced a constraint-violating entry")
     return log
+
+
+def _chain_times(
+    rng: np.random.Generator, entries: int, horizon: int, constraint: MutationConstraint,
+    rate: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry's mutation times, entry by entry, each its insertion time and then its
+    extra times in order, and each entry's count of them (``generate_log``'s first draws)."""
+    _addressable(entries)
+    starts = rng.integers(0, horizon, size=entries)
+    leaves, shares = zip(*_leaves(constraint))
+    leaf = rng.choice(len(leaves), size=entries, p=shares)
+    budget = np.array([min(b.k - 1, horizon) if isinstance(b, AtMostK) else 4 for b in leaves])
+    reach = np.array([horizon if isinstance(b, AtMostK) else min(b.bound, horizon) for b in leaves])
+    last = starts + np.minimum(reach[leaf], horizon - starts)
+    extra = rng.binomial(np.where(last > starts, budget[leaf], 0), rate)
+    _addressable(entries + extra.sum(dtype=float))
+    owner = np.repeat(np.arange(entries), extra)
+    times = rng.integers(np.repeat(starts + 1, extra), np.repeat(last, extra), endpoint=True)
+    # each entry's extra times in order, a repeated time once
+    order = np.lexsort((times, owner))
+    owner, times = owner[order], times[order]
+    fresh = np.ones(len(times), dtype=bool)
+    fresh[1:] = (owner[1:] != owner[:-1]) | (times[1:] != times[:-1])
+    owner, times = owner[fresh], times[fresh]
+    lengths = 1 + np.bincount(owner, minlength=entries)
+    chain_times = np.empty(entries + len(times), dtype=np.int64)
+    chain_times[np.cumsum(lengths) - lengths] = starts
+    chain_times[np.arange(len(times)) + owner + 1] = times
+    return chain_times, lengths
 
 
 # -- run ----------------------------------------------------------------------

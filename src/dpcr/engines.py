@@ -14,8 +14,9 @@ it does not depend on evaluation order, and extending a schedule or a
 span leaves earlier values' noise unchanged. A release evaluates ``f``
 once per mutation (``_change_terms``). Exact values ride along in the
 in-memory results for verification; the writers drop them unless asked.
-``write_rows`` writes every release row, Laplace or randomized response, CSV
-or JSON Lines, from column texts a block at a time; ``float_texts`` every float.
+``changelog.write_rows`` writes every release row, Laplace or randomized
+response, CSV or JSON Lines, from column texts a block at a time;
+``changelog.float_texts`` formats every float.
 
 Every value is one ordered sum (``_ordered_sums``): a run of table rows,
 floats or vectors, added left to right from ``0.0``, overflowing to ``inf``
@@ -32,26 +33,24 @@ one-node layer, so a prefix release values only the layers up to it
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .accounting import HdcrParams, ReleaseSchedule, SwcrParams
 from .changelog import (
-    BLOCK_LINES,
     NEG_INF,
     AtMostK,
     Changelog,
     Hybrid,
     TimeBounded,
     TimeRangeFilter,
+    float_texts,
+    write_rows,
 )
 from .mechanisms import LinearQuerySpec, NoiseSpec, named_stream, perturb
 
@@ -504,32 +503,3 @@ def _write_result(result: ReleaseResult, fh: IO[str], fmt: str, include_exact: b
     if include_exact:
         columns["exact"] = lambda rows: float_texts(result.exact[rows], fmt)
     write_rows(fh, fmt, len(result.noisy), columns)
-
-
-def write_rows(
-    fh: IO[str], fmt: str, length: int, columns: Mapping[str, Callable[[slice], Iterable[str]]]
-) -> None:
-    """Write ``length`` rows as CSV or JSON Lines (``fmt``), one string per ``BLOCK_LINES``
-    rows: ``columns`` maps each column's name to the value texts of a slice of its rows.
-    CSV joins each row with ``,`` under a header ``csv.writer`` quotes; JSON Lines writes
-    each row as ``json.dumps`` writes an object with the columns as keys, in order."""
-    if fmt == "csv":
-        csv.writer(fh, lineterminator="\n").writerow(columns)
-        leads, end = ["", *[","] * (len(columns) - 1)], "\n"
-    else:
-        leads, end = [f", {json.dumps(name)}: " for name in columns], "}\n"
-        leads[0] = "{" + leads[0][2:]
-    for first in range(0, length, BLOCK_LINES):
-        texts = (column(slice(first, first + BLOCK_LINES)) for column in columns.values())
-        cells = chain.from_iterable(zip(map(repeat, leads), texts))
-        fh.write("".join(chain.from_iterable(zip(*cells, repeat(end)))))
-
-
-def float_texts(values: Sequence[float], fmt: str) -> list[str]:
-    """``float.__repr__`` of each value; in JSON Lines, ``json.dumps``'s non-finite names."""
-    values = np.asarray(values, dtype=float)
-    texts = list(map(float.__repr__, values.tolist()))
-    if fmt == "jsonl":
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            texts[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[texts[i]]
-    return texts

@@ -29,11 +29,14 @@ from .changelog import (
     Changelog,
     ConsistencyError,
     Mutation,
+    _nulled,
     _optional,
     chains,
+    entry_columns,
     read_columns,
     sorted_columns,
     to_columns,
+    write_rows,
 )
 from .engines import check_prefix_cover, cover_sums, node_table
 from .mechanisms import named_stream
@@ -380,12 +383,24 @@ def answer_values(space: ResponseSpace) -> Callable[[list[dict]], tuple[np.ndarr
 
 
 def dump_answer_log(log: Changelog, space: ResponseSpace, path: str | Path) -> None:
-    """Write an answer changelog in the JSON Lines answer-log format."""
+    """Write an answer changelog in the JSON Lines answer-log format.
+
+    Each line is what ``json.dumps`` writes for ``{"entry", "t",
+    "answer"}``: the label of the row's value code, ``null`` for a
+    deletion. The lines are written by the row writer (``write_rows``)
+    from column texts, ``BLOCK_LINES`` at a time; each label is dumped once.
+    """
+    labels = list(map(json.dumps, space.labels))
+
+    def answers(rows: slice) -> list[str]:
+        present = log.has_new[rows]
+        # an absent value's slot may hold anything, so label 0 stands in before the patch
+        codes = np.where(present, log.new[rows], 0).astype(np.int64)
+        return _nulled(list(map(labels.__getitem__, codes.tolist())), present)
+
+    columns = {**entry_columns(log), "answer": answers}
     with open(path, "w", encoding="utf-8") as fh:
-        for t, entry, _, new in log._records(slice(None)):
-            answer = None if new is None else space.labels[int(new)]
-            fh.write(json.dumps({"entry": entry, "t": t, "answer": answer}))
-            fh.write("\n")
+        write_rows(fh, "jsonl", len(log), columns)
 
 
 def net_mutation(batch: Sequence[Mutation]) -> tuple[float | None, float | None]:

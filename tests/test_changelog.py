@@ -26,7 +26,7 @@ from dpcr.changelog import (
     without_entry,
 )
 from dpcr.oracles import apply_mutations, snapshot_at
-from dpcr.randomized_response import answer_changelog
+from dpcr.randomized_response import ResponseSpace, answer_changelog, dump_answer_log
 
 from conftest import changelogs
 
@@ -441,3 +441,69 @@ class TestJsonl:
         path.write_text('{"entry": "a", "t": 5, "prev": "oops", "new": 1.0}\n')
         with pytest.raises(ConsistencyError, match="bad.jsonl:1"):
             load_changelog(path)
+
+
+def reference_dump(records, path) -> None:
+    """The per-line writer: one ``json.dumps`` of each record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
+# ids and labels a JSON writer must escape: quotes, backslashes, control
+# characters, separators and non-ASCII text
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(["a,b", 'c"d', "été", "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "😀"]),
+    st.text(min_size=0, max_size=6),
+)
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+EDGE_TIMES = st.one_of(st.sampled_from([-(2**63 - 1), 2**63 - 1, -(2**63), 0]),
+                       st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def chains_of(draw, values) -> list[tuple[int, str, object]]:
+    """``(t, entry, new)`` steps of a few entries, each entry's steps at distinct times;
+    ``new`` is ``None`` for a deletion, which only follows a present value, so an
+    entry may be deleted and inserted again."""
+    steps = []
+    for entry in draw(st.sets(AWKWARD_TEXT, max_size=4)):
+        present = False
+        for t in sorted(draw(st.sets(EDGE_TIMES, min_size=1, max_size=5))):
+            new = draw(st.one_of(st.none(), values)) if present else draw(values)
+            steps.append((t, entry, new))
+            present = new is not None
+    return steps
+
+
+class TestDumpWriters:
+    @given(chains_of(EDGE_VALUES))
+    def test_changelog_equals_the_per_line_writer(self, tmp_path_factory, steps):
+        muts, held = [], {}
+        for t, entry, new in steps:
+            muts.append(Mutation(t, entry, held.get(entry), new))
+            held[entry] = new
+        log = Changelog.from_unsorted(muts)
+        root = tmp_path_factory.mktemp("dump")
+        dump_changelog(log, root / "out.jsonl")
+        reference_dump(({"entry": m.entry_id, "t": m.time, "prev": m.prev_value,
+                         "new": m.new_value} for m in log), root / "ref.jsonl")
+        assert (root / "out.jsonl").read_bytes() == (root / "ref.jsonl").read_bytes()
+
+    @given(st.lists(AWKWARD_TEXT, min_size=2, max_size=5, unique=True).flatmap(
+        lambda labels: st.tuples(st.just(labels), chains_of(st.integers(0, len(labels) - 1)))
+    ))
+    def test_answer_log_equals_the_per_line_writer(self, tmp_path_factory, drawn):
+        labels, steps = drawn
+        space = ResponseSpace(tuple(labels))
+        log = answer_changelog((t, entry, None if new is None else float(new))
+                               for t, entry, new in steps)
+        root = tmp_path_factory.mktemp("dump")
+        dump_answer_log(log, space, root / "out.jsonl")
+        reference_dump(({"entry": m.entry_id, "t": m.time,
+                         "answer": None if m.new_value is None else labels[int(m.new_value)]}
+                        for m in log), root / "ref.jsonl")
+        assert (root / "out.jsonl").read_bytes() == (root / "ref.jsonl").read_bytes()

@@ -17,7 +17,14 @@ from hypothesis import given
 
 import dpcr
 from dpcr.accounting import HdcrParams, ReleaseSchedule
-from dpcr.changelog import AtMostK, dump_changelog, load_changelog, validate_constraint
+from dpcr.changelog import (
+    AtMostK,
+    Changelog,
+    chains,
+    dump_changelog,
+    load_changelog,
+    validate_constraint,
+)
 from dpcr.randomized_response import (
     ResponseSpace,
     answer_changelog,
@@ -26,7 +33,7 @@ from dpcr.randomized_response import (
     rr_dcr,
     rr_hdcr,
 )
-from dpcr.cli import _write_rr, main
+from dpcr.cli import _write_rr, constraint_from_config, generate_log, main
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -99,8 +106,8 @@ class TestGenerate:
         assert dumped.read_bytes() == generated.read_bytes()
 
     @pytest.mark.parametrize("labels, digest", [
-        (None, "34d37a17aaafdf602b6a1536da32a07ffd1378724a7c38560239f429e96c8ab2"),
-        (["yes", "no", "maybe"], "d6d22ff043b0345a5e14cab376f546d233236376433dbc759014623d8ebcd04a"),
+        (None, "ca48e8207e92318cfc03b4f29206eb82bc06ccf0378ff1764a8bb137e5c586db"),
+        (["yes", "no", "maybe"], "adeaf57dc67fc791d1bd0021db56ebea87ff9605fc9ca990f6e6983493fccd96"),
     ], ids=["changelog", "answers"])
     def test_generated_bytes_are_pinned(self, tmp_path, cfg, labels, digest):
         # a change to the seeded streams, the draws or the writers changes these
@@ -126,6 +133,109 @@ class TestGenerate:
         for eid in log.ids:
             chain = log.for_entry(eid)
             assert chain[-1].time - chain[0].time <= 5
+
+
+def generated(seed: int = 3, labels=None, **generator) -> "Changelog":
+    """``generate_log`` in process on a generator config: 4,000 entries over a
+    horizon of 10**9 ticks unless overridden, where two draws of an entry rarely
+    share a tick."""
+    cfg = {"entries": 4000, "horizon": 10**9, "mutation_rate": 0.5,
+           "value_range": [0.0, 100.0], **generator}
+    space = ResponseSpace(tuple(labels)) if labels else None
+    return generate_log({"generator": cfg}, seed, space)
+
+
+def chain_lengths(log) -> np.ndarray:
+    return np.bincount(log.codes, minlength=len(log.ids))
+
+
+def within(count: int, n: int, p: float, z: float = 5.0) -> bool:
+    """``count`` of ``n`` Bernoulli(p) trials lies within ``z`` standard errors of ``n p``."""
+    return abs(count - n * p) <= z * math.sqrt(n * p * (1 - p)) + 1e-9
+
+
+class TestGeneratorModel:
+    """Seeded logs follow the model ``generate_log`` documents, to within five
+    standard errors of each share."""
+
+    def test_hybrid_leaf_shares(self):
+        # rate 1 draws every budgeted extra, so a chain's length names its leaf:
+        # 1 for k = 1, 3 for k = 3, 5 for the time bound, picked as 1/2, 1/4, 1/4
+        constraint = {"kind": "hybrid", "branches": [
+            {"kind": "at_most_k", "k": 1},
+            {"kind": "hybrid", "branches": [{"kind": "at_most_k", "k": 3},
+                                            {"kind": "time_bounded", "bound": 10**6}]}]}
+        lengths = chain_lengths(generated(mutation_rate=1.0, constraint=constraint))
+        n = len(lengths)
+        assert set(lengths.tolist()) <= {1, 2, 3, 4, 5}
+        assert within(np.count_nonzero(lengths == 1), n, 0.5)
+        assert within(np.count_nonzero(lengths == 3), n, 0.25)
+        assert within(np.count_nonzero(lengths >= 4), n, 0.25)
+
+    @pytest.mark.parametrize("constraint, budget", [
+        ({"kind": "at_most_k", "k": 4}, 3), ({"kind": "time_bounded", "bound": 10**6}, 4),
+    ], ids=["at_most_k", "time_bounded"])
+    def test_chain_lengths_per_leaf(self, constraint, budget):
+        # 1 + Binomial(budget, rate) mutations per entry
+        lengths = chain_lengths(generated(constraint=constraint))
+        for extra in range(budget + 1):
+            p = math.comb(budget, extra) * 0.5**budget
+            assert within(np.count_nonzero(lengths == 1 + extra), len(lengths), p), extra
+        assert lengths.max() <= 1 + budget
+
+    @pytest.mark.parametrize("constraint, reach", [
+        ({"kind": "at_most_k", "k": 6}, None), ({"kind": "time_bounded", "bound": 7}, 7),
+        ({"kind": "hybrid", "branches": [{"kind": "at_most_k", "k": 2},
+                                         {"kind": "time_bounded", "bound": 3}]}, None),
+    ], ids=["at_most_k", "time_bounded", "hybrid"])
+    def test_extra_times_fall_after_the_insertion(self, constraint, reach):
+        # every extra time is in (t0, last]: last is the horizon, or t0 + bound if earlier
+        horizon = 50
+        log = generated(horizon=horizon, constraint=constraint)
+        chain, starts = chains(log.codes)
+        times, owner = log.times[chain], log.codes[chain]
+        t0 = times[starts][owner]
+        assert ((0 <= t0) & (t0 < horizon)).all()
+        extra = ~starts
+        assert (times[extra] > t0[extra]).all() and (times[extra] <= horizon).all()
+        assert (np.diff(times)[extra[1:]] > 0).all()  # each time once per entry
+        if reach is not None:
+            assert (times[extra] <= t0[extra] + reach).all()
+        assert validate_constraint(log, constraint_from_config(constraint, "c")).all()
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    def test_deletion_rate(self, rate):
+        # an entry with more than one mutation ends with a deletion w.p. 0.25 * rate
+        log = generated(mutation_rate=rate, constraint={"kind": "at_most_k", "k": 4})
+        lengths = chain_lengths(log)
+        assert log.has_prev[~log.has_new].all()  # only a later mutation deletes
+        deleted = np.zeros(len(lengths), dtype=bool)
+        deleted[log.codes[~log.has_new]] = True
+        several = lengths > 1
+        assert not deleted[~several].any()
+        assert within(np.count_nonzero(deleted[several]), np.count_nonzero(several), 0.25 * rate)
+
+    def test_answers_differ_from_the_one_before(self):
+        labels = ["a", "b", "c", "d"]
+        log = generated(labels=labels, constraint={"kind": "at_most_k", "k": 5})
+        changed = log.has_prev & log.has_new
+        assert changed.any() and (log.prev[changed] != log.new[changed]).all()
+        # the first answer is uniform over the labels, a later one over the other labels
+        first = log.new[~log.has_prev].astype(int)
+        for label in range(len(labels)):
+            assert within(np.count_nonzero(first == label), len(first), 1 / len(labels))
+        moves = ((log.new[changed] - log.prev[changed]) % len(labels)).astype(int)
+        for move in range(1, len(labels)):
+            assert within(np.count_nonzero(moves == move), len(moves), 1 / (len(labels) - 1))
+
+    @pytest.mark.parametrize("labels", [None, ["a", "b"]], ids=["changelog", "answers"])
+    @pytest.mark.parametrize("entries, horizon", [(1, 64), (50, 1), (1, 1)])
+    def test_smallest_sizes(self, labels, entries, horizon):
+        log = generated(entries=entries, horizon=horizon, labels=labels,
+                        constraint={"kind": "at_most_k", "k": 3})
+        assert len(log.ids) == entries and ((0 <= log.times) & (log.times <= horizon)).all()
+        if horizon == 1:  # t0 = 0, and the one tick after it at most once
+            assert (chain_lengths(log) <= 2).all()
 
 
 class TestRun:
@@ -372,21 +482,21 @@ ROW_RELEASES = {
 # SHA-256 of each release's rows, everything after the header line
 ROW_DIGESTS = {
     ("dcr", "csv"):
-        "62626f2aa133454de6def838212753cc981d9866868f6aec176dd228ea5f05af",
+        "820140c5501aafecaf2cbfd717725c2a3439e2694061c9467546f3cfb26f7a7d",
     ("dcr", "jsonl"):
-        "e6ad0d3a02413db16ef69631261a5fd76791eef28b9220129bfc205ae9bdc4fc",
+        "56f8b39ff9e863569cf0b833af4aa67f89a0e849c076b2cd8efbdfc08edb57fc",
     ("swcr", "csv"):
-        "6f9b8d92f2987a87208f4df16b6b0669372137df7d4b9603b9b72d302f352ed0",
+        "4e6f52a42ea495c4c1c32d524c36ba039f78b1a5e02ad0f41357e55e6e8d8bf0",
     ("swcr", "jsonl"):
-        "2a0701f96a85a3bc78d80c62382da330a720b8ed8ec93de5d3f4c0af436686c6",
+        "7a5ffd0e0e2fda7484a172c6c502d3ef5b739be62544b2f0b08c1c5c9a23759c",
     ("rr-dcr", "csv"):
-        "2d259ffbfae15d9b3ca8ed13390efa353b0923849f17050758e7cae30f44d9bf",
+        "31483b2fb3676a04b9ba1f86fac6025ced6d07e103966ceaa3c465fa6fb350f1",
     ("rr-dcr", "jsonl"):
-        "79de4b7549fcdfaea265dd1ad05ffe938b2998bb1bbba846c19efa599518a3e1",
+        "4a0a21a71172531ddd9cab629adb5327d85a8ea61aeb91db270a0bcab56b9cc5",
     ("rr-hdcr", "csv"):
-        "c11c19c1b56ef3519d39d2758f1617004b877313357559968cb04d74622012d7",
+        "7839423750c78c59081bed2e6081d608c7cef6e87eea734f45442f75d8b65c21",
     ("rr-hdcr", "jsonl"):
-        "12fd304d60d2c18f571aa8088a6e949e0dac337deb041a16832ae4c5e3de9ffe",
+        "8d8683eeda1c03272b7c85500ffc8cc9b87d7b0492ef3df2d1c1634db45b79f9",
 }
 
 
@@ -1135,6 +1245,10 @@ SIZE_FIELDS = {
     "rr-dcr": ["release.schedule.count"],
     "rr-hdcr": ["release.span", "release.height"],
 }
+# the generator fields that size a log: its entry count, its horizon in ticks
+# and an entry's budget of mutations or reach in ticks
+GENERATOR_SIZE_FIELDS = ["generator.entries", "generator.horizon", "generator.constraint.k",
+                         "generator.constraint.bound"]
 # a hierarchy of unit intervals tall enough to cover any span up to 2**80 ticks,
 # so that a wide span is planned rather than refused as too flat
 TALL = ["--set", "release.interval=1", "--set", "release.height=80"]
@@ -1169,6 +1283,23 @@ class TestSizeFields:
         proc = _probe(argv)
         assert proc.returncode in (0, 2, 3), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", [10**12, 10**20], ids=["1e12", "1e20"])
+    @pytest.mark.parametrize("field", GENERATOR_SIZE_FIELDS)
+    @pytest.mark.parametrize("release", ["dcr", "rr-dcr"], ids=["changelog", "answers"])
+    def test_generate_exits_0_or_2(self, fuzz_inputs, release, field, value):
+        """A generator size field at 10**12 or 10**20 generates (a budget or bound past the
+        horizon draws as one at the horizon), is refused (a horizon past int64) or fails on
+        allocation (10**12 entries); it never ends in a traceback or a hang."""
+        cfg, data = fuzz_inputs[release]
+        argv = ["generate", "--config", cfg, "--out", data.with_suffix(".generated-size")]
+        if field == "generator.constraint.bound":
+            argv += ["--set", 'generator.constraint={"kind": "time_bounded", "bound": 1}']
+        proc = _probe([*argv, "--set", f"{field}={value}"])
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            assert proc.stderr.startswith(("config error: generator.", "config error: generate "))
 
     @pytest.mark.parametrize("release", ["dcr", "rr-dcr"])
     def test_account_counts_a_uniform_schedule_without_its_ticks(self, fuzz_inputs, release):
